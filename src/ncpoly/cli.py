@@ -20,6 +20,7 @@ import numpy as np
 from . import families
 from .errors import FormatError, ParseError
 from .evaluator import (
+    _matrix_lines,
     complexity_bounds,
     count_n,
     count_ns,
@@ -92,14 +93,6 @@ def _print_summary(info: dict, fmt: str) -> None:
             f"dim={info['dim']} Ns={info['ns']} Nt={info['nt']} "
             f"N={info['n']} bounds=[{lo},{hi}]"
         )
-
-
-def _matrix_lines(mat: np.ndarray, exact: bool) -> list[str]:
-    if exact:
-        return [
-            " ".join(f"{x.numerator}/{x.denominator}" for x in row) for row in mat
-        ]
-    return [" ".join(repr(float(x)) for x in row) for row in mat]
 
 
 def cmd_rank(args) -> int:

@@ -1,30 +1,39 @@
 """Evaluation of linear systems on matrix tuples, with multiplication counts.
 
-Evaluating a polynomial ALS never inverts anything: the left family is
-computed bottom-up (s_n = lam*I, then s_{n-1} ... s_1 = p), the right
-family top-down.  Each step materializes pencil entries as
-``c0*I + c1*X1 + ... + cd*Xd`` (additions and scalings only) and multiplies
-them into the running family values.
+Evaluating a polynomial ALS never inverts anything.  One substitution loop
+serves every evaluator: it keeps a list of tracked values, and each step
+appends ``-sum_j a_ij s_j`` (left family: entry on the left, bottom-up from
+``s_n = lam*I`` to ``s_1 = p``) or ``-sum_i t_i a_ij`` (right family: entry
+on the right, top-down from ``t_1 = I``).  A block factorization is the
+right family of its block system, walked one factor at a time; a product of
+systems folds the left-evaluated factors with the same counted product.
+Each pencil entry ``c0*I + c1*X1 + ... + cd*Xd`` is materialized (additions
+and scalings only) just before its product and dropped after it.
 
-Only genuine matrix-matrix products are counted.  Values that are scalar
-multiples of the identity are tracked *structurally* (by how they were
-produced, not by inspecting numeric content), so products with them are
-O(m^2) scalings and stay uncounted; this is exactly why the static counts
-N_s / N_t exclude the last column respectively the first row.
+A tracked value is a plain scalar, standing for that multiple of the
+identity, or a full matrix.  Only matrix-times-matrix products are counted;
+products with scalars are O(m^2) scalings and stay uncounted, which is
+exactly why the static counts N_s / N_t exclude the last column
+respectively the first row.
+
+Exact and float evaluation run the same code: only ``MatrixTuple`` knows its
+mode, through ``coeff`` (a rational in the tuple's arithmetic) and
+``identity``.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .errors import FormatError
 from .factorizer import BlockFactorization
 from .freepoly import identity_matrix
-from .realization import Als, LinearEntry
+from .realization import Als, LinearEntry, _frac_str, _parse_frac
 
 RAT = "rat"
 F64 = "f64"
@@ -71,6 +80,14 @@ class MatrixTuple:
     def is_exact(self) -> bool:
         return self.mode == RAT
 
+    def coeff(self, value: Fraction):
+        """A rational in this tuple's arithmetic: Fraction, or float in f64."""
+        return value if self.is_exact else float(value)
+
+    def identity(self) -> np.ndarray:
+        """A fresh m x m identity in this tuple's arithmetic."""
+        return identity_matrix(self.m, self.is_exact)
+
     def to_float(self) -> "MatrixTuple":
         if self.mode == F64:
             return self
@@ -105,150 +122,112 @@ def random_rational_tuple(
     return MatrixTuple.exact(mats)
 
 
-# -- tracked values -----------------------------------------------------------
+# -- the substitution loop ------------------------------------------------------
+#
+# A tracked value is a plain scalar, standing for that multiple of the
+# identity, or an ndarray.
 
 
-class _Value:
-    """Either a scalar multiple of the identity or a full matrix."""
-
-    __slots__ = ("scalar", "mat")
-
-    def __init__(self, scalar=None, mat=None):
-        self.scalar = scalar
-        self.mat = mat
-
-    @property
-    def is_scalar(self) -> bool:
-        return self.mat is None
+def _product(left, right):
+    """left * right on tracked values, and 1 if it was a matrix product."""
+    if isinstance(left, np.ndarray) and isinstance(right, np.ndarray):
+        return left @ right, 1
+    return left * right, 0
 
 
-class _Accumulator:
-    """Sum of tracked values; stays scalar until a matrix term arrives."""
-
-    def __init__(self, tup: MatrixTuple):
-        self.tup = tup
-        self.scalar = Fraction(0) if tup.is_exact else 0.0
-        self.mat: Optional[np.ndarray] = None
-
-    def add(self, value: _Value, negate: bool = False) -> None:
-        sign = -1 if negate else 1
-        if value.is_scalar:
-            self.scalar += sign * value.scalar
-        elif self.mat is None:
-            self.mat = sign * value.mat
-        else:
-            self.mat = self.mat + sign * value.mat
-
-    def finish(self) -> _Value:
-        if self.mat is None:
-            return _Value(scalar=self.scalar)
-        mat = self.mat
-        if self.scalar:
-            mat = mat + self.scalar * identity_matrix(self.tup.m, self.tup.is_exact)
-        return _Value(mat=mat)
-
-
-def _coeff(value: Fraction, exact: bool):
-    return value if exact else float(value)
-
-
-def _entry_value(entry: LinearEntry, tup: MatrixTuple) -> _Value:
+def _entry_value(entry: LinearEntry, tup: MatrixTuple):
     """Materialize a pencil entry; additions and scalings only, no products."""
-    exact = tup.is_exact
     if entry.is_scalar:
-        return _Value(scalar=_coeff(entry.constant, exact))
+        return tup.coeff(entry.constant)
     acc = None
     for index, coeff in enumerate(entry.coeffs[1:]):
         if coeff == 0:
             continue
-        term = _coeff(coeff, exact) * tup.mats[index]
+        term = tup.coeff(coeff) * tup.mats[index]
         acc = term if acc is None else acc + term
     if entry.constant != 0:
-        acc = acc + _coeff(entry.constant, exact) * identity_matrix(tup.m, exact)
-    return _Value(mat=acc)
+        acc = acc + tup.coeff(entry.constant) * tup.identity()
+    return acc
 
 
-class _Counter:
-    def __init__(self):
-        self.count = 0
+def _substitute(tup: MatrixTuple, values: list, steps, entry_left: bool) -> int:
+    """Append one tracked value per step; return the matrix products done.
 
-    def product(self, left: _Value, right: _Value) -> _Value:
-        """Multiply tracked values; count only matrix-times-matrix."""
-        if left.is_scalar and right.is_scalar:
-            return _Value(scalar=left.scalar * right.scalar)
-        if left.is_scalar:
-            return _Value(mat=left.scalar * right.mat)
-        if right.is_scalar:
-            return _Value(mat=right.scalar * left.mat)
-        self.count += 1
-        return _Value(mat=left.mat @ right.mat)
+    A step is ``(negate, terms)`` with ``terms`` pairs ``(src, entry)``; it
+    appends ``-/+ sum of values[src] * entry``, the entry on the left (left
+    family) or on the right (right family).  Zero entries and scalar-zero
+    values are skipped; each entry is materialized just before its product.
+    """
+    count = 0
+    for negate, terms in steps:
+        scalar, total = tup.coeff(Fraction(0)), None
+        for src, entry in terms:
+            value = values[src]
+            if entry.is_zero or (not isinstance(value, np.ndarray) and value == 0):
+                continue
+            if entry_left:
+                term, counted = _product(_entry_value(entry, tup), value)
+            else:
+                term, counted = _product(value, _entry_value(entry, tup))
+            count += counted
+            if not isinstance(term, np.ndarray):
+                scalar = scalar - term if negate else scalar + term
+            elif total is None:
+                total = -term if negate else term
+            else:
+                total = total - term if negate else total + term
+            del term  # free it before the next entry is materialized
+        if total is not None and scalar:
+            total = total + scalar * tup.identity()
+        values.append(scalar if total is None else total)
+    return count
 
 
-def _materialize(value: _Value, tup: MatrixTuple) -> np.ndarray:
-    if value.is_scalar:
-        return value.scalar * identity_matrix(tup.m, tup.is_exact)
-    return value.mat
+def _report(tup: MatrixTuple, value, count: int, side: str) -> EvalReport:
+    if not isinstance(value, np.ndarray):
+        value = value * tup.identity()
+    return EvalReport(value, count, side)
 
 
-def _check_compatible(als: Als, tup: MatrixTuple) -> None:
-    if tup.d != len(als.alphabet):
+def _check_compatible(alphabet, tup: MatrixTuple) -> None:
+    if tup.d != len(alphabet):
         raise ValueError(
-            f"tuple has {tup.d} matrices but the alphabet has {len(als.alphabet)}"
+            f"tuple has {tup.d} matrices but the alphabet has {len(alphabet)}"
         )
 
 
-def _require_polynomial(als: Als) -> None:
-    if not als.is_polynomial_form:
-        raise ValueError("system is not in polynomial form; minimize/restore first")
+def _left_value(als: Als, tup: MatrixTuple):
+    """Tracked value of s_1 and the matrix products spent on it."""
+    _check_compatible(als.alphabet, tup)
+    if als.is_empty:
+        return tup.coeff(Fraction(0)), 0
+    n = als.n
+    values = [tup.coeff(als.lam)]  # values[k] holds s_{n-k} (1-based s)
+    steps = (
+        (True, [(n - 1 - j, als.rows[i][j]) for j in range(i + 1, n)])
+        for i in range(n - 2, -1, -1)
+    )
+    count = _substitute(tup, values, steps, entry_left=True)
+    return values[-1], count
 
 
 def evaluate_left(als: Als, tup: MatrixTuple) -> EvalReport:
     """Back substitution s_n = lam*I, s_i = -sum_{j>i} a_ij s_j; result s_1."""
-    _check_compatible(als, tup)
-    _require_polynomial(als)
-    if als.is_empty:
-        zero = Fraction(0) if tup.is_exact else 0.0
-        return EvalReport(zero * identity_matrix(tup.m, tup.is_exact), 0, "left")
-    n = als.n
-    counter = _Counter()
-    family: list[Optional[_Value]] = [None] * n
-    family[n - 1] = _Value(scalar=_coeff(als.lam, tup.is_exact))
-    for i in range(n - 2, -1, -1):
-        acc = _Accumulator(tup)
-        for j in range(i + 1, n):
-            entry = als.rows[i][j]
-            if entry.is_zero:
-                continue
-            acc.add(counter.product(_entry_value(entry, tup), family[j]), negate=True)
-        family[i] = acc.finish()
-    return EvalReport(_materialize(family[0], tup), counter.count, "left")
+    return _report(tup, *_left_value(als, tup), "left")
 
 
 def evaluate_right(als: Als, tup: MatrixTuple) -> EvalReport:
     """Forward substitution t_1 = I, t_j = -sum_{i<j} t_i a_ij; result lam*t_n."""
-    _check_compatible(als, tup)
-    _require_polynomial(als)
+    _check_compatible(als.alphabet, tup)
     if als.is_empty:
-        zero = Fraction(0) if tup.is_exact else 0.0
-        return EvalReport(zero * identity_matrix(tup.m, tup.is_exact), 0, "right")
-    n = als.n
-    counter = _Counter()
-    family: list[_Value] = [_Value(scalar=_coeff(Fraction(1), tup.is_exact))]
-    for j in range(1, n):
-        acc = _Accumulator(tup)
-        for i in range(j):
-            entry = als.rows[i][j]
-            if entry.is_zero:
-                continue
-            acc.add(counter.product(family[i], _entry_value(entry, tup)), negate=True)
-        family.append(acc.finish())
-    last = family[n - 1]
-    lam = _coeff(als.lam, tup.is_exact)
-    if last.is_scalar:
-        result = _Value(scalar=lam * last.scalar)
-    else:
-        result = _Value(mat=lam * last.mat)
-    return EvalReport(_materialize(result, tup), counter.count, "right")
+        return _report(tup, tup.coeff(Fraction(0)), 0, "right")
+    lam = tup.coeff(als.lam)
+    values = [tup.coeff(Fraction(1))]
+    steps = (
+        (True, [(i, als.rows[i][j]) for i in range(j)]) for j in range(1, als.n)
+    )
+    count = _substitute(tup, values, steps, entry_left=False)
+    return _report(tup, lam * values[-1], count, "right")
 
 
 # -- static multiplication counts ---------------------------------------------
@@ -302,69 +281,61 @@ def evaluate_block_factorization(
 ) -> EvalReport:
     """Evaluate a chain of rectangular pencil matrices left to right.
 
-    The running value is a row of tracked blocks; a cell product is counted
-    only when both sides are genuinely non-scalar.
+    This is the right family of ``bf.to_block_als()``, walked one factor at
+    a time without building that system: the values of a factor's columns
+    depend only on those of its rows, so two blocks of values are alive at
+    once.
     """
-    if bf.alphabet is not None and tup.d != len(bf.alphabet):
-        raise ValueError("tuple size does not match the factor alphabet")
-    counter = _Counter()
-    first = bf.factors[0]
-    row: list[_Value] = [_entry_value(entry, tup) for entry in first[0]]
-    for factor in bf.factors[1:]:
-        if len(factor) != len(row):
-            raise ValueError("factor dimensions do not chain")
-        width = len(factor[0])
-        new_row = []
-        for j in range(width):
-            acc = _Accumulator(tup)
-            for i, value in enumerate(row):
-                entry = factor[i][j]
-                if entry.is_zero or (value.is_scalar and value.scalar == 0):
-                    continue
-                acc.add(counter.product(value, _entry_value(entry, tup)))
-            new_row.append(acc.finish())
-        row = new_row
-    if len(row) != 1:
-        raise ValueError("factor chain must end in a single column")
-    return EvalReport(_materialize(row[0], tup), counter.count, "left")
+    _check_compatible(bf.alphabet, tup)
+    row = [tup.coeff(Fraction(1))]
+    count = 0
+    for grid in bf.factors:
+        steps = ((False, list(enumerate(column))) for column in zip(*grid))
+        count += _substitute(tup, row, steps, entry_left=False)
+        row = row[len(grid):]
+    return _report(tup, row[0], count, "left")
 
 
 def evaluate_product(systems: Sequence[Als], tup: MatrixTuple) -> EvalReport:
     """Evaluate a product of polynomials, each given by a polynomial ALS.
 
     Every factor is evaluated through its own system (left side), then the
-    results are chained left to right; scalar factors never cost a product.
+    results are chained left to right with the same counted product, so
+    scalar factors, the zero factor included, never cost a product.
     """
     if not systems:
         raise ValueError("need at least one factor")
-    total = 0
-    value: Optional[_Value] = None
-    counter = _Counter()
+    value, count = tup.coeff(Fraction(1)), 0
     for als in systems:
-        report = evaluate_left(als, tup)
-        total += report.mult_count
-        factor = (
-            _Value(scalar=_coeff(als.lam, tup.is_exact))
-            if als.n == 1
-            else _Value(mat=report.result)
-        )
-        value = factor if value is None else counter.product(value, factor)
-    return EvalReport(_materialize(value, tup), total + counter.count, "left")
+        factor, factor_count = _left_value(als, tup)
+        value, counted = _product(value, factor)
+        count += factor_count + counted
+    return _report(tup, value, count, "left")
 
 
 # -- matrix tuple files ---------------------------------------------------------
 
 
+def _matrix_lines(mat: np.ndarray, exact: bool) -> list[str]:
+    """Rows of one matrix as in matrix files: n/d rationals or float reprs."""
+    fmt = _frac_str if exact else (lambda x: repr(float(x)))
+    return [" ".join(fmt(x) for x in row) for row in mat]
+
+
+def _parse_float(token: str) -> float:
+    try:
+        value = float(token)
+    except ValueError as exc:
+        raise FormatError(f"bad float {token!r}") from exc
+    if not math.isfinite(value):
+        raise FormatError(f"float must be finite, got {token!r}")
+    return value
+
+
 def dump_matrix_tuple(tup: MatrixTuple) -> str:
     lines = [f"{tup.m} {tup.d} {tup.mode}"]
     for mat in tup.mats:
-        for row in mat:
-            if tup.is_exact:
-                lines.append(
-                    " ".join(f"{x.numerator}/{x.denominator}" for x in row)
-                )
-            else:
-                lines.append(" ".join(repr(float(x)) for x in row))
+        lines.extend(_matrix_lines(mat, tup.is_exact))
     return "\n".join(lines) + "\n"
 
 
@@ -379,28 +350,18 @@ def load_matrix_tuple(text: str) -> MatrixTuple:
         m, d = int(header[0]), int(header[1])
     except ValueError as exc:
         raise FormatError("matrix header must be 'm d mode'") from exc
+    if m < 1 or d < 1:
+        raise FormatError("matrix size m and count d must be positive")
     if len(lines) != 1 + m * d:
         raise FormatError(f"expected {m * d} matrix rows, found {len(lines) - 1}")
-    mats = []
-    at = 1
-    for _ in range(d):
-        rows = []
-        for _ in range(m):
-            tokens = lines[at].split()
-            at += 1
-            if len(tokens) != m:
-                raise FormatError(f"expected {m} entries per row")
-            if header[2] == RAT:
-                try:
-                    rows.append([Fraction(tok) for tok in tokens])
-                except (ValueError, ZeroDivisionError) as exc:
-                    raise FormatError(f"bad rational in matrix file: {exc}") from exc
-            else:
-                try:
-                    rows.append([float(tok) for tok in tokens])
-                except ValueError as exc:
-                    raise FormatError(f"bad float in matrix file: {exc}") from exc
-        mats.append(rows)
+    parse_token = _parse_frac if header[2] == RAT else _parse_float
+    rows = []
+    for line in lines[1:]:
+        tokens = line.split()
+        if len(tokens) != m:
+            raise FormatError(f"expected {m} entries per row")
+        rows.append([parse_token(tok) for tok in tokens])
+    mats = [rows[k * m:(k + 1) * m] for k in range(d)]
     if header[2] == RAT:
         return MatrixTuple.exact(mats)
     return MatrixTuple.floating(mats)

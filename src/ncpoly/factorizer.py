@@ -33,6 +33,8 @@ from .realization import (
     CellLike,
     LinearEntry,
     _coerce_cell,
+    _entry_row_str,
+    _parse_entry_row,
     apply_transformation,
 )
 
@@ -506,12 +508,7 @@ def dump_factors(bf: BlockFactorization) -> str:
     ]
     for grid in bf.factors:
         lines.append(f"factor {len(grid)} {len(grid[0])}")
-        for row in grid:
-            cells = [
-                " ".join(f"{c.numerator}/{c.denominator}" for c in entry.coeffs)
-                for entry in row
-            ]
-            lines.append(" | ".join(cells))
+        lines.extend(_entry_row_str(row) for row in grid)
     return "\n".join(lines) + "\n"
 
 
@@ -536,23 +533,13 @@ def load_factors(text: str) -> BlockFactorization:
         except ValueError as exc:
             raise FormatError("malformed factor size line") from exc
         at += 1
-        grid = []
-        for _ in range(height):
-            cells = lines[at].split("|")
-            at += 1
-            if len(cells) != width:
-                raise FormatError("factor row width mismatch")
-            row = []
-            for cell in cells:
-                try:
-                    coeffs = [Fraction(tok) for tok in cell.split()]
-                except (ValueError, ZeroDivisionError) as exc:
-                    raise FormatError(f"bad rational: {exc}") from exc
-                if len(coeffs) != d + 1:
-                    raise FormatError(f"cell needs {d + 1} coefficients")
-                row.append(LinearEntry(tuple(coeffs)))
-            grid.append(tuple(row))
-        factors.append(tuple(grid))
+        if height < 1 or width < 1:
+            raise FormatError("factor sizes must be positive")
+        if at + height > len(lines):
+            raise FormatError(f"truncated factor: expected {height} rows")
+        rows = lines[at:at + height]
+        factors.append(tuple(_parse_entry_row(row, width, d) for row in rows))
+        at += height
     try:
         return BlockFactorization(alphabet, factors)
     except ValueError as exc:

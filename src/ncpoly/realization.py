@@ -514,6 +514,24 @@ def _parse_frac(token: str) -> Fraction:
         raise FormatError(f"bad rational {token!r}") from exc
 
 
+def _entry_row_str(row: Sequence[LinearEntry]) -> str:
+    """One row of entries: coefficients space-separated, cells joined by ' | '."""
+    return " | ".join(" ".join(_frac_str(c) for c in entry.coeffs) for entry in row)
+
+
+def _parse_entry_row(line: str, width: int, d: int) -> tuple[LinearEntry, ...]:
+    cells = line.split("|")
+    if len(cells) != width:
+        raise FormatError(f"row has {len(cells)} cells, expected {width}")
+    row = []
+    for cell in cells:
+        coeffs = tuple(_parse_frac(tok) for tok in cell.split())
+        if len(coeffs) != d + 1:
+            raise FormatError(f"cell needs {d + 1} coefficients")
+        row.append(LinearEntry(coeffs))
+    return tuple(row)
+
+
 def dump_als(als: Als) -> str:
     """Stable text serialization; bit-exact round trip with load_als."""
     lines = [
@@ -523,9 +541,7 @@ def dump_als(als: Als) -> str:
         f"lambda-pos {als.n if als.is_polynomial_form and not als.is_empty else 0}",
         "matrix",
     ]
-    for row in als.rows:
-        cells = [" ".join(_frac_str(c) for c in entry.coeffs) for entry in row]
-        lines.append(" | ".join(cells))
+    lines.extend(_entry_row_str(row) for row in als.rows)
     lines.append("rhs")
     if als.n:
         lines.append(" ".join(_frac_str(x) for x in als.rhs))
@@ -537,29 +553,21 @@ def load_als(text: str) -> Als:
     if not lines or lines[0] != _FORMAT_TAG:
         raise FormatError("not an ALS file (missing format tag)")
     try:
+        keys = [line.split()[0] for line in lines[1:4]]
         dim = int(lines[1].split()[1])
         alphabet = Alphabet(lines[2].split(" ", 1)[1].split(","))
         lines[3].split()[1]  # lambda-pos: informational
     except (IndexError, ValueError) as exc:
         raise FormatError(f"malformed ALS header: {exc}") from exc
+    if keys != ["dim", "alphabet", "lambda-pos"]:
+        raise FormatError("ALS header must be 'dim', 'alphabet', 'lambda-pos'")
     expected_lines = 6 + dim + (1 if dim else 0)
     if len(lines) < expected_lines:
         raise FormatError("truncated ALS file")
     if lines[4] != "matrix":
         raise FormatError("expected 'matrix' section")
     d = len(alphabet)
-    rows = []
-    for i in range(dim):
-        cells = lines[5 + i].split("|")
-        if len(cells) != dim:
-            raise FormatError(f"row {i + 1} has {len(cells)} cells, expected {dim}")
-        row = []
-        for cell in cells:
-            coeffs = [_parse_frac(tok) for tok in cell.split()]
-            if len(coeffs) != d + 1:
-                raise FormatError(f"cell needs {d + 1} coefficients")
-            row.append(LinearEntry(tuple(coeffs)))
-        rows.append(row)
+    rows = [_parse_entry_row(lines[5 + i], dim, d) for i in range(dim)]
     if lines[5 + dim] != "rhs":
         raise FormatError("expected 'rhs' section")
     if dim:

@@ -5,6 +5,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from ncpoly import (
@@ -174,3 +175,12 @@ def random_polynomial(
         coeff = rng.choice([c for c in range(-coeff_range, coeff_range + 1) if c])
         terms[word] = Fraction(coeff)
     return NcPolynomial(alphabet, terms)
+
+
+def assert_bitwise_equal(a, b) -> None:
+    """Same dtype and shape; float entries equal bit for bit, signed zeros too."""
+    assert a.dtype == b.dtype and a.shape == b.shape
+    if a.dtype == object:
+        assert np.array_equal(a, b)
+    else:
+        assert a.tobytes() == b.tobytes()

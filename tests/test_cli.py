@@ -185,6 +185,12 @@ class TestVerifyBlock:
         code, _, err = run(capsys, "verify-block", str(path), "3cyxb")
         assert code == 3
 
+    def test_truncated_file_exits_two(self, capsys, tmp_path, bench19_chain):
+        path = tmp_path / "factors.txt"
+        path.write_text("\n".join(dump_factors(bench19_chain).splitlines()[:-1]))
+        code, _, err = run(capsys, "verify-block", str(path), BENCH19_TEXT)
+        assert code == 2 and err.startswith("error:")
+
 
 class TestTable:
     def test_text_contains_paper_rows(self, capsys):

@@ -34,7 +34,7 @@ from ncpoly.errors import FormatError
 from ncpoly.families import power_polynomial, power_system
 from ncpoly.freepoly import identity_matrix
 
-from conftest import random_polynomial
+from conftest import assert_bitwise_equal, random_polynomial
 
 
 class TestEvaluateSides:
@@ -191,6 +191,11 @@ class TestBlockFactorization:
             evaluate_left(block_als, tup).result,
             naive_evaluate(bench19_poly, tup.mats),
         )
+        for mats in (tup, tup.to_float()):
+            chain = evaluate_block_factorization(bench19_chain, mats)
+            right = evaluate_right(block_als, mats)
+            assert chain.mult_count == right.mult_count == 15
+            assert_bitwise_equal(chain.result, right.result)
 
 
 class TestEvaluateProduct:
@@ -207,6 +212,12 @@ class TestEvaluateProduct:
         tup = random_rational_tuple(random.Random(15), 2, 2)
         report = evaluate_product([intro_als], tup)
         assert report.mult_count == 2
+
+    def test_zero_factor_is_free(self, ab_xy):
+        tup = random_rational_tuple(random.Random(15), 2, 2)
+        report = evaluate_product([build_als(parse("x", ab_xy)), Als.empty(ab_xy)], tup)
+        assert report.mult_count == 0
+        assert np.array_equal(report.result, 0 * identity_matrix(2))
 
 
 class TestHornerCounts:
@@ -297,6 +308,16 @@ class TestMatrixTupleFiles:
     def test_wrong_row_count(self):
         with pytest.raises(FormatError):
             load_matrix_tuple("2 1 rat\n1/1 0/1\n")
+
+    def test_rejects_empty_sizes(self):
+        for text in ("0 1 rat\n", "2 0 rat\n"):
+            with pytest.raises(FormatError):
+                load_matrix_tuple(text)
+
+    def test_rejects_non_finite_floats(self):
+        for token in ("nan", "inf", "-inf"):
+            with pytest.raises(FormatError):
+                load_matrix_tuple(f"1 1 f64\n{token}\n")
 
     def test_validation(self):
         with pytest.raises(ValueError):

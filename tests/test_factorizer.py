@@ -10,7 +10,9 @@ from ncpoly import (
     build_als,
     check_k_reducibility_pattern,
     dump_factors,
+    evaluate_block_factorization,
     evaluate_left,
+    evaluate_right,
     extract_factors,
     factor_atoms,
     find_split,
@@ -23,6 +25,8 @@ from ncpoly import (
 )
 from ncpoly.errors import FormatError
 from ncpoly.factorizer import FactorSplit
+
+from conftest import assert_bitwise_equal
 
 
 def product_of(polys):
@@ -184,6 +188,14 @@ class TestFactorSerialization:
         with pytest.raises(FormatError):
             load_factors("nope\n")
 
+    def test_rejects_truncated_factor(self, ab_xy):
+        bf = BlockFactorization.from_cells(ab_xy, [[["x", "y"]], [["y"], ["x"]]])
+        text = dump_factors(bf)
+        with pytest.raises(FormatError):
+            load_factors("\n".join(text.splitlines()[:-1]))
+        with pytest.raises(FormatError):
+            load_factors(text.replace("factor 2 1", "factor 0 1", 1))
+
     def test_rejects_broken_chain_payload(self, ab_xy):
         bf = BlockFactorization.from_cells(ab_xy, [[["x", "y"]], [["y"], ["x"]]])
         text = dump_factors(bf).replace("factor 2 1", "factor 1 1", 1)
@@ -206,3 +218,8 @@ class TestVerifyBlockFactorization:
         assert np.array_equal(
             evaluate_left(block_als, tup).result, naive_evaluate(p, tup.mats)
         )
+        for mats in (tup, tup.to_float()):
+            chain = evaluate_block_factorization(bf, mats)
+            right = evaluate_right(block_als, mats)
+            assert chain.mult_count == right.mult_count == 2
+            assert_bitwise_equal(chain.result, right.result)

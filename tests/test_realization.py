@@ -345,6 +345,13 @@ class TestSerialization:
         with pytest.raises(FormatError):
             load_als("not a system\n")
 
+    def test_rejects_unknown_header_keys(self, intro_als):
+        with pytest.raises(FormatError):
+            load_als("ncpoly-als 1\nfoo 1\nbar x\nbaz 1\nmatrix\n1/1 0/1\nrhs\n1/1\n")
+        text = dump_als(intro_als).replace("lambda-pos", "lambda", 1)
+        with pytest.raises(FormatError):
+            load_als(text)
+
     def test_rejects_truncated(self, intro_als):
         text = dump_als(intro_als)
         with pytest.raises(FormatError):
