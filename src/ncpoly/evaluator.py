@@ -129,10 +129,16 @@ def random_rational_tuple(
 
 
 def _product(left, right):
-    """left * right on tracked values, and 1 if it was a matrix product."""
-    if isinstance(left, np.ndarray) and isinstance(right, np.ndarray):
-        return left @ right, 1
-    return left * right, 0
+    """left * right on tracked values, and 1 if it was a matrix product.
+
+    A scalar-zero operand gives scalar zero, so a zero factor keeps the
+    rest of a fold scalar and free.
+    """
+    if isinstance(left, np.ndarray):
+        if isinstance(right, np.ndarray):
+            return left @ right, 1
+        return (left * right if right else right), 0
+    return (left * right if left else left), 0
 
 
 def _entry_value(entry: LinearEntry, tup: MatrixTuple):
@@ -301,7 +307,8 @@ def evaluate_product(systems: Sequence[Als], tup: MatrixTuple) -> EvalReport:
 
     Every factor is evaluated through its own system (left side), then the
     results are chained left to right with the same counted product, so
-    scalar factors, the zero factor included, never cost a product.
+    scalar factors never cost a product, and after a zero factor no later
+    factor does either.
     """
     if not systems:
         raise ValueError("need at least one factor")

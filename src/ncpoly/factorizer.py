@@ -517,10 +517,13 @@ def load_factors(text: str) -> BlockFactorization:
     if not lines or lines[0] != _FACTORS_TAG:
         raise FormatError("not a block-factor file (missing format tag)")
     try:
+        keys = [line.split()[0] for line in lines[1:3]]
         alphabet = Alphabet(lines[1].split(" ", 1)[1].split(","))
         count = int(lines[2].split()[1])
     except (IndexError, ValueError) as exc:
         raise FormatError(f"malformed factor header: {exc}") from exc
+    if keys != ["alphabet", "count"]:
+        raise FormatError("factor header must be 'alphabet', 'count'")
     d = len(alphabet)
     factors = []
     at = 3

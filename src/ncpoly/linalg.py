@@ -1,16 +1,26 @@
 """Dense exact-rational linear algebra.
 
-Everything here is deliberately boring: row-major ``Fraction`` matrices,
-Gaussian elimination with first-nonzero pivoting (exact arithmetic needs no
-magnitude pivoting), and a solver that zeroes all free variables so results
-are deterministic.  These routines back the minimization equations, the
-family-rank tests, and the factorization solves.
+Matrices hold ``Fraction`` entries; ``to_fraction`` is the one place where
+other numbers (ints, strings, floats) become ``Fraction`` and values that
+already are pass through untouched.  All solving and ranking goes through
+one kernel, ``_eliminate``: each row is scaled to integers by the lcm of
+its denominators, then fraction-free Gauss-Jordan runs on Python ints with
+first-nonzero pivoting (exact arithmetic needs no magnitude pivoting) and
+keeps every row primitive.  Solutions set all free variables to zero, so
+results are deterministic.  These routines back the minimization
+equations, the family-rank tests, and the factorization solves.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
 from typing import Iterable, Optional, Sequence
+
+
+def to_fraction(x) -> Fraction:
+    """``x`` as an exact ``Fraction``; a ``Fraction`` is returned as is."""
+    return x if type(x) is Fraction else Fraction(x)
 
 
 class RatMatrix:
@@ -19,7 +29,7 @@ class RatMatrix:
     __slots__ = ("rows", "cols", "data")
 
     def __init__(self, entries: Iterable[Iterable]):
-        data = tuple(tuple(Fraction(x) for x in row) for row in entries)
+        data = tuple(tuple(map(to_fraction, row)) for row in entries)
         if not data:
             raise ValueError("matrix needs at least one row")
         width = len(data[0])
@@ -84,25 +94,56 @@ class RatMatrix:
         return f"RatMatrix[{body}]"
 
 
-def _eliminate(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
-    """Row echelon form in place; returns (rows, pivot column indices)."""
+def _integer_row(row: Sequence[Fraction]) -> list[int]:
+    """The row scaled by the lcm of its denominators, as Python ints."""
+    den = 1
+    for x in row:
+        d = x.denominator
+        if d != 1 and den % d:
+            den = den // gcd(den, d) * d
+    if den == 1:
+        return [x.numerator for x in row]
+    return [x.numerator * (den // x.denominator) for x in row]
+
+
+def _primitive(row: list[int]) -> list[int]:
+    """The row divided by the gcd of its entries (folded pairwise, no tuple)."""
+    g = 0
+    for x in row:
+        if x:
+            g = gcd(g, x)
+            if g == 1:
+                return row
+    return [x // g for x in row] if g > 1 else row
+
+
+def _eliminate(rows: list[list[int]]) -> tuple[list[list[int]], list[int]]:
+    """Fraction-free Gauss-Jordan on integer rows, in place.
+
+    The pivot is the first nonzero entry at or below the current target row.
+    Every other row with a nonzero entry ``a`` in the pivot column becomes
+    ``p*row - a*pivot_row`` divided by its gcd, so each reduced row is a
+    nonzero rational multiple of the row that rational Gauss-Jordan with a
+    normalized pivot would give: same zero pattern, same pivots, and the
+    value of a pivot variable is ``row[-1] / row[pivot]``.  Returns
+    (rows, pivot column indices).
+    """
     n_rows = len(rows)
     n_cols = len(rows[0]) if rows else 0
     pivots: list[int] = []
     target = 0
     for col in range(n_cols):
-        pivot_row = next(
-            (r for r in range(target, n_rows) if rows[r][col] != 0), None
-        )
+        pivot_row = next((r for r in range(target, n_rows) if rows[r][col]), None)
         if pivot_row is None:
             continue
         rows[target], rows[pivot_row] = rows[pivot_row], rows[target]
-        inv = 1 / rows[target][col]
-        rows[target] = [x * inv for x in rows[target]]
+        prow = rows[target]
+        p = prow[col]
         for r in range(n_rows):
-            if r != target and rows[r][col] != 0:
-                factor = rows[r][col]
-                rows[r] = [a - factor * b for a, b in zip(rows[r], rows[target])]
+            row = rows[r]
+            a = row[col]
+            if a and r != target:
+                rows[r] = _primitive([p * x - a * y for x, y in zip(row, prow)])
         pivots.append(col)
         target += 1
         if target == n_rows:
@@ -110,11 +151,24 @@ def _eliminate(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[i
     return rows, pivots
 
 
+def _solve(rows: list[list[int]], width: int) -> Optional[list[Fraction]]:
+    """Solve augmented integer rows (constant in column ``width``).
+
+    Free variables are zero; ``None`` when the system is inconsistent.
+    """
+    reduced, pivots = _eliminate(rows)
+    if width in pivots:
+        return None  # a pivot in the constant column: inconsistent
+    solution = [Fraction(0)] * width
+    for r, col in enumerate(pivots):
+        row = reduced[r]
+        solution[col] = Fraction(row[width], row[col])
+    return solution
+
+
 def rank(a: RatMatrix) -> int:
-    """Exact rank by rational Gaussian elimination."""
-    work = [list(row) for row in a.data]
-    _, pivots = _eliminate(work)
-    return len(pivots)
+    """Exact rank by fraction-free Gaussian elimination."""
+    return len(_eliminate([_integer_row(row) for row in a.data])[1])
 
 
 def is_invertible(a: RatMatrix) -> bool:
@@ -131,15 +185,9 @@ def solve_linear(a: RatMatrix, b: RatMatrix) -> Optional[RatMatrix]:
     """
     if b.cols != 1 or b.rows != a.rows:
         raise ValueError("right-hand side must be a column of matching height")
-    width = a.cols
-    augmented = [list(row) + [b.data[i][0]] for i, row in enumerate(a.data)]
-    reduced, pivots = _eliminate(augmented)
-    if width in pivots:
-        return None  # a pivot in the constant column: inconsistent
-    solution = [Fraction(0)] * width
-    for r, col in enumerate(pivots):
-        solution[col] = reduced[r][width]
-    return RatMatrix.column(solution)
+    rows = [_integer_row(row + b.data[i]) for i, row in enumerate(a.data)]
+    solution = _solve(rows, a.cols)
+    return None if solution is None else RatMatrix.column(solution)
 
 
 def solve_rows(
@@ -150,13 +198,18 @@ def solve_rows(
     ``rows`` are coefficient rows of length ``width``; returns a flat
     solution list (free variables zero) or ``None`` if inconsistent.
     """
-    rows = [list(map(Fraction, row)) for row in rows]
-    rhs = [Fraction(x) for x in rhs]
+    rhs = [to_fraction(x) for x in rhs]
     if width == 0:
         return [] if all(x == 0 for x in rhs) else None
     if not rows:
         return [Fraction(0)] * width
-    solution = solve_linear(RatMatrix(rows), RatMatrix.column(rhs))
-    if solution is None:
-        return None
-    return [solution.data[i][0] for i in range(width)]
+    if len(rhs) != len(rows):
+        raise ValueError("right-hand side must match the number of rows")
+    augmented = []
+    for row, b in zip(rows, rhs):
+        row = [to_fraction(x) for x in row]
+        if len(row) != width:
+            raise ValueError(f"rows must have length {width}")
+        row.append(b)
+        augmented.append(_integer_row(row))
+    return _solve(augmented, width)

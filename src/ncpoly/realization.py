@@ -22,6 +22,7 @@ from fractions import Fraction
 from typing import Optional, Sequence, Union
 
 from . import linalg
+from .linalg import to_fraction
 from .errors import FormatError
 from .freepoly import Alphabet, NcPolynomial, Word, parse
 
@@ -35,9 +36,7 @@ class LinearEntry:
     coeffs: tuple[Fraction, ...]  # length d+1; index 0 is the constant part
 
     def __post_init__(self):
-        object.__setattr__(
-            self, "coeffs", tuple(Fraction(c) for c in self.coeffs)
-        )
+        object.__setattr__(self, "coeffs", tuple(map(to_fraction, self.coeffs)))
         if not self.coeffs:
             raise ValueError("entry needs at least the constant coefficient")
 
@@ -74,11 +73,11 @@ class LinearEntry:
 
     @property
     def is_scalar(self) -> bool:
-        return all(c == 0 for c in self.coeffs[1:])
+        return not any(self.coeffs[1:])
 
     @property
     def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
+        return not any(self.coeffs)
 
     def __add__(self, other: "LinearEntry") -> "LinearEntry":
         if other.width != self.width:
@@ -128,9 +127,10 @@ class Als:
         rhs: Sequence,
     ):
         rows = tuple(tuple(row) for row in rows)
-        rhs = tuple(Fraction(x) for x in rhs)
+        rhs = tuple(map(to_fraction, rhs))
         n = len(rows)
         d = len(alphabet)
+        one = LinearEntry.scalar(1, d).coeffs
         if len(rhs) != n:
             raise ValueError("right-hand side length must equal the dimension")
         for i, row in enumerate(rows):
@@ -139,7 +139,7 @@ class Als:
             for j, entry in enumerate(row):
                 if entry.width != d:
                     raise ValueError("entry width does not match the alphabet")
-                if i == j and entry.coeffs != LinearEntry.scalar(1, d).coeffs:
+                if i == j and entry.coeffs != one:
                     raise ValueError(f"diagonal entry ({i},{j}) must be scalar 1")
                 if i > j and not entry.is_zero:
                     raise ValueError(f"entry ({i},{j}) below the diagonal must be 0")

@@ -219,6 +219,15 @@ class TestEvaluateProduct:
         assert report.mult_count == 0
         assert np.array_equal(report.result, 0 * identity_matrix(2))
 
+    def test_zero_factor_after_a_matrix_keeps_the_rest_free(self, ab_xy):
+        systems = [build_als(parse(t, ab_xy)) for t in ("x", "y")]
+        systems.insert(1, Als.empty(ab_xy))
+        tup = random_rational_tuple(random.Random(15), 2, 2)
+        for mats in (tup, tup.to_float()):
+            report = evaluate_product(systems, mats)
+            assert report.mult_count == 0
+            assert np.array_equal(report.result, np.zeros((2, 2)))
+
 
 class TestHornerCounts:
     def horner_oracle(self, coeffs_low_to_high, x):

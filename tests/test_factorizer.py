@@ -196,6 +196,13 @@ class TestFactorSerialization:
         with pytest.raises(FormatError):
             load_factors(text.replace("factor 2 1", "factor 0 1", 1))
 
+    def test_rejects_wrong_header_keys(self):
+        text = "ncpoly-factors 1\nfoo x,y\nbar 1\nfactor 1 1\n0/1 1/1 0/1\n"
+        with pytest.raises(FormatError):
+            load_factors(text)
+        good = text.replace("foo", "alphabet").replace("bar", "count")
+        assert len(load_factors(good).factors) == 1
+
     def test_rejects_broken_chain_payload(self, ab_xy):
         bf = BlockFactorization.from_cells(ab_xy, [[["x", "y"]], [["y"], ["x"]]])
         text = dump_factors(bf).replace("factor 2 1", "factor 1 1", 1)

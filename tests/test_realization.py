@@ -48,6 +48,14 @@ class TestLinearEntry:
         p = parse("1/2 - 2*x + y", ab_xy)
         assert LinearEntry.from_polynomial(p).to_polynomial(ab_xy) == p
 
+    def test_stores_plain_fractions(self):
+        entry = LinearEntry((1, "1/2", 0.25))
+        assert entry.coeffs == (1, Fraction(1, 2), Fraction(1, 4))
+        assert all(type(c) is Fraction for c in entry.coeffs)
+        assert not entry.is_zero and not entry.is_scalar
+        assert LinearEntry((0, 0, 0)).is_zero
+        assert LinearEntry(("-3", 0, 0)).is_scalar
+
 
 class TestAlsValidation:
     def test_rejects_nonunit_diagonal(self, ab_xy):
@@ -65,6 +73,12 @@ class TestAlsValidation:
     def test_empty_system(self, ab_xy):
         empty = Als.empty(ab_xy)
         assert empty.is_empty and empty.polynomial().is_zero
+
+    def test_stores_plain_fractions(self, ab_xy):
+        als = Als.from_cells(ab_xy, [[1, "-x"], [0, 1]], [0, 3])
+        assert als.rhs == (0, 3)
+        values = list(als.rhs) + [c for row in als.rows for e in row for c in e.coeffs]
+        assert all(type(x) is Fraction for x in values)
 
 
 class TestMinimalMonomial:
