@@ -50,9 +50,7 @@ from .freepoly import (
 )
 from .linalg import RatMatrix, is_invertible, rank, solve_linear
 from .minimizer import (
-    BlockDecomposition,
     build_als,
-    decompose,
     is_minimal,
     minimize,
     rank_of,
@@ -80,7 +78,6 @@ __all__ = [
     "AdmissibleTransformation",
     "Alphabet",
     "Als",
-    "BlockDecomposition",
     "BlockFactorization",
     "EvalReport",
     "FactorSplit",
@@ -101,7 +98,6 @@ __all__ = [
     "count_n",
     "count_ns",
     "count_nt",
-    "decompose",
     "dump_als",
     "dump_factors",
     "dump_matrix_tuple",

@@ -39,6 +39,7 @@ from .realization import (
 )
 
 Grid = tuple[tuple[LinearEntry, ...], ...]
+_Ops = dict[tuple[int, int], Fraction]  # off-diagonal cells of P or Q
 
 
 def entry_grid(alphabet: Alphabet, cells: Sequence[Sequence[CellLike]]) -> Grid:
@@ -198,19 +199,23 @@ def _unitriangular(n: int, cells: dict[tuple[int, int], Fraction]) -> RatMatrix:
     return RatMatrix(rows)
 
 
-def _solve_joint(
-    als: Als, n1: int, row_sources: Sequence[int], col_sources: Sequence[int]
-) -> Optional[AdmissibleTransformation]:
-    """One exact linear solve for alpha/beta zeroing the target block.
+def _zero_block_ops(
+    als: Als,
+    target_rows: Sequence[int],
+    target_cols: Sequence[int],
+    comps: Sequence[int],
+    row_sources: Sequence[int],
+    col_sources: Sequence[int],
+) -> Optional[tuple[_Ops, _Ops]]:
+    """One exact linear solve for row/column ops zeroing the target cells.
 
-    Sources are 0-based; every row source must exceed every column source,
-    which kills the bilinear alpha*A*beta terms and makes the combined
-    equations exactly linear.
+    Row i gains alpha[i, r] * row r for row sources r > i, and column j
+    gains beta[c, j] * column c for column sources 0 < c < j; only the
+    given pencil components of the target cells are zeroed.  Sources are
+    0-based; every row source must exceed every column source, which kills
+    the bilinear alpha*A*beta terms and makes the equations exactly linear.
+    Returns the nonzero (alpha, beta), or ``None`` when inconsistent.
     """
-    n = als.n
-    d = len(als.alphabet)
-    target_rows = range(n1 - 1)
-    target_cols = range(n1, n)
     variables: list[tuple[str, int, int]] = []
     for i in target_rows:
         for r in row_sources:
@@ -223,7 +228,7 @@ def _solve_joint(
     index = {var: pos for pos, var in enumerate(variables)}
     rows: list[list[Fraction]] = []
     rhs: list[Fraction] = []
-    for comp in range(d + 1):
+    for comp in comps:
         for i in target_rows:
             for j in target_cols:
                 coeffs = [Fraction(0)] * len(variables)
@@ -238,52 +243,56 @@ def _solve_joint(
     solution = linalg.solve_rows(rows, rhs, len(variables))
     if solution is None:
         return None
-    alpha = {
-        (i, r): solution[pos]
-        for (kind, i, r), pos in index.items()
-        if kind == "row" and solution[pos] != 0
-    }
-    beta = {
-        (c, j): solution[pos]
-        for (kind, c, j), pos in index.items()
-        if kind == "col" and solution[pos] != 0
-    }
+    ops: dict[str, _Ops] = {"row": {}, "col": {}}
+    for (kind, a, b), x in zip(variables, solution):
+        if x != 0:
+            ops[kind][a, b] = x
+    return ops["row"], ops["col"]
+
+
+def _solve_joint(
+    als: Als, n1: int, row_sources: Sequence[int], col_sources: Sequence[int]
+) -> Optional[AdmissibleTransformation]:
+    """Row and column ops zeroing the whole target block in one solve."""
+    n = als.n
+    found = _zero_block_ops(
+        als,
+        range(n1 - 1),
+        range(n1, n),
+        range(len(als.alphabet) + 1),
+        row_sources,
+        col_sources,
+    )
+    if found is None:
+        return None
+    alpha, beta = found
     return AdmissibleTransformation(
         _unitriangular(n, alpha), _unitriangular(n, beta)
     )
 
 
-def _solve_single_row(
-    als: Als, i: int, n1: int, comps: Sequence[int]
-) -> Optional[dict[tuple[int, int], Fraction]]:
-    """Row ops zeroing the given components of row i's target cells."""
-    n = als.n
-    variables = list(range(i + 1, n - 1))
-    rows, rhs = [], []
-    for comp in comps:
-        for j in range(n1, n):
-            rows.append([als.rows[r][j].coeffs[comp] for r in variables])
-            rhs.append(-als.rows[i][j].coeffs[comp])
-    solution = linalg.solve_rows(rows, rhs, len(variables))
-    if solution is None or all(x == 0 for x in solution):
-        return None
-    return {(i, r): x for r, x in zip(variables, solution) if x != 0}
+def _single_pass_ops(
+    als: Als,
+    target_rows: Sequence[int],
+    target_cols: Sequence[int],
+    row_sources: Sequence[int],
+    col_sources: Sequence[int],
+) -> Optional[_Ops]:
+    """Nonzero ops of one row's (or one column's) pass, else ``None``.
 
-
-def _solve_single_col(
-    als: Als, j: int, n1: int, comps: Sequence[int]
-) -> Optional[dict[tuple[int, int], Fraction]]:
-    """Column ops zeroing the given components of column j's target cells."""
-    variables = list(range(1, j))
-    rows, rhs = [], []
-    for comp in comps:
-        for i in range(n1 - 1):
-            rows.append([als.rows[i][c].coeffs[comp] for c in variables])
-            rhs.append(-als.rows[i][j].coeffs[comp])
-    solution = linalg.solve_rows(rows, rhs, len(variables))
-    if solution is None or all(x == 0 for x in solution):
-        return None
-    return {(c, j): x for c, x in zip(variables, solution) if x != 0}
+    Only one kind of source is given, so only one kind of op comes back.
+    All pencil components are tried first, then the letter components
+    alone, which leaves a scalar residue for the other side.
+    """
+    d = len(als.alphabet)
+    for comps in (range(d + 1), range(1, d + 1)):
+        found = _zero_block_ops(
+            als, target_rows, target_cols, comps, row_sources, col_sources
+        )
+        ops = found[0] or found[1] if found else None
+        if ops:
+            return ops
+    return None
 
 
 def _partial_passes(
@@ -300,18 +309,13 @@ def _partial_passes(
     bilinear.  Bounded, so possibly incomplete by design.
     """
     n = als.n
-    d = len(als.alphabet)
-    all_comps = list(range(d + 1))
-    letter_comps = list(range(1, d + 1))
     current = als
     p_total = RatMatrix.identity(n)
     q_total = RatMatrix.identity(n)
     for _ in range(max_passes):
         changed = False
         for i in range(n1 - 1):
-            alpha = _solve_single_row(current, i, n1, all_comps) or _solve_single_row(
-                current, i, n1, letter_comps
-            )
+            alpha = _single_pass_ops(current, [i], range(n1, n), range(1, n - 1), ())
             if alpha is None:
                 continue
             trans = AdmissibleTransformation(
@@ -321,9 +325,7 @@ def _partial_passes(
             p_total = trans.p @ p_total
             changed = True
         for j in range(n1, n):
-            beta = _solve_single_col(current, j, n1, all_comps) or _solve_single_col(
-                current, j, n1, letter_comps
-            )
+            beta = _single_pass_ops(current, range(n1 - 1), [j], (), range(1, j))
             if beta is None:
                 continue
             trans = AdmissibleTransformation(

@@ -25,6 +25,7 @@ from typing import Dict, Iterable, Iterator, Mapping, Sequence, Tuple
 import numpy as np
 
 from .errors import ParseError
+from .linalg import to_fraction
 
 Word = Tuple[int, ...]
 
@@ -101,7 +102,7 @@ class NcPolynomial:
         cleaned: Dict[Word, Fraction] = {}
         d = len(alphabet)
         for word, coeff in terms.items():
-            coeff = Fraction(coeff)
+            coeff = to_fraction(coeff)
             if coeff == 0:
                 continue
             word = tuple(word)
@@ -254,6 +255,12 @@ class NcPolynomial:
 
 # -- parsing ---------------------------------------------------------------
 
+# Limits on one power ``base^e`` in parsed text, checked before it is
+# expanded: the expansion multiplies e times, and its term count can grow
+# like len(base)**e, so unbounded exponents would never return.
+MAX_DEGREE = 1000  # bound on e and on degree(base) * e
+MAX_TERMS = 10_000  # bound on len(base) ** e
+
 _TOKEN_RE = re.compile(
     r"\s*(?:(?P<ident>[A-Za-z][A-Za-z0-9_]*)|(?P<number>\d+)|(?P<op>[-+*/^()]))"
 )
@@ -286,7 +293,7 @@ class _Parser:
     expression := ('+'|'-')? term (('+'|'-') term)*
     term       := coeff ('*'? factor)* | factor ('*'? factor)*
     factor     := identifier power? | '(' expression ')' power?
-    power      := '^' positive-integer
+    power      := '^' positive-integer   (bounded by MAX_DEGREE, MAX_TERMS)
     coeff      := integer ('/' positive-integer)?
 
     A bare identifier such as "xy" is split into single letters when the
@@ -392,7 +399,12 @@ class _Parser:
             if kind != "number" or int(value) < 1:
                 raise ParseError("expected a positive integer exponent", at)
             self.advance()
-            return base ** int(value)
+            exponent = int(value)
+            if max(exponent, base.degree() * exponent) > MAX_DEGREE:
+                raise ParseError(f"power exceeds degree {MAX_DEGREE}", at)
+            if len(base) ** exponent > MAX_TERMS:
+                raise ParseError(f"power may exceed {MAX_TERMS} terms", at)
+            return base**exponent
         return base
 
     def identifier_poly(self, name: str, at: int) -> NcPolynomial:
@@ -407,8 +419,9 @@ class _Parser:
 def parse(text: str, alphabet: Alphabet) -> NcPolynomial:
     """Parse polynomial text into canonical form.
 
-    Raises ``ParseError`` (with position) on syntax errors and on
-    identifiers not present in the alphabet.
+    Raises ``ParseError`` (with position) on syntax errors, on
+    identifiers not present in the alphabet, and on a power whose
+    expansion could exceed ``MAX_DEGREE`` or ``MAX_TERMS``.
     """
     return _Parser(text, alphabet).parse()
 

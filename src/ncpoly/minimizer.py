@@ -21,71 +21,18 @@ systems because T and U are scalar.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
 from . import linalg
-from .freepoly import Alphabet, NcPolynomial, Word, word_key
+from .freepoly import NcPolynomial, Word, word_key
 from .realization import (
     Als,
-    LinearEntry,
+    _transform,
     als_add,
     minimal_monomial,
     restore_polynomial_form,
 )
-
-
-@dataclass(frozen=True)
-class BlockDecomposition:
-    """The system split around pivot row/column k (1-based)."""
-
-    k: int
-    a11: tuple[tuple[LinearEntry, ...], ...]
-    a12: tuple[LinearEntry, ...]
-    a13: tuple[tuple[LinearEntry, ...], ...]
-    a23: tuple[LinearEntry, ...]
-    a33: tuple[tuple[LinearEntry, ...], ...]
-    v1: tuple[Fraction, ...]
-    v2: Fraction
-    v3: tuple[Fraction, ...]
-
-
-def decompose(als: Als, k: int) -> BlockDecomposition:
-    if not 1 <= k <= als.n:
-        raise IndexError(f"pivot {k} out of range for dimension {als.n}")
-    p = k - 1
-    rows = als.rows
-    return BlockDecomposition(
-        k=k,
-        a11=tuple(row[:p] for row in rows[:p]),
-        a12=tuple(rows[i][p] for i in range(p)),
-        a13=tuple(row[p + 1 :] for row in rows[:p]),
-        a23=tuple(rows[p][p + 1 :]),
-        a33=tuple(row[p + 1 :] for row in rows[p + 1 :]),
-        v1=als.rhs[:p],
-        v2=als.rhs[p] if als.n else Fraction(0),
-        v3=als.rhs[p + 1 :],
-    )
-
-
-def reassemble(als_alphabet: Alphabet, blocks: BlockDecomposition) -> Als:
-    """Inverse of decompose; used to validate the block split."""
-    p = blocks.k - 1
-    d = len(als_alphabet)
-    one = LinearEntry.scalar(1, d)
-    zero = LinearEntry.zero(d)
-    n = p + 1 + len(blocks.a33)
-    rows = []
-    for i in range(p):
-        rows.append(
-            list(blocks.a11[i]) + [blocks.a12[i]] + list(blocks.a13[i])
-        )
-    rows.append([zero] * p + [one] + list(blocks.a23))
-    for i in range(n - p - 1):
-        rows.append([zero] * (p + 1) + list(blocks.a33[i]))
-    rhs = list(blocks.v1) + [blocks.v2] + list(blocks.v3)
-    return Als(als_alphabet, rows, rhs)
 
 
 def solve_left_minimization(
@@ -101,7 +48,8 @@ def solve_left_minimization(
     n = als.n
     if not 1 <= k <= n - 1:
         raise IndexError(f"left pivot {k} out of range for dimension {n}")
-    blocks = decompose(als, k)
+    a23 = als.rows[k - 1][k:]
+    a33 = [row[k:] for row in als.rows[k:]]
     q = n - k
     d = len(als.alphabet)
     rows: list[list[Fraction]] = []
@@ -109,17 +57,17 @@ def solve_left_minimization(
     components = range(d + 1) if k == 1 else range(1, d + 1)
     for comp in components:
         for j in range(q):
-            rows.append([blocks.a33[r][j].coeffs[comp] for r in range(q)])
-            rhs.append(-blocks.a23[j].coeffs[comp])
-    rows.append(list(blocks.v3))
-    rhs.append(-blocks.v2)
+            rows.append([a33[r][j].coeffs[comp] for r in range(q)])
+            rhs.append(-a23[j].coeffs[comp])
+    rows.append(list(als.rhs[k:]))
+    rhs.append(-als.rhs[k - 1])
     t = linalg.solve_rows(rows, rhs, q)
     if t is None:
         return None
     u = [
         -(
-            blocks.a23[j].constant
-            + sum((t[r] * blocks.a33[r][j].constant for r in range(q)), Fraction(0))
+            a23[j].constant
+            + sum((t[r] * a33[r][j].constant for r in range(q)), Fraction(0))
         )
         for j in range(q)
     ]
@@ -137,15 +85,16 @@ def solve_right_minimization(
     n = als.n
     if not 2 <= k <= n:
         raise IndexError(f"right pivot {k} out of range for dimension {n}")
-    blocks = decompose(als, k)
     q = k - 1
+    a11 = [row[:q] for row in als.rows[:q]]
+    a12 = [row[q] for row in als.rows[:q]]
     d = len(als.alphabet)
     rows: list[list[Fraction]] = []
     rhs: list[Fraction] = []
     for comp in range(1, d + 1):
         for i in range(q):
-            rows.append([blocks.a11[i][c].coeffs[comp] for c in range(q)])
-            rhs.append(-blocks.a12[i].coeffs[comp])
+            rows.append([a11[i][c].coeffs[comp] for c in range(q)])
+            rhs.append(-a12[i].coeffs[comp])
     rows.append([Fraction(1)] + [Fraction(0)] * (q - 1))  # U_1 = 0
     rhs.append(Fraction(0))
     u = linalg.solve_rows(rows, rhs, q)
@@ -153,64 +102,42 @@ def solve_right_minimization(
         return None
     t = [
         -(
-            blocks.a12[i].constant
-            + sum((blocks.a11[i][c].constant * u[c] for c in range(q)), Fraction(0))
+            a12[i].constant
+            + sum((a11[i][c].constant * u[c] for c in range(q)), Fraction(0))
         )
         for i in range(q)
     ]
     return tuple(t), tuple(u)
 
 
-def _drop(als: Als, k: int, rows, rhs) -> Als:
-    """Remove row/column k (1-based) from mutable copies and rebuild."""
+def _drop(als: Als, k: int) -> Als:
+    """Remove row/column k (1-based)."""
     p = k - 1
-    new_rows = [
-        [entry for j, entry in enumerate(row) if j != p]
-        for i, row in enumerate(rows)
-        if i != p
-    ]
-    new_rhs = [x for i, x in enumerate(rhs) if i != p]
-    return Als(als.alphabet, new_rows, new_rhs)
+    return Als(
+        als.alphabet,
+        [row[:p] + row[k:] for i, row in enumerate(als.rows) if i != p],
+        als.rhs[:p] + als.rhs[k:],
+    )
 
 
 def _left_step(als: Als, k: int, t, u) -> Als:
-    """Apply the left transformation at pivot k and remove row/column k."""
+    """Row k += T . (rows below), column k+j += U_j . column k; drop k."""
     p = k - 1
-    rows = [list(row) for row in als.rows]
-    rhs = list(als.rhs)
-    # row k += T . (rows below)
-    for j, factor in enumerate(t):
-        if factor:
-            src = p + 1 + j
-            rows[p] = [a + b.scale(factor) for a, b in zip(rows[p], rows[src])]
-            rhs[p] += factor * rhs[src]
-    # column k+j += U_j . column k
-    for j, factor in enumerate(u):
-        if factor:
-            dst = p + 1 + j
-            for i in range(len(rows)):
-                rows[i][dst] = rows[i][dst] + rows[i][p].scale(factor)
-    assert all(rows[p][j].is_zero for j in range(p + 1, als.n)) and rhs[p] == 0
-    return _drop(als, k, rows, rhs)
+    row_mix = {p: [(p, Fraction(1))] + [(k + j, x) for j, x in enumerate(t) if x]}
+    col_mix = {k + j: [(k + j, Fraction(1)), (p, x)] for j, x in enumerate(u) if x}
+    als = _transform(als, row_mix, col_mix)
+    assert all(entry.is_zero for entry in als.rows[p][k:]) and als.rhs[p] == 0
+    return _drop(als, k)
 
 
 def _right_step(als: Als, k: int, t, u) -> Als:
-    """Apply the right transformation at pivot k and remove row/column k."""
+    """Row i += T_i . row k (i < k), column k += sum_i U_i . column i; drop k."""
     p = k - 1
-    rows = [list(row) for row in als.rows]
-    rhs = list(als.rhs)
-    # row i += T_i . row k  (for i < k)
-    for i, factor in enumerate(t):
-        if factor:
-            rows[i] = [a + b.scale(factor) for a, b in zip(rows[i], rows[p])]
-            rhs[i] += factor * rhs[p]
-    # column k += sum_i U_i . column i
-    for i, factor in enumerate(u):
-        if factor:
-            for r in range(len(rows)):
-                rows[r][p] = rows[r][p] + rows[r][i].scale(factor)
-    assert all(rows[i][p].is_zero for i in range(p))
-    return _drop(als, k, rows, rhs)
+    row_mix = {i: [(i, Fraction(1)), (p, x)] for i, x in enumerate(t) if x}
+    col_mix = {p: [(i, x) for i, x in enumerate(u) if x] + [(p, Fraction(1))]}
+    als = _transform(als, row_mix, col_mix)
+    assert all(row[p].is_zero for row in als.rows[:p])
+    return _drop(als, k)
 
 
 def minimize(als: Als, trace: Optional[list[str]] = None) -> Als:

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence, Union
+from typing import Iterable, Optional, Sequence, Union
 
 from . import linalg
 from .linalg import to_fraction
@@ -79,17 +79,8 @@ class LinearEntry:
     def is_zero(self) -> bool:
         return not any(self.coeffs)
 
-    def __add__(self, other: "LinearEntry") -> "LinearEntry":
-        if other.width != self.width:
-            raise ValueError("entry width mismatch")
-        return LinearEntry(tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
-
     def __neg__(self) -> "LinearEntry":
         return LinearEntry(tuple(-c for c in self.coeffs))
-
-    def scale(self, factor) -> "LinearEntry":
-        factor = Fraction(factor)
-        return LinearEntry(tuple(factor * c for c in self.coeffs))
 
     def add_constant(self, value) -> "LinearEntry":
         coeffs = list(self.coeffs)
@@ -193,14 +184,6 @@ class Als:
     def entry(self, i: int, j: int) -> LinearEntry:
         return self.rows[i][j]
 
-    def pencil_component(self, component: int) -> linalg.RatMatrix:
-        """Scalar coefficient matrix of pencil component 0..d (0 = constant)."""
-        if self.is_empty:
-            raise ValueError("empty system has no pencil components")
-        return linalg.RatMatrix(
-            [[entry.coeffs[component] for entry in row] for row in self.rows]
-        )
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, Als):
             return NotImplemented
@@ -278,31 +261,73 @@ class AdmissibleTransformation:
         return self.p.rows
 
 
+_Mix = dict[int, Sequence[tuple[int, Fraction]]]
+
+
+def _combine(
+    terms: Iterable[tuple[Fraction, LinearEntry]], zero: LinearEntry
+) -> LinearEntry:
+    """Sum of factor * entry over the pairs, skipping zero entries."""
+    live = [(factor, entry) for factor, entry in terms if not entry.is_zero]
+    if not live:
+        return zero
+    if len(live) == 1 and live[0][0] == 1:
+        return live[0][1]
+    coeffs = list(zero.coeffs)
+    for factor, entry in live:
+        for c, x in enumerate(entry.coeffs):
+            if x:
+                coeffs[c] += factor * x
+    return LinearEntry(tuple(coeffs))
+
+
+def _transform(als: Als, row_mix: _Mix, col_mix: _Mix) -> Als:
+    """(A, v) -> (P A Q, P v) for sparse P and Q.
+
+    ``row_mix[i]`` lists the nonzeros ``(k, P[i, k])`` of row i of P and
+    ``col_mix[j]`` the nonzeros ``(k, Q[k, j])`` of column j of Q; absent
+    rows and columns are those of the identity.  Rows are mixed first, then
+    columns of the row-mixed grid.  This is the one place where a system
+    is transformed; the result is validated like any other system.
+    """
+    zero = LinearEntry.zero(len(als.alphabet))
+    rows = [list(row) for row in als.rows]
+    rhs = list(als.rhs)
+    for i, mix in row_mix.items():
+        rows[i] = [
+            _combine(((f, als.rows[k][j]) for k, f in mix), zero)
+            for j in range(als.n)
+        ]
+        rhs[i] = sum((f * als.rhs[k] for k, f in mix), Fraction(0))
+    for row in rows:
+        mixed = {
+            j: _combine(((f, row[k]) for k, f in mix), zero)
+            for j, mix in col_mix.items()
+        }
+        for j, entry in mixed.items():
+            row[j] = entry
+    return Als(als.alphabet, rows, rhs)
+
+
+def _mix(vectors: Sequence[Sequence[Fraction]]) -> _Mix:
+    """Nonzeros of every vector that is not the matching unit vector."""
+    mix = {}
+    for i, vector in enumerate(vectors):
+        nonzeros = [(k, x) for k, x in enumerate(vector) if x]
+        if nonzeros != [(i, 1)]:
+            mix[i] = nonzeros
+    return mix
+
+
 def apply_transformation(als: Als, trans: AdmissibleTransformation) -> Als:
     """Transform (A, v) -> (P A Q, P v); the represented polynomial is unchanged.
 
     The result must stay upper unitriangular (the only system shape this
     package works with); otherwise ``ValueError`` is raised.
     """
-    n = als.n
-    if trans.n != n:
+    if trans.n != als.n:
         raise ValueError("transformation size does not match the system")
-    d = len(als.alphabet)
-    components = [
-        trans.p @ als.pencil_component(c) @ trans.q for c in range(d + 1)
-    ]
-    rows = [
-        [
-            LinearEntry(tuple(components[c][i, j] for c in range(d + 1)))
-            for j in range(n)
-        ]
-        for i in range(n)
-    ]
-    rhs = [
-        sum((trans.p[i, k] * als.rhs[k] for k in range(n)), Fraction(0))
-        for i in range(n)
-    ]
-    return Als(als.alphabet, rows, rhs)
+    return _transform(als, _mix(trans.p.data), _mix(list(zip(*trans.q.data))))
 
 
 # -- constructors ------------------------------------------------------------
@@ -392,11 +417,11 @@ def _scale_rhs(als: Als, factor: Fraction) -> Als:
 
 
 def restore_polynomial_form(als: Als) -> Als:
-    """Zero out v_1..v_{n-1} by adding multiples of the last row upward.
+    """Zero out v_1..v_{n-1}: row i += (-v_i / lam) * row n.
 
-    Requires v_n != 0.  Only column n of the system matrix changes (the
-    last row of A is e_n), so the result stays upper unitriangular and
-    lam = v_n is preserved as stored, never rescaled.
+    Requires lam = v_n != 0.  Only column n of the system matrix changes
+    (the last row of A is e_n), so the result stays upper unitriangular
+    and lam is preserved as stored, never rescaled.
     """
     if als.is_empty or als.is_polynomial_form:
         return als
@@ -406,12 +431,12 @@ def restore_polynomial_form(als: Als) -> Als:
             "cannot restore polynomial form: v_n is zero (see minimize)"
         )
     lam = als.rhs[-1]
-    rows = [list(row) for row in als.rows]
-    for i in range(n - 1):
-        if als.rhs[i] != 0:
-            rows[i][n - 1] = rows[i][n - 1].add_constant(-als.rhs[i] / lam)
-    rhs = [Fraction(0)] * (n - 1) + [lam]
-    return Als(als.alphabet, rows, rhs)
+    row_mix = {
+        i: [(i, Fraction(1)), (n - 1, -v / lam)]
+        for i, v in enumerate(als.rhs[:-1])
+        if v
+    }
+    return _transform(als, row_mix, {})
 
 
 # -- companion systems --------------------------------------------------------

@@ -37,6 +37,11 @@ class TestRank:
         code, _, err = run(capsys, "rank", "x + *")
         assert code == 2 and "error" in err
 
+    def test_oversized_power_exits_two(self, capsys):
+        for text in ("x^99999999", "(x+y)^40"):
+            code, _, err = run(capsys, "rank", text)
+            assert code == 2 and "power" in err
+
     def test_unknown_letter_with_explicit_alphabet(self, capsys):
         code, _, err = run(capsys, "--alphabet", "x,y", "rank", "x + q")
         assert code == 2 and "q" in err

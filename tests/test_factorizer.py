@@ -5,8 +5,11 @@ import random
 import numpy as np
 import pytest
 
+import ncpoly.factorizer
 from ncpoly import (
+    Alphabet,
     BlockFactorization,
+    apply_transformation,
     build_als,
     check_k_reducibility_pattern,
     dump_factors,
@@ -101,6 +104,52 @@ class TestFindSplit:
         )
         with pytest.raises(ValueError):
             FactorSplit(intro_als, 3, 2, identity)  # (1,4) entry is -x, not zero
+
+
+class TestSplitTransformation:
+    """A split's (P, Q) applied to its input gives exactly its transformed system."""
+
+    def assert_certified(self, als, split):
+        assert split is not None
+        assert apply_transformation(als, split.transformation) == split.transformed
+
+    def test_triple_product_and_intro(self, triple_product_als, intro_als, ab_xy):
+        self.assert_certified(triple_product_als, find_split(triple_product_als))
+        intro = build_als(parse("x - x*y*x", ab_xy))
+        self.assert_certified(intro, find_split(intro))
+
+    def test_partial_passes(self, ab_xy):
+        # no one-shot strategy reaches the zero block here; the alternating
+        # per-row/per-column passes compose several transformations
+        als = build_als(parse("6 - 4*x + 9*y^2 - 6*x*y^2", ab_xy))
+        split = find_split(als)
+        self.assert_certified(als, split)
+        partial = ncpoly.factorizer._partial_passes(als, split.n1)
+        assert partial == (split.transformed, split.transformation)
+
+    def test_criterion_5_splits(self, monkeypatch):
+        find = ncpoly.factorizer.find_split
+        calls = []
+
+        def recording(als, order=None):
+            split = find(als, order)
+            calls.append((als, split))
+            return split
+
+        monkeypatch.setattr(ncpoly.factorizer, "find_split", recording)
+        ab = Alphabet(("x", "y", "z"))
+        triple_ab = Alphabet(("a", "b", "c", "d", "e", "x"))
+        for text, alphabet in (
+            ("x - x*y*x", ab),
+            ("x*y*z", ab),
+            ("2aexc + 2bxc - aexd - bxd", triple_ab),
+            ("x*y + y*x", ab),
+        ):
+            factor_atoms(parse(text, alphabet))
+        hits = [(als, split) for als, split in calls if split is not None]
+        assert len(hits) == 5  # one split fewer than atoms: 1 + 2 + 2 + 0
+        for als, split in hits:
+            self.assert_certified(als, split)
 
 
 class TestExtractFactors:

@@ -14,7 +14,7 @@ from ncpoly import (
     naive_mult_count,
     parse,
 )
-from ncpoly.freepoly import identity_matrix
+from ncpoly.freepoly import MAX_DEGREE, MAX_TERMS, identity_matrix
 
 from conftest import random_polynomial
 
@@ -78,6 +78,20 @@ class TestParse:
             with pytest.raises(ParseError):
                 parse(bad, ab_xy)
 
+    def test_power_degree_limit(self, ab_xy):
+        assert parse(f"x^{MAX_DEGREE}", ab_xy).degree() == MAX_DEGREE
+        for bad in (f"x^{MAX_DEGREE + 1}", f"(x*y)^{MAX_DEGREE // 2 + 1}", "x^99999999"):
+            with pytest.raises(ParseError) as err:
+                parse(bad, ab_xy)
+            assert err.value.position == bad.index("^") + 1
+
+    def test_power_term_limit(self, ab_xy):
+        assert len(parse("(x+y)^13", ab_xy)) == 2**13 <= MAX_TERMS
+        for bad in ("(x+y)^14", "(x+y)^40", "3 + (1+x+y)^9"):
+            with pytest.raises(ParseError) as err:
+                parse(bad, ab_xy)
+            assert err.value.position == bad.index("^") + 1
+
     def test_leading_sign(self, ab_xy):
         assert parse("-x + y", ab_xy) == parse("y - x", ab_xy)
 
@@ -119,6 +133,11 @@ class TestArithmetic:
     def test_alphabet_mismatch(self, ab_xy, ab_xyz):
         with pytest.raises(ValueError):
             parse("x", ab_xy) + parse("x", ab_xyz)
+
+    def test_stores_plain_fractions(self, ab_xy):
+        p = NcPolynomial(ab_xy, {(): 3, (0,): "-1/2", (1,): Fraction(2, 3)})
+        assert p.term_map() == {(): 3, (0,): Fraction(-1, 2), (1,): Fraction(2, 3)}
+        assert all(type(c) is Fraction for _, c in p.terms())
 
     def test_scalar_multiplication_and_power(self, ab_xy):
         p = parse("x + y", ab_xy)

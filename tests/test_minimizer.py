@@ -1,5 +1,6 @@
 """Minimization equations, the reduction algorithm, rank, and minimality."""
 
+import hashlib
 import random
 from fractions import Fraction
 
@@ -8,15 +9,17 @@ import pytest
 
 from ncpoly import (
     AdmissibleTransformation,
+    Alphabet,
     Als,
     RatMatrix,
     als_add,
     als_mul,
     apply_transformation,
     build_als,
-    decompose,
+    dump_als,
     evaluate_left,
     evaluate_right,
+    factor_atoms,
     is_minimal,
     minimal_monomial,
     minimize,
@@ -28,9 +31,8 @@ from ncpoly import (
     solve_left_minimization,
     solve_right_minimization,
 )
-from ncpoly.minimizer import reassemble
 
-from conftest import random_polynomial
+from conftest import BENCH19_TEXT, random_polynomial
 
 
 def system_for_x(ab):
@@ -41,19 +43,6 @@ def system_for_one_minus_yx(ab):
     return Als.from_cells(
         ab, [["1", "y", "-1"], ["0", "1", "-x"], ["0", "0", "1"]], [0, 0, 1]
     )
-
-
-class TestBlockDecomposition:
-    def test_reassembly_is_exact(self, intro_als, triple_product_als):
-        for als in (intro_als, triple_product_als):
-            for k in range(1, als.n + 1):
-                assert reassemble(als.alphabet, decompose(als, k)) == als
-
-    def test_out_of_range(self, intro_als):
-        with pytest.raises(IndexError):
-            decompose(intro_als, 0)
-        with pytest.raises(IndexError):
-            decompose(intro_als, 5)
 
 
 class TestSolveLeftMinimization:
@@ -278,3 +267,32 @@ class TestCorpusInvariants:
             assert rank_of(p + q) <= rp + rq
             if not p.is_zero and not q.is_zero:
                 assert rank_of(p * q) == rp + rq - 1
+
+
+# sha256 of the systems and atoms below, recorded when they were last changed
+PINNED_REPRESENTATIVES = "fa9760d55cda88d3718ba484ff23e7ae13a1056a6b1880c820ce4d5acf501476"
+
+
+def test_minimal_representatives_are_pinned(ab_xyz, bench19_alphabet):
+    """build_als and factor_atoms return the same systems and atoms as before.
+
+    Every minimal system has the same dimension, but N_s and N_t depend on
+    which minimal representative is built.  A change that alters one of
+    these systems or atoms must update the hash and say so.
+    """
+    rng = random.Random(5)
+    polys = [random_polynomial(rng, ab_xyz) for _ in range(40)]
+    polys.append(parse(BENCH19_TEXT, bench19_alphabet))
+    polys.append(parse("(x*y+1)*(z*x-3)", ab_xyz))
+    parts = [dump_als(build_als(p)) for p in polys]
+    triple_ab = Alphabet(("a", "b", "c", "d", "e", "x"))
+    for text, alphabet in (
+        ("x - x*y*x", ab_xyz),
+        ("x*y*z", ab_xyz),
+        ("2aexc + 2bxc - aexd - bxd", triple_ab),
+        ("x*y + y*x", ab_xyz),
+    ):
+        atoms = factor_atoms(parse(text, alphabet))
+        parts.append(" | ".join(str(a) for a in atoms))
+    digest = hashlib.sha256("\n".join(parts).encode()).hexdigest()
+    assert digest == PINNED_REPRESENTATIVES

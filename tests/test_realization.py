@@ -1,11 +1,13 @@
 """Systems, rational operations, transformations, companions, serialization."""
 
+import random
 from fractions import Fraction
 
 import pytest
 
 from ncpoly import (
     AdmissibleTransformation,
+    Alphabet,
     Als,
     LinearEntry,
     RatMatrix,
@@ -263,6 +265,105 @@ class TestApplyTransformation:
         trans = AdmissibleTransformation(RatMatrix.identity(2), RatMatrix.identity(2))
         with pytest.raises(ValueError):
             apply_transformation(intro_als, trans)
+
+
+def dense_transformation(als, trans):
+    """Reference: P @ A_c @ Q for every pencil component c, as dense products."""
+    n, d = als.n, len(als.alphabet)
+    components = [
+        trans.p
+        @ RatMatrix([[entry.coeffs[c] for entry in row] for row in als.rows])
+        @ trans.q
+        for c in range(d + 1)
+    ]
+    rows = [
+        [
+            LinearEntry(tuple(components[c][i, j] for c in range(d + 1)))
+            for j in range(n)
+        ]
+        for i in range(n)
+    ]
+    rhs = [
+        sum((trans.p[i, k] * als.rhs[k] for k in range(n)), Fraction(0))
+        for i in range(n)
+    ]
+    return Als(als.alphabet, rows, rhs)
+
+
+def random_value(rng):
+    return Fraction(rng.randint(-5, 5), rng.choice([1, 1, 2, 3, 7]))
+
+
+def random_system(rng, n, d):
+    """Upper unitriangular system with sparse random pencil entries."""
+    alphabet = Alphabet(("x", "y", "z")[:d])
+    rows = [[LinearEntry.zero(d)] * n for _ in range(n)]
+    for i in range(n):
+        rows[i][i] = LinearEntry.scalar(1, d)
+        for j in range(i + 1, n):
+            if rng.random() < 0.6:
+                coeffs = [
+                    random_value(rng) if rng.random() < 0.6 else 0
+                    for _ in range(d + 1)
+                ]
+                rows[i][j] = LinearEntry(tuple(coeffs))
+    return Als(alphabet, rows, [random_value(rng) for _ in range(n)])
+
+
+def random_unitriangular(rng, n, density, first_row_e1=False):
+    cells = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+    for i in range(1 if first_row_e1 else 0, n):
+        for j in range(i + 1, n):
+            if rng.random() < density:
+                cells[i][j] = random_value(rng)
+    return cells
+
+
+class TestTransformationMatchesDenseReference:
+    """The sparse row/column core against dense RatMatrix products."""
+
+    def test_unitriangular_transformations(self):
+        rng = random.Random(2024)
+        for n in range(1, 9):
+            for d in range(1, 4):
+                for density in (0.15, 0.5, 1.0):
+                    als = random_system(rng, n, d)
+                    trans = AdmissibleTransformation(
+                        RatMatrix(random_unitriangular(rng, n, density)),
+                        RatMatrix(random_unitriangular(rng, n, density, True)),
+                    )
+                    result = apply_transformation(als, trans)
+                    assert result == dense_transformation(als, trans)
+                    assert all(type(x) is Fraction for x in result.rhs)
+
+    def test_non_unitriangular_transformations_raise(self):
+        rng = random.Random(7)
+        for n in range(1, 9):
+            for d in range(1, 4):
+                als = random_system(rng, n, d)
+                p = random_unitriangular(rng, n, 0.5)
+                q = random_unitriangular(rng, n, 0.5, True)
+                kinds = ["p-diagonal"] + (
+                    ["p-lower", "q-diagonal", "q-lower"] if n > 1 else []
+                )
+                kind = rng.choice(kinds)
+                i = rng.randrange(1, n) if n > 1 else 0
+                if kind == "p-diagonal":
+                    p[i][i] = Fraction(2)
+                elif kind == "q-diagonal":
+                    q[i][i] = Fraction(2)
+                else:  # one entry below the diagonal of a unit lower factor
+                    lower = random_unitriangular(rng, n, 0)
+                    lower[i][rng.randrange(i)] = Fraction(rng.choice([-2, 1, 3]))
+                    if kind == "p-lower":
+                        p = lower
+                    else:
+                        q = lower
+                trans = AdmissibleTransformation(RatMatrix(p), RatMatrix(q))
+                with pytest.raises(ValueError):
+                    dense_transformation(als, trans)
+                with pytest.raises(ValueError):
+                    apply_transformation(als, trans)
 
 
 class TestRestorePolynomialForm:
