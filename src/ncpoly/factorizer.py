@@ -32,9 +32,12 @@ from .realization import (
     Als,
     CellLike,
     LinearEntry,
+    _Mix,
     _coerce_cell,
     _entry_row_str,
     _parse_entry_row,
+    _transform,
+    _unit_rows,
     apply_transformation,
 )
 
@@ -139,11 +142,7 @@ class BlockFactorization:
         """Polynomial ALS with -factor blocks on the block superdiagonal."""
         sizes = [1] + [len(grid[0]) for grid in self.factors]
         n = sum(sizes)
-        d = len(self.alphabet)
-        zero = LinearEntry.zero(d)
-        rows = [[zero] * n for _ in range(n)]
-        for i in range(n):
-            rows[i][i] = LinearEntry.scalar(1, d)
+        rows = _unit_rows(n, len(self.alphabet))
         offset = 0
         for b, grid in enumerate(self.factors):
             col_offset = offset + sizes[b]
@@ -295,6 +294,21 @@ def _single_pass_ops(
     return None
 
 
+def _mix_lists(vectors: list[list[Fraction]], mix: _Mix) -> None:
+    """vectors[i] = sum of f * vectors[k] over mix[i], in place.
+
+    Composes a sparse op with an accumulated matrix held as plain lists:
+    rows of P for a row op, columns of Q for a column op.  Every op here
+    targets a single vector and reads only the others, so in place is safe.
+    """
+    for i, terms in mix.items():
+        width = len(vectors[i])
+        vectors[i] = [
+            sum((f * vectors[k][c] for k, f in terms), Fraction(0))
+            for c in range(width)
+        ]
+
+
 def _partial_passes(
     als: Als, n1: int, max_passes: int = 3
 ) -> Optional[tuple[Als, AdmissibleTransformation]]:
@@ -306,36 +320,37 @@ def _partial_passes(
     leaving a scalar residue for the other side of the alternation.  Later
     passes see the transformed system, so sequentially applied row and
     column ops compose exactly even where a one-shot joint solve would be
-    bilinear.  Bounded, so possibly incomplete by design.
+    bilinear.  Bounded, so possibly incomplete by design.  Each op is one
+    sparse unitriangular row or column, applied by ``_transform`` and
+    composed into P (rows) and Q (kept as columns) on plain lists.
     """
     n = als.n
     current = als
-    p_total = RatMatrix.identity(n)
-    q_total = RatMatrix.identity(n)
+    p_rows = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+    q_cols = [list(col) for col in p_rows]
     for _ in range(max_passes):
         changed = False
         for i in range(n1 - 1):
             alpha = _single_pass_ops(current, [i], range(n1, n), range(1, n - 1), ())
             if alpha is None:
                 continue
-            trans = AdmissibleTransformation(
-                _unitriangular(n, alpha), RatMatrix.identity(n)
-            )
-            current = apply_transformation(current, trans)
-            p_total = trans.p @ p_total
+            mix = {i: [(i, Fraction(1))] + [(r, x) for (_, r), x in alpha.items()]}
+            current = _transform(current, mix, {})
+            _mix_lists(p_rows, mix)
             changed = True
         for j in range(n1, n):
             beta = _single_pass_ops(current, range(n1 - 1), [j], (), range(1, j))
             if beta is None:
                 continue
-            trans = AdmissibleTransformation(
-                RatMatrix.identity(n), _unitriangular(n, beta)
-            )
-            current = apply_transformation(current, trans)
-            q_total = q_total @ trans.q
+            mix = {j: [(j, Fraction(1))] + [(c, x) for (c, _), x in beta.items()]}
+            current = _transform(current, {}, mix)
+            _mix_lists(q_cols, mix)
             changed = True
         if _block_is_zero(current, n1):
-            return current, AdmissibleTransformation(p_total, q_total)
+            trans = AdmissibleTransformation(
+                RatMatrix(p_rows), RatMatrix(list(zip(*q_cols)))
+            )
+            return current, trans
         if not changed:
             return None
     return None

@@ -13,7 +13,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .freepoly import Alphabet, NcPolynomial
-from .realization import Als, LinearEntry
+from .realization import Als, LinearEntry, _unit_rows
 
 
 def power_alphabet() -> Alphabet:
@@ -39,11 +39,9 @@ def power_system(k: int) -> Als:
     d = len(alphabet)
     n = k + 1
     step = LinearEntry((Fraction(0), Fraction(-1), Fraction(-1), Fraction(-1)))
-    rows = [[LinearEntry.zero(d) for _ in range(n)] for _ in range(n)]
-    for i in range(n):
-        rows[i][i] = LinearEntry.scalar(1, d)
-        if i + 1 < n:
-            rows[i][i + 1] = step
+    rows = _unit_rows(n, d)
+    for i in range(n - 1):
+        rows[i][i + 1] = step
     return Als(alphabet, rows, [Fraction(0)] * k + [Fraction(1)])
 
 
@@ -84,9 +82,8 @@ def convolution_system(k: int) -> Als:
     alphabet = convolution_alphabet(k)
     d = len(alphabet)
     n = k + 1
-    rows = [[LinearEntry.zero(d) for _ in range(n)] for _ in range(n)]
+    rows = _unit_rows(n, d)
     for i in range(n):
-        rows[i][i] = LinearEntry.scalar(1, d)
         for j in range(i + 1, n):
             coeffs = [Fraction(0)] * (d + 1)
             base = 3 * (j - i - 1)

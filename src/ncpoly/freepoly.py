@@ -255,11 +255,12 @@ class NcPolynomial:
 
 # -- parsing ---------------------------------------------------------------
 
-# Limits on one power ``base^e`` in parsed text, checked before it is
-# expanded: the expansion multiplies e times, and its term count can grow
-# like len(base)**e, so unbounded exponents would never return.
-MAX_DEGREE = 1000  # bound on e and on degree(base) * e
-MAX_TERMS = 10_000  # bound on len(base) ** e
+# Limits on parsed text, checked before anything is expanded: a power
+# ``base^e`` multiplies e times and its term count can grow like
+# len(base)**e, and a product of factors like the product of their term
+# counts, so unbounded input would never return.
+MAX_DEGREE = 1000  # bound on e, on degree(base) * e and on a product's degree
+MAX_TERMS = 10_000  # bound on len(base) ** e and on len(a) * len(b)
 
 _TOKEN_RE = re.compile(
     r"\s*(?:(?P<ident>[A-Za-z][A-Za-z0-9_]*)|(?P<number>\d+)|(?P<op>[-+*/^()]))"
@@ -295,6 +296,8 @@ class _Parser:
     factor     := identifier power? | '(' expression ')' power?
     power      := '^' positive-integer   (bounded by MAX_DEGREE, MAX_TERMS)
     coeff      := integer ('/' positive-integer)?
+
+    Each product in a term is bounded like a power before it is expanded.
 
     A bare identifier such as "xy" is split into single letters when the
     alphabet consists solely of single-character letters.
@@ -349,39 +352,49 @@ class _Parser:
         if kind == "number":
             coeff = self.coefficient()
             have_coeff = True
-        factors = []
+        product = NcPolynomial.scalar(self.alphabet, coeff)
+        have_factor = False
         while True:
             kind, value, star_at = self.peek()
             if kind == "op" and value == "*":
-                if not have_coeff and not factors:
+                if not have_coeff and not have_factor:
                     raise ParseError("unexpected '*'", star_at)
                 self.advance()
-                factors.append(self.factor())
-                continue
-            if kind == "ident" or (kind == "op" and value == "("):
-                factors.append(self.factor())
-                continue
-            break
-        if not factors:
-            if not have_coeff:
-                raise ParseError("expected a term", at)
-            return NcPolynomial.scalar(self.alphabet, coeff)
-        product = NcPolynomial.scalar(self.alphabet, coeff)
-        for factor in factors:
+            elif not (kind == "ident" or (kind == "op" and value == "(")):
+                break
+            factor_at = self.peek()[2]
+            factor = self.factor()
+            if product.degree() + factor.degree() > MAX_DEGREE:
+                raise ParseError(f"product exceeds degree {MAX_DEGREE}", factor_at)
+            if len(product) * len(factor) > MAX_TERMS:
+                raise ParseError(f"product may exceed {MAX_TERMS} terms", factor_at)
             product = product * factor
+            have_factor = True
+        if not have_coeff and not have_factor:
+            raise ParseError("expected a term", at)
         return product
 
+    def integer(self) -> int:
+        """The current number token as an int, consumed."""
+        _, value, at = self.advance()
+        try:
+            return int(value)
+        except ValueError:  # more digits than int() converts
+            raise ParseError(f"integer of {len(value)} digits is too long", at) from None
+
     def coefficient(self) -> Fraction:
-        _, numerator, _ = self.advance()
+        numerator = self.integer()
         kind, value, _ = self.peek()
         if kind == "op" and value == "/":
             self.advance()
-            kind, den, at = self.peek()
-            if kind != "number" or int(den) == 0:
+            kind, _, at = self.peek()
+            if kind != "number":
                 raise ParseError("expected a positive denominator", at)
-            self.advance()
-            return Fraction(int(numerator), int(den))
-        return Fraction(int(numerator))
+            den = self.integer()
+            if den == 0:
+                raise ParseError("expected a positive denominator", at)
+            return Fraction(numerator, den)
+        return Fraction(numerator)
 
     def factor(self) -> NcPolynomial:
         kind, value, at = self.advance()
@@ -395,11 +408,12 @@ class _Parser:
         kind, value, _ = self.peek()
         if kind == "op" and value == "^":
             self.advance()
-            kind, value, at = self.peek()
-            if kind != "number" or int(value) < 1:
+            kind, _, at = self.peek()
+            if kind != "number":
                 raise ParseError("expected a positive integer exponent", at)
-            self.advance()
-            exponent = int(value)
+            exponent = self.integer()
+            if exponent < 1:
+                raise ParseError("expected a positive integer exponent", at)
             if max(exponent, base.degree() * exponent) > MAX_DEGREE:
                 raise ParseError(f"power exceeds degree {MAX_DEGREE}", at)
             if len(base) ** exponent > MAX_TERMS:
@@ -420,8 +434,9 @@ def parse(text: str, alphabet: Alphabet) -> NcPolynomial:
     """Parse polynomial text into canonical form.
 
     Raises ``ParseError`` (with position) on syntax errors, on
-    identifiers not present in the alphabet, and on a power whose
-    expansion could exceed ``MAX_DEGREE`` or ``MAX_TERMS``.
+    identifiers not present in the alphabet, on integers too long for
+    ``int``, and on a power or product whose expansion could exceed
+    ``MAX_DEGREE`` or ``MAX_TERMS``.
     """
     return _Parser(text, alphabet).parse()
 

@@ -197,6 +197,10 @@ def solve_rows(
 
     ``rows`` are coefficient rows of length ``width``; returns a flat
     solution list (free variables zero) or ``None`` if inconsistent.
+    An all-zero row is settled without elimination: ``0 = 0`` is dropped
+    and ``0 = b`` with ``b != 0`` returns ``None`` at once.  Neither
+    changes the result, because the reduced row echelon form of the
+    remaining rows is unique.  Every row's length is checked first.
     """
     rhs = [to_fraction(x) for x in rhs]
     if width == 0:
@@ -205,11 +209,15 @@ def solve_rows(
         return [Fraction(0)] * width
     if len(rhs) != len(rows):
         raise ValueError("right-hand side must match the number of rows")
+    if any(len(row) != width for row in rows):
+        raise ValueError(f"rows must have length {width}")
     augmented = []
     for row, b in zip(rows, rhs):
         row = [to_fraction(x) for x in row]
-        if len(row) != width:
-            raise ValueError(f"rows must have length {width}")
+        if not any(row):
+            if b:
+                return None
+            continue
         row.append(b)
         augmented.append(_integer_row(row))
     return _solve(augmented, width)

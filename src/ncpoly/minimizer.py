@@ -57,8 +57,13 @@ def solve_left_minimization(
     components = range(d + 1) if k == 1 else range(1, d + 1)
     for comp in components:
         for j in range(q):
-            rows.append([a33[r][j].coeffs[comp] for r in range(q)])
-            rhs.append(-a23[j].coeffs[comp])
+            row = [a33[r][j].coeffs[comp] for r in range(q)]
+            b = a23[j].coeffs[comp]
+            if any(row):
+                rows.append(row)
+                rhs.append(-b)
+            elif b:
+                return None  # 0 = b: unsolvable, no elimination needed
     rows.append(list(als.rhs[k:]))
     rhs.append(-als.rhs[k - 1])
     t = linalg.solve_rows(rows, rhs, q)
@@ -93,8 +98,13 @@ def solve_right_minimization(
     rhs: list[Fraction] = []
     for comp in range(1, d + 1):
         for i in range(q):
-            rows.append([a11[i][c].coeffs[comp] for c in range(q)])
-            rhs.append(-a12[i].coeffs[comp])
+            row = [a11[i][c].coeffs[comp] for c in range(q)]
+            b = a12[i].coeffs[comp]
+            if any(row):
+                rows.append(row)
+                rhs.append(-b)
+            elif b:
+                return None  # 0 = b: unsolvable, no elimination needed
     rows.append([Fraction(1)] + [Fraction(0)] * (q - 1))  # U_1 = 0
     rhs.append(Fraction(0))
     u = linalg.solve_rows(rows, rhs, q)

@@ -17,6 +17,7 @@ minimizer restores it after transformations.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence, Union
@@ -42,7 +43,13 @@ class LinearEntry:
 
     @classmethod
     def zero(cls, d: int) -> "LinearEntry":
-        return cls((Fraction(0),) * (d + 1))
+        """The zero entry of width d: one shared instance per width."""
+        return _shared_entry(0, d)
+
+    @classmethod
+    def one(cls, d: int) -> "LinearEntry":
+        """The scalar 1 of width d: one shared instance per width."""
+        return _shared_entry(1, d)
 
     @classmethod
     def scalar(cls, value, d: int) -> "LinearEntry":
@@ -94,6 +101,26 @@ class LinearEntry:
         return NcPolynomial(alphabet, terms)
 
 
+@functools.cache
+def _shared_entry(value: int, d: int) -> LinearEntry:
+    """The scalar ``value`` of width d, built once per (value, d).
+
+    Entries are frozen, so the constant zero and one can be shared by every
+    system; ``Als`` accepts them below and on the diagonal by identity
+    instead of re-checking their coefficients.
+    """
+    return LinearEntry((Fraction(value),) + (Fraction(0),) * d)
+
+
+def _unit_rows(n: int, d: int) -> list[list[LinearEntry]]:
+    """The n x n identity as mutable rows of the shared zero and one."""
+    zero, one = LinearEntry.zero(d), LinearEntry.one(d)
+    rows = [[zero] * n for _ in range(n)]
+    for i in range(n):
+        rows[i][i] = one
+    return rows
+
+
 def _coerce_cell(cell: CellLike, alphabet: Alphabet) -> LinearEntry:
     if isinstance(cell, LinearEntry):
         if cell.width != len(alphabet):
@@ -121,16 +148,18 @@ class Als:
         rhs = tuple(map(to_fraction, rhs))
         n = len(rows)
         d = len(alphabet)
-        one = LinearEntry.scalar(1, d).coeffs
+        zero, one = LinearEntry.zero(d), LinearEntry.one(d)
         if len(rhs) != n:
             raise ValueError("right-hand side length must equal the dimension")
         for i, row in enumerate(rows):
             if len(row) != n:
                 raise ValueError("system matrix must be square")
             for j, entry in enumerate(row):
+                if (entry is zero and i > j) or (entry is one and i == j):
+                    continue  # the shared constants need no re-check
                 if entry.width != d:
                     raise ValueError("entry width does not match the alphabet")
-                if i == j and entry.coeffs != one:
+                if i == j and entry.coeffs != one.coeffs:
                     raise ValueError(f"diagonal entry ({i},{j}) must be scalar 1")
                 if i > j and not entry.is_zero:
                     raise ValueError(f"entry ({i},{j}) below the diagonal must be 0")
@@ -267,7 +296,10 @@ _Mix = dict[int, Sequence[tuple[int, Fraction]]]
 def _combine(
     terms: Iterable[tuple[Fraction, LinearEntry]], zero: LinearEntry
 ) -> LinearEntry:
-    """Sum of factor * entry over the pairs, skipping zero entries."""
+    """Sum of factor * entry over the pairs, skipping zero entries.
+
+    A sum that is zero comes back as the shared ``zero``.
+    """
     live = [(factor, entry) for factor, entry in terms if not entry.is_zero]
     if not live:
         return zero
@@ -278,7 +310,7 @@ def _combine(
         for c, x in enumerate(entry.coeffs):
             if x:
                 coeffs[c] += factor * x
-    return LinearEntry(tuple(coeffs))
+    return LinearEntry(tuple(coeffs)) if any(coeffs) else zero
 
 
 def _transform(als: Als, row_mix: _Mix, col_mix: _Mix) -> Als:
@@ -345,9 +377,7 @@ def minimal_monomial(alphabet: Alphabet, word: Word, coeff=1) -> Als:
     word = tuple(word)
     d = len(alphabet)
     n = len(word) + 1
-    rows = [[LinearEntry.zero(d) for _ in range(n)] for _ in range(n)]
-    for i in range(n):
-        rows[i][i] = LinearEntry.scalar(1, d)
+    rows = _unit_rows(n, d)
     for i, letter in enumerate(word):
         rows[i][i + 1] = LinearEntry.letter(letter, d, -1)
     rhs = [Fraction(0)] * (n - 1) + [coeff]
@@ -360,14 +390,9 @@ def _block_join(
     """Assemble [[A_a, C], [0, A_b]] with C given sparsely by `coupling`."""
     d = len(a.alphabet)
     na, nb = a.n, b.n
-    n = na + nb
-    rows = [[LinearEntry.zero(d) for _ in range(n)] for _ in range(n)]
-    for i in range(na):
-        for j in range(na):
-            rows[i][j] = a.rows[i][j]
-    for i in range(nb):
-        for j in range(nb):
-            rows[na + i][na + j] = b.rows[i][j]
+    zero = LinearEntry.zero(d)
+    rows = [list(row) + [zero] * nb for row in a.rows]
+    rows += [[zero] * na + list(row) for row in b.rows]
     for (i, j), value in coupling.items():
         rows[i][na + j] = LinearEntry.scalar(value, d)
     return Als(a.alphabet, rows, rhs)
@@ -469,9 +494,7 @@ def left_companion(
     m = len(q)
     d = len(alphabet)
     n = m + 1
-    rows = [[LinearEntry.zero(d) for _ in range(n)] for _ in range(n)]
-    for i in range(n):
-        rows[i][i] = LinearEntry.scalar(1, d)
+    rows = _unit_rows(n, d)
     rows[0][1] = (-q[m - 1]).add_constant(-a[m - 1])
     for col in range(2, n):
         rows[0][col] = LinearEntry.scalar(-a[m - col], d)
@@ -492,9 +515,7 @@ def right_companion(
     m = len(q)
     d = len(alphabet)
     n = m + 1
-    rows = [[LinearEntry.zero(d) for _ in range(n)] for _ in range(n)]
-    for i in range(n):
-        rows[i][i] = LinearEntry.scalar(1, d)
+    rows = _unit_rows(n, d)
     for i in range(m - 1):
         rows[i][i + 1] = -q[i]
         rows[i][m] = LinearEntry.scalar(-a[i], d)

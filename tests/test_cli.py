@@ -42,6 +42,10 @@ class TestRank:
             code, _, err = run(capsys, "rank", text)
             assert code == 2 and "power" in err
 
+    def test_oversized_product_exits_two(self, capsys):
+        code, _, err = run(capsys, "rank", "(x+y)^13*(x+y)^3")
+        assert code == 2 and "product" in err
+
     def test_unknown_letter_with_explicit_alphabet(self, capsys):
         code, _, err = run(capsys, "--alphabet", "x,y", "rank", "x + q")
         assert code == 2 and "q" in err

@@ -92,6 +92,31 @@ class TestParse:
                 parse(bad, ab_xy)
             assert err.value.position == bad.index("^") + 1
 
+    def test_product_limits(self, ab_xy):
+        # each power passes its own bound; the product of the two would not
+        assert len(parse("(x+y)^12*(x+y)", ab_xy)) == 2**13 <= MAX_TERMS
+        assert parse(f"x^{MAX_DEGREE // 2}*y^{MAX_DEGREE // 2}", ab_xy).degree() == MAX_DEGREE
+        for bad, factor in (
+            ("(x+y)^13*(x+y)^3", "(x+y)^3"),
+            ("2 (x+y)^7 (x-y)^7", "(x-y)^7"),
+            (f"x^{MAX_DEGREE} y", "y"),
+            ("x^600*y^600", "y^600"),
+        ):
+            with pytest.raises(ParseError) as err:
+                parse(bad, ab_xy)
+            assert err.value.position == bad.rindex(factor)
+
+    def test_overlong_integers(self, ab_xy):
+        digits = "9" * 5000  # beyond int()'s default string-conversion limit
+        for bad, at in (
+            (f"x^{digits}", 2),
+            (f"{digits}x", 0),
+            (f"x + 1/{digits} y", 6),
+        ):
+            with pytest.raises(ParseError) as err:
+                parse(bad, ab_xy)
+            assert err.value.position == at
+
     def test_leading_sign(self, ab_xy):
         assert parse("-x + y", ab_xy) == parse("y - x", ab_xy)
 

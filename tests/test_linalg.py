@@ -67,6 +67,37 @@ class TestSolveRows:
             solve_rows([[1, 2]], [1, 1], 2)
 
 
+class TestZeroRows:
+    """An all-zero row is settled before elimination: 0 = 0 drops, 0 = b fails."""
+
+    def test_zero_row_with_nonzero_rhs_is_inconsistent(self):
+        rows = [[1, 0, 2], [0, 1, 1], [0, 0, 0], [1, 1, 3]]
+        assert solve_rows(rows, [1, 2, 0, 3], 3) == [1, 2, 0]
+        assert solve_rows(rows, [1, 2, Fraction(1, 7), 3], 3) is None
+
+    def test_zero_rows_do_not_change_the_solution(self):
+        rng = random.Random(11)
+        for _ in range(60):
+            width = rng.randint(1, 5)
+            rows = [
+                [Fraction(rng.randint(-3, 3), rng.randint(1, 4)) for _ in range(width)]
+                for _ in range(rng.randint(1, 5))
+            ]
+            rhs = [Fraction(rng.randint(-3, 3)) for _ in rows]
+            padded, padded_rhs = list(rows), list(rhs)
+            for _ in range(rng.randint(1, 3)):
+                at = rng.randint(0, len(padded))
+                padded.insert(at, [0] * width)
+                padded_rhs.insert(at, 0)
+            assert solve_rows(padded, padded_rhs, width) == solve_rows(rows, rhs, width)
+
+    def test_row_lengths_are_checked_before_any_zero_row(self):
+        with pytest.raises(ValueError):
+            solve_rows([[0, 0], [1]], [1, 1], 2)
+        with pytest.raises(ValueError):
+            solve_rows([[0, 0], [1, 2, 3]], [1, 1], 2)
+
+
 class TestFractionBoundary:
     """Ints, strings and floats go in; plain Fractions come out."""
 

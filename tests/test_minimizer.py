@@ -32,6 +32,8 @@ from ncpoly import (
     solve_right_minimization,
 )
 
+from ncpoly.linalg import _integer_row, _solve
+
 from conftest import BENCH19_TEXT, random_polynomial
 
 
@@ -267,6 +269,82 @@ class TestCorpusInvariants:
             assert rank_of(p + q) <= rp + rq
             if not p.is_zero and not q.is_zero:
                 assert rank_of(p * q) == rp + rq - 1
+
+
+def full_left_solve(als, k):
+    """The former left solver: build every equation row, then eliminate."""
+    q, d = als.n - k, len(als.alphabet)
+    a23 = als.rows[k - 1][k:]
+    a33 = [row[k:] for row in als.rows[k:]]
+    rows = [
+        [a33[r][j].coeffs[comp] for r in range(q)] + [-a23[j].coeffs[comp]]
+        for comp in (range(d + 1) if k == 1 else range(1, d + 1))
+        for j in range(q)
+    ]
+    rows.append(list(als.rhs[k:]) + [-als.rhs[k - 1]])
+    t = _solve([_integer_row(row) for row in rows], q)
+    if t is None:
+        return None
+    u = [
+        -(a23[j].constant + sum(t[r] * a33[r][j].constant for r in range(q)))
+        for j in range(q)
+    ]
+    return tuple(t), tuple(u)
+
+
+def full_right_solve(als, k):
+    """The former right solver: build every equation row, then eliminate."""
+    q, d = k - 1, len(als.alphabet)
+    a11 = [row[:q] for row in als.rows[:q]]
+    a12 = [row[q] for row in als.rows[:q]]
+    rows = [
+        [a11[i][c].coeffs[comp] for c in range(q)] + [-a12[i].coeffs[comp]]
+        for comp in range(1, d + 1)
+        for i in range(q)
+    ]
+    rows.append([1] + [0] * (q - 1) + [0])
+    u = _solve([_integer_row([Fraction(x) for x in row]) for row in rows], q)
+    if u is None:
+        return None
+    t = [
+        -(a12[i].constant + sum(a11[i][c].constant * u[c] for c in range(q)))
+        for i in range(q)
+    ]
+    return tuple(t), tuple(u)
+
+
+class TestCertificateMatchesFullElimination:
+    """Stopping at the first 0 = b row gives what full elimination gives."""
+
+    def unminimized_sums(self, rng, alphabet, count):
+        """Chains of als_add over monomials, raw and as build_als sees them."""
+        for _ in range(count):
+            p = random_polynomial(rng, alphabet, max_terms=6, max_degree=3)
+            raw = built = Als.empty(alphabet)
+            for word, coeff in sorted(p.terms(), key=lambda t: (len(t[0]), t[0])):
+                mono = minimal_monomial(alphabet, word, coeff)
+                raw = als_add(raw, mono)
+                built = als_add(built, mono)
+                yield raw
+                if built.rhs[-1]:
+                    yield restore_polynomial_form(built)
+                built = minimize(built)
+
+    def test_every_pivot_of_seeded_sums(self, ab_xy, ab_xyz):
+        outcomes = {"left": [0, 0], "right": [0, 0]}
+        rng = random.Random(21)
+        for alphabet in (ab_xy, ab_xyz):
+            for als in self.unminimized_sums(rng, alphabet, 15):
+                for k in range(1, als.n):
+                    found = solve_left_minimization(als, k)
+                    assert found == full_left_solve(als, k)
+                    outcomes["left"][found is None] += 1
+                for k in range(2, als.n + 1):
+                    found = solve_right_minimization(als, k)
+                    assert found == full_right_solve(als, k)
+                    outcomes["right"][found is None] += 1
+        # both outcomes occur on both sides, so both paths are compared
+        assert all(solved and unsolved for solved, unsolved in outcomes.values())
 
 
 # sha256 of the systems and atoms below, recorded when they were last changed

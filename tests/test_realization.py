@@ -59,6 +59,44 @@ class TestLinearEntry:
         assert LinearEntry(("-3", 0, 0)).is_scalar
 
 
+class TestSharedEntries:
+    """The constant zero and one are shared; only their own place skips checks."""
+
+    def test_one_instance_per_width(self):
+        assert LinearEntry.zero(2) is LinearEntry.zero(2)
+        assert LinearEntry.one(2) is LinearEntry.one(2)
+        assert LinearEntry.zero(2) is not LinearEntry.zero(3)
+        assert LinearEntry.zero(2) == LinearEntry((0, 0, 0))
+        assert LinearEntry.one(2) == LinearEntry.scalar(1, 2)
+
+    def test_constructors_use_them(self, ab_xy):
+        als = als_add(minimal_monomial(ab_xy, (0, 1)), minimal_monomial(ab_xy, (1,)))
+        for i, row in enumerate(als.rows):
+            assert row[i] is LinearEntry.one(2)
+            assert all(entry is LinearEntry.zero(2) for entry in row[:i])
+
+    def test_shared_entries_out_of_place_are_rejected(self, ab_xy):
+        zero, one = LinearEntry.zero(2), LinearEntry.one(2)
+        x = LinearEntry.letter(0, 2)
+        for rows in (
+            [[one, x], [one, one]],  # one below the diagonal
+            [[zero, x], [zero, one]],  # zero on the diagonal
+            [[one, x], [LinearEntry.zero(3), one]],  # zero of another width
+            [[LinearEntry.one(1), zero], [zero, one]],  # one of another width
+        ):
+            with pytest.raises(ValueError):
+                Als(ab_xy, rows, [0, 1])
+
+    def test_equal_fresh_entries_still_pass(self, ab_xy):
+        fresh = Als(
+            ab_xy,
+            [[LinearEntry.scalar(1, 2), LinearEntry.letter(0, 2, -1)],
+             [LinearEntry((0, 0, 0)), LinearEntry((1, 0, 0))]],
+            [0, 1],
+        )
+        assert fresh == minimal_monomial(ab_xy, (0,))
+
+
 class TestAlsValidation:
     def test_rejects_nonunit_diagonal(self, ab_xy):
         with pytest.raises(ValueError):
