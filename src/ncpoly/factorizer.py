@@ -364,14 +364,16 @@ def find_split(
     ``order`` optionally permutes the candidate positions n1 = 2..n-1.
     Strategies per position, in order: rows-only, columns-only, the two
     non-overlapping joint solves, then bounded alternating passes.  The
-    input must be minimal (the factorization criterion presupposes it).
+    input must be minimal (the factorization criterion presupposes it):
+    a system on which some minimization equation is solvable raises
+    ``ValueError``.
     """
     n = als.n
     if n < 3:
         return None
     if not als.is_polynomial_form:
         raise ValueError("split search needs a polynomial ALS")
-    if not minimizer.is_minimal(als):
+    if not minimizer._is_reduced(als):
         raise ValueError("split search needs a minimal system; minimize first")
     positions = list(order) if order is not None else list(range(2, n))
     if sorted(positions) != list(range(2, n)):

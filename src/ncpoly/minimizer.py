@@ -69,10 +69,11 @@ def solve_left_minimization(
     t = linalg.solve_rows(rows, rhs, q)
     if t is None:
         return None
+    live = [(r, x) for r, x in enumerate(t) if x]  # free variables are 0
     u = [
         -(
             a23[j].constant
-            + sum((t[r] * a33[r][j].constant for r in range(q)), Fraction(0))
+            + sum((x * a33[r][j].constant for r, x in live), Fraction(0))
         )
         for j in range(q)
     ]
@@ -110,10 +111,11 @@ def solve_right_minimization(
     u = linalg.solve_rows(rows, rhs, q)
     if u is None:
         return None
+    live = [(c, x) for c, x in enumerate(u) if x]  # free variables are 0
     t = [
         -(
             a12[i].constant
-            + sum((a11[i][c].constant * u[c] for c in range(q)), Fraction(0))
+            + sum((a11[i][c].constant * x for c, x in live), Fraction(0))
         )
         for i in range(q)
     ]
@@ -150,20 +152,34 @@ def _right_step(als: Als, k: int, t, u) -> Als:
     return _drop(als, k)
 
 
+def _trim(als: Als) -> Als:
+    """Cut the rows and columns after the last nonzero v_i.
+
+    Back substitution makes every cut s_j zero, so s_1, the represented
+    polynomial, is unchanged, and the last right-hand side entry of the
+    result is nonzero.  Needs some v_i != 0.
+    """
+    m = max(i for i, x in enumerate(als.rhs) if x) + 1
+    if m == als.n:
+        return als
+    return Als(als.alphabet, [row[:m] for row in als.rows[:m]], als.rhs[:m])
+
+
 def minimize(als: Als, trace: Optional[list[str]] = None) -> Als:
     """Reduce to a minimal polynomial ALS for the same polynomial.
 
     Scans pivots with the decrement rule so every removable row/column is
     found; the final dimension equals the rank of the polynomial.  Returns
     the empty system exactly when the polynomial is zero.  Input may have a
-    general right-hand side; polynomial form is restored first (and again
-    at the end, since a removal at the last pivot can disturb it).
+    general right-hand side, v_n = 0 included; the system is cut after its
+    last nonzero v_i and polynomial form is restored first (and again at
+    the end, since a removal at the last pivot can disturb it).
     """
     if als.is_empty:
         return als
     if all(x == 0 for x in als.rhs):
         return Als.empty(als.alphabet)
-    als = restore_polynomial_form(als)
+    als = restore_polynomial_form(_trim(als))
     k = 2
     while k <= als.n:
         n = als.n
@@ -190,6 +206,22 @@ def minimize(als: Als, trace: Optional[list[str]] = None) -> Als:
     if all(x == 0 for x in als.rhs):
         return Als.empty(als.alphabet)
     return restore_polynomial_form(als)
+
+
+def _is_reduced(als: Als) -> bool:
+    """True when no minimization equation of ``als`` is solvable.
+
+    These are the solvers and pivots ``minimize`` scans (left at 1..n-1,
+    right at 2..n), so True means ``minimize`` would not shrink the
+    system; for a polynomial ALS that is minimality.  Unsolvable equations
+    mostly stop at their first 0 = b row, so on a minimal system this is
+    far cheaper than the family ranks of ``is_minimal``, which stays the
+    independent certificate.
+    """
+    n = als.n
+    return all(solve_left_minimization(als, k) is None for k in range(1, n)) and all(
+        solve_right_minimization(als, k) is None for k in range(2, n + 1)
+    )
 
 
 def build_als(

@@ -231,32 +231,36 @@ class Als:
     # -- symbolic solution ---------------------------------------------------
 
     def left_family(self) -> list[NcPolynomial]:
-        """s = A^-1 v by back substitution; s[0] is the represented polynomial."""
+        """s = A^-1 v by back substitution; s[0] is the represented polynomial.
+
+        s_i = v_i - sum_j A_ij s_j, where the letter x of A_ij is prefixed
+        to every word of s_j.
+        """
         n = self.n
         family: list[Optional[NcPolynomial]] = [None] * n
         for i in range(n - 1, -1, -1):
-            total = NcPolynomial.scalar(self.alphabet, self.rhs[i])
+            terms = {(): self.rhs[i]}
             for j in range(i + 1, n):
-                entry = self.rows[i][j]
-                if not entry.is_zero:
-                    total = total - entry.to_polynomial(self.alphabet) * family[j]
-            family[i] = total
+                _subtract_product(terms, self.rows[i][j], family[j], True)
+            family[i] = NcPolynomial(self.alphabet, terms)
         return family  # type: ignore[return-value]
 
     def right_family(self) -> list[NcPolynomial]:
-        """t = u A^-1 by forward substitution; t[0] is always 1."""
+        """t = u A^-1 by forward substitution; t[0] is always 1.
+
+        t_j = -sum_i t_i A_ij, where the letter x of A_ij is appended to
+        every word of t_i.
+        """
         n = self.n
         family: list[NcPolynomial] = []
         for j in range(n):
             if j == 0:
                 family.append(NcPolynomial.one(self.alphabet))
                 continue
-            total = NcPolynomial.zero(self.alphabet)
+            terms: dict[Word, Fraction] = {}
             for i in range(j):
-                entry = self.rows[i][j]
-                if not entry.is_zero:
-                    total = total - family[i] * entry.to_polynomial(self.alphabet)
-            family.append(total)
+                _subtract_product(terms, self.rows[i][j], family[i], False)
+            family.append(NcPolynomial(self.alphabet, terms))
         return family
 
     def polynomial(self) -> NcPolynomial:
@@ -264,6 +268,22 @@ class Als:
         if self.is_empty:
             return NcPolynomial.zero(self.alphabet)
         return self.left_family()[0]
+
+
+def _subtract_product(
+    terms: dict[Word, Fraction], entry: LinearEntry, p: NcPolynomial, prefix: bool
+) -> None:
+    """terms -= entry * p (prefix) or p * entry (not prefix), in place.
+
+    One dict update per nonzero coefficient of the entry and word of p.
+    """
+    coeffs = [(c, x) for c, x in enumerate(entry.coeffs) if x]
+    if not coeffs:
+        return
+    for word, value in p.term_map().items():
+        for c, x in coeffs:
+            key = word if c == 0 else ((c - 1,) + word if prefix else word + (c - 1,))
+            terms[key] = terms.get(key, 0) - x * value
 
 
 @dataclass(frozen=True)
@@ -300,7 +320,7 @@ def _combine(
 
     A sum that is zero comes back as the shared ``zero``.
     """
-    live = [(factor, entry) for factor, entry in terms if not entry.is_zero]
+    live = [(f, e) for f, e in terms if not (e is zero or e.is_zero)]
     if not live:
         return zero
     if len(live) == 1 and live[0][0] == 1:
@@ -319,25 +339,42 @@ def _transform(als: Als, row_mix: _Mix, col_mix: _Mix) -> Als:
     ``row_mix[i]`` lists the nonzeros ``(k, P[i, k])`` of row i of P and
     ``col_mix[j]`` the nonzeros ``(k, Q[k, j])`` of column j of Q; absent
     rows and columns are those of the identity.  Rows are mixed first, then
-    columns of the row-mixed grid.  This is the one place where a system
-    is transformed; the result is validated like any other system.
+    columns of the row-mixed grid.  A mixed cell is only computed where one
+    of its sources is nonzero; every other mixed cell is the shared zero.
+    This is the one place where a system is transformed; the result is
+    validated like any other system.
     """
+    n = als.n
     zero = LinearEntry.zero(len(als.alphabet))
     rows = [list(row) for row in als.rows]
     rhs = list(als.rhs)
+    live_cols = {
+        k: [j for j, e in enumerate(als.rows[k]) if not (e is zero or e.is_zero)]
+        for k in {k for mix in row_mix.values() for k, _ in mix}
+    }
     for i, mix in row_mix.items():
-        rows[i] = [
-            _combine(((f, als.rows[k][j]) for k, f in mix), zero)
-            for j in range(als.n)
-        ]
+        row = rows[i] = [zero] * n
+        for j in set().union(*(live_cols[k] for k, _ in mix)):
+            row[j] = _combine(((f, als.rows[k][j]) for k, f in mix), zero)
         rhs[i] = sum((f * als.rhs[k] for k, f in mix), Fraction(0))
-    for row in rows:
-        mixed = {
-            j: _combine(((f, row[k]) for k, f in mix), zero)
-            for j, mix in col_mix.items()
-        }
-        for j, entry in mixed.items():
-            row[j] = entry
+    live_rows = {
+        k: [
+            r for r, row in enumerate(rows) if not (row[k] is zero or row[k].is_zero)
+        ]
+        for k in {k for mix in col_mix.values() for k, _ in mix}
+    }
+    mixed = {
+        j: [
+            (r, _combine(((f, rows[r][k]) for k, f in mix), zero))
+            for r in set().union(*(live_rows[k] for k, _ in mix))
+        ]
+        for j, mix in col_mix.items()
+    }
+    for j, cells in mixed.items():
+        for row in rows:
+            row[j] = zero
+        for r, entry in cells:
+            rows[r][j] = entry
     return Als(als.alphabet, rows, rhs)
 
 

@@ -95,6 +95,19 @@ class TestMinimizeCommand:
         code, _, err = run(capsys, "minimize", str(tmp_path / "nope.als"))
         assert code == 2
 
+    def test_zero_last_rhs_entry(self, capsys, tmp_path, ab_xy):
+        from ncpoly import Als
+
+        # s_2 = 0 and s_1 = 1 + x*s_2: the system represents 1
+        src = tmp_path / "one.als"
+        dst = tmp_path / "min.als"
+        als = Als.from_cells(ab_xy, [["1", "-x"], ["0", "1"]], [1, 0])
+        src.write_text(dump_als(als))
+        code, out, _ = run(capsys, "minimize", str(src), "-o", str(dst))
+        assert code == 0
+        assert "dim=1" in out
+        assert str(load_als(dst.read_text()).polynomial()) == "1"
+
 
 class TestEval:
     @pytest.fixture

@@ -1,6 +1,8 @@
 """Split search, atom factorization, block chains, reducibility patterns."""
 
+import hashlib
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -9,6 +11,7 @@ import ncpoly.factorizer
 from ncpoly import (
     Alphabet,
     BlockFactorization,
+    NcPolynomial,
     apply_transformation,
     build_als,
     check_k_reducibility_pattern,
@@ -202,6 +205,56 @@ class TestFactorAtoms:
                 atoms = factor_atoms(p, random.Random(seed))
                 assert len(atoms) == reference
                 assert product_of(atoms) == p
+
+
+def seeded_affine_products(count):
+    """Products of 2-3 seeded affine factors over six letters.
+
+    Most factors use their own letter pair; every fourth product reuses
+    one pair for all its factors, which the linear strategies often miss,
+    so the rebuild-and-retry path runs too.
+    """
+    ab = Alphabet(("a", "b", "c", "d", "e", "f"))
+    rng = random.Random(31)
+    nonzero = (-3, -2, -1, 1, 2, 3)
+    for index in range(count):
+        letters = rng.sample(range(6), 6)
+        product = NcPolynomial.one(ab)
+        for f in range(rng.choice((2, 2, 3))):
+            u, v = letters[0:2] if index % 4 == 3 else letters[2 * f : 2 * f + 2]
+            terms = {(u,): Fraction(rng.choice(nonzero))}
+            for word in ((), (v,)):
+                if rng.random() < 0.6:
+                    terms[word] = Fraction(rng.choice(nonzero))
+            product = product * NcPolynomial(ab, terms)
+        yield product
+
+
+# sha256 of the atoms below, recorded when they were last changed
+PINNED_ATOMS = "e85b8a20ee5208c4ecdfb0e037bc36a426fee5fbefe2107f9d8fb2dbaebde362"
+
+
+def test_factor_atoms_are_pinned():
+    """factor_atoms returns the same atoms as before, printed the same way.
+
+    A change to the split search, the minimizer or the transformations
+    that alters any atom must update the hash and say so.
+    """
+    ab = Alphabet(("x", "y", "z"))
+    triple_ab = Alphabet(("a", "b", "c", "d", "e", "x"))
+    polys = [
+        parse(text, alphabet)
+        for text, alphabet in (
+            ("x - x*y*x", ab),
+            ("x*y*z", ab),
+            ("2aexc + 2bxc - aexd - bxd", triple_ab),
+            ("x*y + y*x", ab),
+        )
+    ]
+    polys.extend(seeded_affine_products(40))
+    parts = [" | ".join(str(a) for a in factor_atoms(p)) for p in polys]
+    digest = hashlib.sha256("\n".join(parts).encode()).hexdigest()
+    assert digest == PINNED_ATOMS, digest
 
 
 class TestReducibilityPattern:

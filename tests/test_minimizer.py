@@ -32,7 +32,9 @@ from ncpoly import (
     solve_right_minimization,
 )
 
+from ncpoly.families import convolution_system, power_system
 from ncpoly.linalg import _integer_row, _solve
+from ncpoly.minimizer import _is_reduced
 
 from conftest import BENCH19_TEXT, random_polynomial
 
@@ -180,6 +182,81 @@ class TestMinimize:
         moved = apply_transformation(total, AdmissibleTransformation(p, q))
         assert all(moved.rows[i][k - 1].is_zero for i in range(k - 1))
         assert moved.polynomial() == total.polynomial()
+
+
+class TestGeneralRightHandSide:
+    """minimize accepts any right-hand side, a zero last entry included."""
+
+    @pytest.mark.parametrize(
+        "cells, rhs, expected",
+        [
+            ([["1", "-x"], ["0", "1"]], [1, 0], "1"),
+            ([["1", "-x", "0"], ["0", "1", "-y"], ["0", "0", "1"]], [0, 1, 0], "x"),
+            (
+                [["1", "-x", "y"], ["0", "1", "-x"], ["0", "0", "1"]],
+                [2, 3, 0],
+                "2 + 3*x",
+            ),
+            ([["1", "-x", "y"], ["0", "1", "-x"], ["0", "0", "1"]], [5, 0, 0], "5"),
+            ([["1", "-x", "y"], ["0", "1", "0"], ["0", "0", "1"]], [0, 0, 0], "0"),
+        ],
+    )
+    def test_zero_last_entry(self, ab_xy, cells, rhs, expected):
+        als = Als.from_cells(ab_xy, cells, rhs)
+        p = parse(expected, ab_xy)
+        assert als.polynomial() == p
+        reduced = minimize(als)
+        assert reduced.polynomial() == p
+        assert reduced.is_polynomial_form and is_minimal(reduced)
+        assert reduced.n == rank_of(p)
+
+
+def random_admissible(rng, n):
+    """Sparse unitriangular (P, Q) with Q's first row e1 and P's last column e_n.
+
+    Such a transformation keeps a polynomial system in polynomial form.
+    """
+    p = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+    q = [list(row) for row in p]
+    for i in range(n):
+        for j in range(i + 1, n):
+            if j < n - 1 and rng.random() < 0.3:
+                p[i][j] = Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+            if i > 0 and rng.random() < 0.3:
+                q[i][j] = Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+    return AdmissibleTransformation(RatMatrix(p), RatMatrix(q))
+
+
+class TestScanMatchesFamilyRanks:
+    """find_split's pivot-scan precondition agrees with is_minimal."""
+
+    def seeded_systems(self, rng, alphabet, count):
+        """Minimal systems as built and scrambled, and un-minimized sums."""
+        for _ in range(count):
+            p = random_polynomial(rng, alphabet, max_terms=6, max_degree=3)
+            q = random_polynomial(rng, alphabet, max_terms=3, max_degree=2)
+            built = build_als(p)
+            yield built
+            yield apply_transformation(built, random_admissible(rng, built.n))
+            yield restore_polynomial_form(als_add(built, build_als(q)))
+            raw = Als.empty(alphabet)
+            for word, coeff in p.terms():
+                raw = als_add(raw, minimal_monomial(alphabet, word, coeff))
+                yield restore_polynomial_form(raw)
+
+    def test_seeded_systems(self, ab_xy, ab_xyz, seven_dim_remark, six_dim_remark):
+        systems = [seven_dim_remark, six_dim_remark]
+        systems += [power_system(k) for k in range(5)]
+        systems += [convolution_system(k) for k in range(1, 4)]
+        rng = random.Random(23)
+        for alphabet in (ab_xy, ab_xyz):
+            systems.extend(self.seeded_systems(rng, alphabet, 12))
+        verdicts = [0, 0]
+        for als in systems:
+            minimal = is_minimal(als)
+            assert _is_reduced(als) == minimal
+            verdicts[minimal] += 1
+        assert all(verdicts)  # both verdicts occur, so both paths are compared
 
 
 class TestRankOf:

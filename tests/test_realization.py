@@ -10,11 +10,14 @@ from ncpoly import (
     Alphabet,
     Als,
     LinearEntry,
+    NcPolynomial,
     RatMatrix,
     als_add,
     als_mul,
     apply_transformation,
+    build_als,
     dump_als,
+    is_minimal,
     left_companion,
     load_als,
     minimal_monomial,
@@ -25,6 +28,8 @@ from ncpoly import (
 )
 from ncpoly.errors import FormatError
 from ncpoly.realization import format_system
+
+from conftest import random_polynomial
 
 
 def system_for_x(ab):
@@ -402,6 +407,48 @@ class TestTransformationMatchesDenseReference:
                     dense_transformation(als, trans)
                 with pytest.raises(ValueError):
                     apply_transformation(als, trans)
+
+
+def product_left_family(als):
+    """Reference: s_i = v_i - sum_j A_ij * s_j with NcPolynomial products."""
+    n, alphabet = als.n, als.alphabet
+    family = [None] * n
+    for i in range(n - 1, -1, -1):
+        total = NcPolynomial.scalar(alphabet, als.rhs[i])
+        for j in range(i + 1, n):
+            total = total - als.rows[i][j].to_polynomial(alphabet) * family[j]
+        family[i] = total
+    return family
+
+
+def product_right_family(als):
+    """Reference: t_1 = 1, t_j = -sum_i t_i * A_ij with NcPolynomial products."""
+    alphabet = als.alphabet
+    family = []
+    for j in range(als.n):
+        total = NcPolynomial.one(alphabet) if j == 0 else NcPolynomial.zero(alphabet)
+        for i in range(j):
+            total = total - family[i] * als.rows[i][j].to_polynomial(alphabet)
+        family.append(total)
+    return family
+
+
+class TestFamiliesMatchProductReference:
+    """Prefixing and suffixing letters gives the product-based families."""
+
+    def test_seeded_systems(self):
+        rng = random.Random(404)
+        verdicts = [0, 0]
+        for n in range(1, 9):
+            for d in range(1, 4):
+                for _ in range(3):
+                    raw = random_system(rng, n, d)
+                    built = build_als(random_polynomial(rng, raw.alphabet, 6, 3))
+                    for als in (raw, minimize(raw), built):
+                        assert als.left_family() == product_left_family(als)
+                        assert als.right_family() == product_right_family(als)
+                        verdicts[is_minimal(als)] += 1
+        assert all(verdicts)  # minimal and non-minimal systems both occur
 
 
 class TestRestorePolynomialForm:
