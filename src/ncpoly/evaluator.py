@@ -7,8 +7,14 @@ appends ``-sum_j a_ij s_j`` (left family: entry on the left, bottom-up from
 on the right, top-down from ``t_1 = I``).  A block factorization is the
 right family of its block system, walked one factor at a time; a product of
 systems folds the left-evaluated factors with the same counted product.
-Each pencil entry ``c0*I + c1*X1 + ... + cd*Xd`` is materialized (additions
-and scalings only) just before its product and dropped after it.
+Each pencil entry ``c0*I + c1*X1 + ... + cd*Xd`` is formed just before its
+product (additions and scalings only) and dropped after it; an entry that
+is one letter with coefficient 1 is that letter's matrix itself, read and
+never written.  Entries and step totals accumulate in place, and an entry's
+constant or a step's scalar is added on the diagonal, so no identity matrix
+is built.  An exact product scales each operand to Python ints by the lcm
+of its denominators, multiplies the ints once and divides by the product
+of the two lcms, instead of reducing a ``Fraction`` at every scalar step.
 
 A tracked value is a plain scalar, standing for that multiple of the
 identity, or a full matrix.  Only matrix-times-matrix products are counted;
@@ -18,7 +24,8 @@ respectively the first row.
 
 Exact and float evaluation run the same code: only ``MatrixTuple`` knows its
 mode, through ``coeff`` (a rational in the tuple's arithmetic) and
-``identity``.
+``identity``, and its arrays carry it as their dtype (``Fraction`` objects
+or float64), which is all the product looks at.
 """
 
 from __future__ import annotations
@@ -33,6 +40,7 @@ import numpy as np
 from .errors import FormatError
 from .factorizer import BlockFactorization
 from .freepoly import identity_matrix
+from .linalg import integer_scaled, to_fraction
 from .realization import Als, LinearEntry, _frac_str, _parse_frac
 
 RAT = "rat"
@@ -41,7 +49,12 @@ F64 = "f64"
 
 @dataclass(frozen=True)
 class MatrixTuple:
-    """One square matrix per letter, all of the same size and mode."""
+    """One square matrix per letter, all of the same size and mode.
+
+    The constructor stores its own copies in the mode's arithmetic: every
+    exact entry becomes a ``Fraction`` (``linalg.to_fraction``) in an object
+    array, every f64 matrix a float64 array.
+    """
 
     mats: tuple[np.ndarray, ...]
     mode: str  # RAT (Fraction entries) or F64
@@ -49,24 +62,29 @@ class MatrixTuple:
     def __post_init__(self):
         if self.mode not in (RAT, F64):
             raise ValueError(f"mode must be {RAT!r} or {F64!r}")
-        if not self.mats:
+        dtype = object if self.mode == RAT else float
+        mats = tuple(np.array(mat, dtype=dtype) for mat in self.mats)
+        if not mats:
             raise ValueError("need at least one matrix")
-        m = self.mats[0].shape[0]
-        for mat in self.mats:
+        m = mats[0].shape[0] if mats[0].ndim else 0
+        for mat in mats:
             if mat.shape != (m, m):
                 raise ValueError("matrices must all be square of the same size")
+        if self.mode == RAT:
+            mats = tuple(
+                np.array([to_fraction(x) for x in mat.ravel().tolist()],
+                         dtype=object).reshape(m, m)
+                for mat in mats
+            )
+        object.__setattr__(self, "mats", mats)
 
     @classmethod
     def exact(cls, mats: Sequence[Sequence[Sequence]]) -> "MatrixTuple":
-        arrays = tuple(
-            np.array([[Fraction(x) for x in row] for row in mat], dtype=object)
-            for mat in mats
-        )
-        return cls(arrays, RAT)
+        return cls(tuple(mats), RAT)
 
     @classmethod
     def floating(cls, mats: Sequence) -> "MatrixTuple":
-        return cls(tuple(np.array(mat, dtype=float) for mat in mats), F64)
+        return cls(tuple(mats), F64)
 
     @property
     def m(self) -> int:
@@ -91,9 +109,7 @@ class MatrixTuple:
     def to_float(self) -> "MatrixTuple":
         if self.mode == F64:
             return self
-        return MatrixTuple(
-            tuple(mat.astype(object).astype(float) for mat in self.mats), F64
-        )
+        return MatrixTuple(self.mats, F64)
 
 
 @dataclass(frozen=True)
@@ -125,34 +141,73 @@ def random_rational_tuple(
 # -- the substitution loop ------------------------------------------------------
 #
 # A tracked value is a plain scalar, standing for that multiple of the
-# identity, or an ndarray.
+# identity, or an ndarray.  Every ndarray the loop creates is its own and
+# may be written in place; a letter matrix of the tuple is only read.
+
+
+def _exact_matmul(left: np.ndarray, right: np.ndarray) -> np.ndarray:
+    """``left @ right`` on ``Fraction`` arrays, as one product of Python ints.
+
+    Each operand is scaled to ints by the lcm of its denominators, so the
+    inner products add ints and only the m^2 results are reduced, each as
+    ``Fraction(c, la * lb)``.
+    """
+    ints_a, la = integer_scaled(left.ravel().tolist())
+    ints_b, lb = integer_scaled(right.ravel().tolist())
+    product = (
+        np.array(ints_a, dtype=object).reshape(left.shape)
+        @ np.array(ints_b, dtype=object).reshape(right.shape)
+    )
+    den = la * lb
+    entries = [Fraction(c, den) for c in product.ravel().tolist()]
+    return np.array(entries, dtype=object).reshape(product.shape)
 
 
 def _product(left, right):
     """left * right on tracked values, and 1 if it was a matrix product.
 
-    A scalar-zero operand gives scalar zero, so a zero factor keeps the
-    rest of a fold scalar and free.
+    An ndarray result is always a new array.  A scalar-zero operand gives
+    scalar zero, so a zero factor keeps the rest of a fold scalar and free.
     """
     if isinstance(left, np.ndarray):
         if isinstance(right, np.ndarray):
+            if left.dtype == object:
+                return _exact_matmul(left, right), 1
             return left @ right, 1
         return (left * right if right else right), 0
     return (left * right if left else left), 0
 
 
+def _add_to_diagonal(mat: np.ndarray, scalar) -> None:
+    """mat += scalar * I, in place."""
+    diagonal = np.arange(mat.shape[0])
+    mat[diagonal, diagonal] += scalar
+
+
 def _entry_value(entry: LinearEntry, tup: MatrixTuple):
-    """Materialize a pencil entry; additions and scalings only, no products."""
+    """A pencil entry's value; additions and scalings only, no products.
+
+    A single letter with coefficient 1 is ``tup.mats[k]`` itself, which
+    the caller must not write; any other matrix entry is a new array.
+    """
     if entry.is_scalar:
         return tup.coeff(entry.constant)
+    letters = [(k, c) for k, c in enumerate(entry.coeffs[1:]) if c]
+    if len(letters) == 1 and letters[0][1] == 1 and not entry.constant:
+        return tup.mats[letters[0][0]]
     acc = None
-    for index, coeff in enumerate(entry.coeffs[1:]):
-        if coeff == 0:
-            continue
-        term = tup.coeff(coeff) * tup.mats[index]
-        acc = term if acc is None else acc + term
-    if entry.constant != 0:
-        acc = acc + tup.coeff(entry.constant) * tup.identity()
+    for k, coeff in letters:
+        mat = tup.mats[k]
+        if acc is None:
+            acc = mat.copy() if coeff == 1 else tup.coeff(coeff) * mat
+        elif coeff == 1:
+            acc += mat
+        elif coeff == -1:
+            acc -= mat
+        else:
+            acc += tup.coeff(coeff) * mat
+    if entry.constant:
+        _add_to_diagonal(acc, tup.coeff(entry.constant))
     return acc
 
 
@@ -162,7 +217,8 @@ def _substitute(tup: MatrixTuple, values: list, steps, entry_left: bool) -> int:
     A step is ``(negate, terms)`` with ``terms`` pairs ``(src, entry)``; it
     appends ``-/+ sum of values[src] * entry``, the entry on the left (left
     family) or on the right (right family).  Zero entries and scalar-zero
-    values are skipped; each entry is materialized just before its product.
+    values are skipped; each entry is formed just before its product.  The
+    step's matrix total is the first term's new array, summed into in place.
     """
     count = 0
     for negate, terms in steps:
@@ -179,12 +235,14 @@ def _substitute(tup: MatrixTuple, values: list, steps, entry_left: bool) -> int:
             if not isinstance(term, np.ndarray):
                 scalar = scalar - term if negate else scalar + term
             elif total is None:
-                total = -term if negate else term
+                total = np.negative(term, out=term) if negate else term
+            elif negate:
+                total -= term
             else:
-                total = total - term if negate else total + term
-            del term  # free it before the next entry is materialized
+                total += term
+            del term  # free it before the next entry is formed
         if total is not None and scalar:
-            total = total + scalar * tup.identity()
+            _add_to_diagonal(total, scalar)
         values.append(scalar if total is None else total)
     return count
 
@@ -299,7 +357,7 @@ def evaluate_block_factorization(
         steps = ((False, list(enumerate(column))) for column in zip(*grid))
         count += _substitute(tup, row, steps, entry_left=False)
         row = row[len(grid):]
-    return _report(tup, row[0], count, "left")
+    return _report(tup, row[0], count, "right")
 
 
 def evaluate_product(systems: Sequence[Als], tup: MatrixTuple) -> EvalReport:
@@ -368,7 +426,4 @@ def load_matrix_tuple(text: str) -> MatrixTuple:
         if len(tokens) != m:
             raise FormatError(f"expected {m} entries per row")
         rows.append([parse_token(tok) for tok in tokens])
-    mats = [rows[k * m:(k + 1) * m] for k in range(d)]
-    if header[2] == RAT:
-        return MatrixTuple.exact(mats)
-    return MatrixTuple.floating(mats)
+    return MatrixTuple(tuple(rows[k * m:(k + 1) * m] for k in range(d)), header[2])

@@ -4,11 +4,12 @@ Matrices hold ``Fraction`` entries; ``to_fraction`` is the one place where
 other numbers (ints, strings, floats) become ``Fraction`` and values that
 already are pass through untouched.  All solving and ranking goes through
 one kernel, ``_eliminate``: each row is scaled to integers by the lcm of
-its denominators, then fraction-free Gauss-Jordan runs on Python ints with
-first-nonzero pivoting (exact arithmetic needs no magnitude pivoting) and
-keeps every row primitive.  Solutions set all free variables to zero, so
-results are deterministic.  These routines back the minimization
-equations, the family-rank tests, and the factorization solves.
+its denominators (``integer_scaled``, which exact evaluation shares), then
+fraction-free Gauss-Jordan runs on Python ints with first-nonzero pivoting
+(exact arithmetic needs no magnitude pivoting) and keeps every row
+primitive.  Solutions set all free variables to zero, so results are
+deterministic.  These routines back the minimization equations, the
+family-rank tests, and the factorization solves.
 """
 
 from __future__ import annotations
@@ -94,16 +95,25 @@ class RatMatrix:
         return f"RatMatrix[{body}]"
 
 
-def _integer_row(row: Sequence[Fraction]) -> list[int]:
-    """The row scaled by the lcm of its denominators, as Python ints."""
+def integer_scaled(values: Sequence[Fraction]) -> tuple[list[int], int]:
+    """The values times the lcm ``l`` of their denominators, and ``l``.
+
+    ``values[i] == ints[i] / l`` with Python ints.  This is the package's one
+    Fraction-to-integer step: elimination rows and exact products use it.
+    """
     den = 1
-    for x in row:
+    for x in values:
         d = x.denominator
         if d != 1 and den % d:
             den = den // gcd(den, d) * d
     if den == 1:
-        return [x.numerator for x in row]
-    return [x.numerator * (den // x.denominator) for x in row]
+        return [x.numerator for x in values], 1
+    return [x.numerator * (den // x.denominator) for x in values], den
+
+
+def _integer_row(row: Sequence[Fraction]) -> list[int]:
+    """The row scaled by the lcm of its denominators, as Python ints."""
+    return integer_scaled(row)[0]
 
 
 def _primitive(row: list[int]) -> list[int]:

@@ -31,8 +31,10 @@ from ncpoly import (
     verify_block_factorization,
 )
 from ncpoly.errors import FormatError
+from ncpoly.evaluator import _entry_value, _product
 from ncpoly.families import power_polynomial, power_system
 from ncpoly.freepoly import identity_matrix
+from ncpoly.realization import LinearEntry
 
 from conftest import assert_bitwise_equal, random_polynomial
 
@@ -195,6 +197,7 @@ class TestBlockFactorization:
             chain = evaluate_block_factorization(bench19_chain, mats)
             right = evaluate_right(block_als, mats)
             assert chain.mult_count == right.mult_count == 15
+            assert chain.side == right.side == "right"
             assert_bitwise_equal(chain.result, right.result)
 
 
@@ -292,6 +295,138 @@ class TestFloatMode:
                 evaluate_left(als, approx).mult_count
                 == evaluate_left(als, exact).mult_count
             )
+
+
+def fraction_matmul(a, b):
+    """Reference product: Fraction arithmetic at every scalar step."""
+    return np.array(
+        [
+            [
+                sum((a[i, k] * b[k, j] for k in range(a.shape[1])), Fraction(0))
+                for j in range(b.shape[1])
+            ]
+            for i in range(a.shape[0])
+        ],
+        dtype=object,
+    )
+
+
+class TestExactProduct:
+    """The integer product over a common denominator against Fraction @."""
+
+    def random_matrix(self, rng, m, max_num, max_den):
+        return np.array(
+            [
+                [
+                    Fraction(rng.randint(-max_num, max_num), rng.randint(1, max_den))
+                    for _ in range(m)
+                ]
+                for _ in range(m)
+            ],
+            dtype=object,
+        )
+
+    def pairs(self):
+        rng = random.Random(20)
+        for m in range(1, 9):
+            zero = np.full((m, m), Fraction(0), dtype=object)
+            for max_num, max_den in ((4, 4), (9, 1), (10**6, 10**12), (1, 10**12)):
+                a = self.random_matrix(rng, m, max_num, max_den)
+                b = self.random_matrix(rng, m, max_num, max_den)
+                yield a, b
+                yield a, a
+                yield zero, b
+                yield a, zero
+            yield zero, zero
+            yield identity_matrix(m), self.random_matrix(rng, m, 3, 10**12)
+
+    def test_matches_fraction_matmul(self):
+        for a, b in self.pairs():
+            product, counted = _product(a, b)
+            assert counted == 1
+            assert product.dtype == object and product.shape == a.shape
+            assert all(type(x) is Fraction for x in product.ravel())
+            assert np.array_equal(product, fraction_matmul(a, b))
+
+
+class TestBorrowedLetters:
+    """A coefficient-1 letter entry is the tuple's own matrix, never written."""
+
+    def test_single_letter_entry_is_the_tuple_matrix(self):
+        tup = random_rational_tuple(random.Random(21), 2, 3)
+        for mats in (tup, tup.to_float()):
+            assert _entry_value(LinearEntry.letter(1, 2), mats) is mats.mats[1]
+            for entry in (LinearEntry.letter(1, 2, 2),
+                          LinearEntry((1, 0, 1)), LinearEntry((0, 1, 1))):
+                assert not np.shares_memory(_entry_value(entry, mats), mats.mats[1])
+
+    def evaluations(self, tup, systems, chains):
+        for als in systems:
+            yield evaluate_left(als, tup)
+            yield evaluate_right(als, tup)
+        for bf in chains:
+            yield evaluate_block_factorization(bf, tup)
+        yield evaluate_product(systems, tup)
+
+    def test_tuples_are_unchanged_and_unshared(
+        self, ab_xy, intro_als, bench19_chain, bench19_poly
+    ):
+        rng = random.Random(22)
+        xy_systems = [intro_als, build_als(parse("x + y", ab_xy)),
+                      minimal_monomial(ab_xy, (0,)), minimal_monomial(ab_xy, (1, 0))]
+        xy_chains = [BlockFactorization.from_cells(ab_xy, [[["x", "y"]], [["y"], ["x"]]]),
+                     BlockFactorization.from_cells(ab_xy, [[["x"]]])]
+        cases = [(2, xy_systems, xy_chains),
+                 (5, [bench19_chain.to_block_als(), build_als(bench19_poly)],
+                  [bench19_chain])]
+        for d, systems, chains in cases:
+            exact = random_rational_tuple(rng, d, 3)
+            for tup in (exact, exact.to_float()):
+                before = [mat.copy() for mat in tup.mats]
+                raw = [mat.tobytes() for mat in tup.mats]
+                for report in self.evaluations(tup, systems, chains):
+                    for mat in tup.mats:
+                        assert not np.shares_memory(report.result, mat)
+                for mat, old, old_raw in zip(tup.mats, before, raw):
+                    if tup.is_exact:
+                        assert np.array_equal(mat, old)
+                    else:
+                        assert mat.tobytes() == old_raw
+
+
+class TestMatrixTupleBoundary:
+    def test_exact_entries_become_fractions(self):
+        x_squared_plus_one = build_als(parse("x^2 + 1", Alphabet(("x",))))
+        want = np.array(
+            [[Fraction(37, 4), Fraction(11)], [Fraction(33, 2), Fraction(23)]],
+            dtype=object,
+        )
+        for mat in (np.array([[1.5, 2], [3, 4]]), [["3/2", 2], [3, Fraction(4)]]):
+            tup = MatrixTuple((mat,), "rat")
+            assert tup.mats[0].dtype == object
+            result = evaluate_left(x_squared_plus_one, tup).result
+            assert all(type(x) is Fraction for x in result.ravel())
+            assert np.array_equal(result, want)
+        ints = MatrixTuple((np.array([[1, 2], [3, 4]], dtype=object),), "rat")
+        assert all(type(x) is Fraction for x in ints.mats[0].ravel())
+
+    def test_float_entries_become_float64(self):
+        tup = MatrixTuple((np.array([[1, 2], [3, 4]]), [[Fraction(1, 2), 0], [0, 1]]),
+                          "f64")
+        assert all(mat.dtype == np.float64 for mat in tup.mats)
+        assert tup.mats[1][0, 0] == 0.5
+
+    def test_constructor_copies(self):
+        mat = np.array([[1.0, 2.0], [3.0, 4.0]])
+        tup = MatrixTuple.floating([mat])
+        mat[0, 0] = 9.0
+        assert tup.mats[0][0, 0] == 1.0
+
+    def test_rejects_non_square_input(self):
+        for mats in ([[1, 2], [3]], [1, 2], 5, [[[1]]]):
+            for mode in ("rat", "f64"):
+                with pytest.raises(ValueError):
+                    MatrixTuple((mats,), mode)
 
 
 class TestMatrixTupleFiles:
