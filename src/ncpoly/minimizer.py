@@ -28,11 +28,15 @@ from . import linalg
 from .freepoly import NcPolynomial, Word, word_key
 from .realization import (
     Als,
-    _transform,
-    als_add,
-    minimal_monomial,
-    restore_polynomial_form,
+    LinearEntry,
+    _append_summand,
+    _mix_in_place,
+    _monomial_block,
+    _restoring_mix,
 )
+
+
+_ZERO = Fraction(0)
 
 
 def solve_left_minimization(
@@ -48,18 +52,36 @@ def solve_left_minimization(
     n = als.n
     if not 1 <= k <= n - 1:
         raise IndexError(f"left pivot {k} out of range for dimension {n}")
-    a23 = als.rows[k - 1][k:]
-    a33 = [row[k:] for row in als.rows[k:]]
+    a = als.rows
     q = n - k
     d = len(als.alphabet)
+    # Column j of A_33 below its diagonal is zero; on it, the scalar 1.  So
+    # a letter equation reads rows r < j, the constant one (k = 1) r <= j.
+    if k == 1:
+        components = range(d + 1)
+        columns = [
+            [(r, e) for r in range(j + 1) if not (e := a[k + r][k + j]).is_zero]
+            for j in range(q)
+        ]
+    else:
+        components = range(1, d + 1)
+        columns = [
+            [(r, e) for r in range(j) if not (e := a[k + r][k + j]).is_scalar]
+            for j in range(q)
+        ]
     rows: list[list[Fraction]] = []
     rhs: list[Fraction] = []
-    components = range(d + 1) if k == 1 else range(1, d + 1)
     for comp in components:
-        for j in range(q):
-            row = [a33[r][j].coeffs[comp] for r in range(q)]
-            b = a23[j].coeffs[comp]
-            if any(row):
+        for j, column in enumerate(columns):
+            row = None
+            for r, entry in column:
+                x = entry.coeffs[comp]
+                if x:
+                    if row is None:
+                        row = [_ZERO] * q
+                    row[r] = x
+            b = a[k - 1][k + j].coeffs[comp]
+            if row is not None:
                 rows.append(row)
                 rhs.append(-b)
             elif b:
@@ -69,13 +91,13 @@ def solve_left_minimization(
     t = linalg.solve_rows(rows, rhs, q)
     if t is None:
         return None
-    live = [(r, x) for r, x in enumerate(t) if x]  # free variables are 0
+    live = [(k + r, x) for r, x in enumerate(t) if x]  # free variables are 0
     u = [
         -(
-            a23[j].constant
-            + sum((x * a33[r][j].constant for r, x in live), Fraction(0))
+            a[k - 1][c].constant
+            + sum((x * e for i, x in live if (e := a[i][c].constant)), _ZERO)
         )
-        for j in range(q)
+        for c in range(k, n)
     ]
     return tuple(t), tuple(u)
 
@@ -91,78 +113,159 @@ def solve_right_minimization(
     n = als.n
     if not 2 <= k <= n:
         raise IndexError(f"right pivot {k} out of range for dimension {n}")
+    a = als.rows
     q = k - 1
-    a11 = [row[:q] for row in als.rows[:q]]
-    a12 = [row[q] for row in als.rows[:q]]
     d = len(als.alphabet)
+    # Row i of A_11 has letters only right of its diagonal.
+    lines = [
+        [(c, e) for c in range(i + 1, q) if not (e := a[i][c]).is_scalar]
+        for i in range(q)
+    ]
     rows: list[list[Fraction]] = []
     rhs: list[Fraction] = []
     for comp in range(1, d + 1):
-        for i in range(q):
-            row = [a11[i][c].coeffs[comp] for c in range(q)]
-            b = a12[i].coeffs[comp]
-            if any(row):
+        for i, line in enumerate(lines):
+            row = None
+            for c, entry in line:
+                x = entry.coeffs[comp]
+                if x:
+                    if row is None:
+                        row = [_ZERO] * q
+                    row[c] = x
+            b = a[i][q].coeffs[comp]
+            if row is not None:
                 rows.append(row)
                 rhs.append(-b)
             elif b:
                 return None  # 0 = b: unsolvable, no elimination needed
-    rows.append([Fraction(1)] + [Fraction(0)] * (q - 1))  # U_1 = 0
-    rhs.append(Fraction(0))
+    rows.append([Fraction(1)] + [_ZERO] * (q - 1))  # U_1 = 0
+    rhs.append(_ZERO)
     u = linalg.solve_rows(rows, rhs, q)
     if u is None:
         return None
     live = [(c, x) for c, x in enumerate(u) if x]  # free variables are 0
     t = [
         -(
-            a12[i].constant
-            + sum((a11[i][c].constant * x for c, x in live), Fraction(0))
+            a[i][q].constant
+            + sum((e * x for c, x in live if (e := a[i][c].constant)), _ZERO)
         )
         for i in range(q)
     ]
     return tuple(t), tuple(u)
 
 
-def _drop(als: Als, k: int) -> Als:
-    """Remove row/column k (1-based)."""
-    p = k - 1
-    return Als(
-        als.alphabet,
-        [row[:p] + row[k:] for i, row in enumerate(als.rows) if i != p],
-        als.rhs[:p] + als.rhs[k:],
-    )
+class _Work:
+    """A system under minimization: mutable rows and right-hand side.
+
+    The steps below edit it in place and validate nothing; the solvers read
+    it like an ``Als`` (``rows``, ``rhs``, ``alphabet``, ``n``).  ``freeze``
+    validates it once, as the ``Als`` it returns.
+    """
+
+    __slots__ = ("alphabet", "rows", "rhs", "zero")
+
+    def __init__(self, als: Als):
+        self.alphabet = als.alphabet
+        self.rows = [list(row) for row in als.rows]
+        self.rhs = list(als.rhs)
+        self.zero = LinearEntry.zero(len(als.alphabet))
+
+    @property
+    def n(self) -> int:
+        return len(self.rows)
+
+    def freeze(self) -> Als:
+        return Als(self.alphabet, self.rows, self.rhs)
+
+    def mix(self, row_mix, col_mix) -> None:
+        _mix_in_place(self.rows, self.rhs, row_mix, col_mix, self.zero)
+
+    def cut(self, m: int) -> None:
+        """Keep the first m rows and columns."""
+        del self.rows[m:], self.rhs[m:]
+        for row in self.rows:
+            del row[m:]
+
+    def drop(self, k: int) -> None:
+        """Remove row/column k (1-based)."""
+        p = k - 1
+        del self.rows[p], self.rhs[p]
+        for row in self.rows:
+            del row[p]
+
+    def restore_polynomial_form(self) -> None:
+        """As ``realization.restore_polynomial_form``, in place."""
+        if self.rows:
+            self.mix(_restoring_mix(self.rhs), {})
 
 
-def _left_step(als: Als, k: int, t, u) -> Als:
+def _left_step(work: _Work, k: int, t, u) -> None:
     """Row k += T . (rows below), column k+j += U_j . column k; drop k."""
     p = k - 1
     row_mix = {p: [(p, Fraction(1))] + [(k + j, x) for j, x in enumerate(t) if x]}
     col_mix = {k + j: [(k + j, Fraction(1)), (p, x)] for j, x in enumerate(u) if x}
-    als = _transform(als, row_mix, col_mix)
-    assert all(entry.is_zero for entry in als.rows[p][k:]) and als.rhs[p] == 0
-    return _drop(als, k)
+    work.mix(row_mix, col_mix)
+    assert all(entry.is_zero for entry in work.rows[p][k:]) and work.rhs[p] == 0
+    work.drop(k)
 
 
-def _right_step(als: Als, k: int, t, u) -> Als:
+def _right_step(work: _Work, k: int, t, u) -> None:
     """Row i += T_i . row k (i < k), column k += sum_i U_i . column i; drop k."""
     p = k - 1
     row_mix = {i: [(i, Fraction(1)), (p, x)] for i, x in enumerate(t) if x}
     col_mix = {p: [(i, x) for i, x in enumerate(u) if x] + [(p, Fraction(1))]}
-    als = _transform(als, row_mix, col_mix)
-    assert all(row[p].is_zero for row in als.rows[:p])
-    return _drop(als, k)
+    work.mix(row_mix, col_mix)
+    assert all(row[p].is_zero for row in work.rows[:p])
+    work.drop(k)
 
 
-def _trim(als: Als) -> Als:
+def _trim(work: _Work) -> None:
     """Cut the rows and columns after the last nonzero v_i.
 
     Back substitution makes every cut s_j zero, so s_1, the represented
     polynomial, is unchanged, and the last right-hand side entry of the
     result is nonzero.  Needs some v_i != 0.
     """
-    m = max(i for i, x in enumerate(als.rhs) if x) + 1
-    if m == als.n:
-        return als
-    return Als(als.alphabet, [row[:m] for row in als.rows[:m]], als.rhs[:m])
+    work.cut(max(i for i, x in enumerate(work.rhs) if x) + 1)
+
+
+def _reduce(work: _Work, trace: Optional[list[str]]) -> None:
+    """Minimize the working system in place (see ``minimize``)."""
+    if not any(work.rhs):
+        work.cut(0)
+        return
+    _trim(work)
+    work.restore_polynomial_form()
+    k = 2
+    while k <= work.n:
+        n = work.n
+        pivot = n + 1 - k
+        left = solve_left_minimization(work, pivot) if pivot >= 1 else None
+        if left is not None:
+            if pivot == 1:
+                work.cut(0)
+                if trace is not None:
+                    trace.append("L k=1 dim=0")
+                return
+            _left_step(work, pivot, *left)
+            if trace is not None:
+                trace.append(f"L k={pivot} dim={work.n}")
+            if k > 2 and 2 * k > n + 1:
+                k -= 1
+            continue
+        right = solve_right_minimization(work, k)
+        if right is not None:
+            _right_step(work, k, *right)
+            if trace is not None:
+                trace.append(f"R k={k} dim={work.n}")
+            if k > 2 and 2 * k > n + 1:
+                k -= 1
+            continue
+        k += 1
+    if not any(work.rhs):
+        work.cut(0)
+        return
+    work.restore_polynomial_form()
 
 
 def minimize(als: Als, trace: Optional[list[str]] = None) -> Als:
@@ -173,39 +276,14 @@ def minimize(als: Als, trace: Optional[list[str]] = None) -> Als:
     the empty system exactly when the polynomial is zero.  Input may have a
     general right-hand side, v_n = 0 included; the system is cut after its
     last nonzero v_i and polynomial form is restored first (and again at
-    the end, since a removal at the last pivot can disturb it).
+    the end, since a removal at the last pivot can disturb it).  The steps
+    edit one working copy; the result is validated once.
     """
     if als.is_empty:
         return als
-    if all(x == 0 for x in als.rhs):
-        return Als.empty(als.alphabet)
-    als = restore_polynomial_form(_trim(als))
-    k = 2
-    while k <= als.n:
-        n = als.n
-        pivot = n + 1 - k
-        left = solve_left_minimization(als, pivot) if pivot >= 1 else None
-        if left is not None:
-            if pivot == 1:
-                return Als.empty(als.alphabet)
-            als = _left_step(als, pivot, *left)
-            if trace is not None:
-                trace.append(f"L k={pivot} dim={als.n}")
-            if k > 2 and 2 * k > n + 1:
-                k -= 1
-            continue
-        right = solve_right_minimization(als, k)
-        if right is not None:
-            als = _right_step(als, k, *right)
-            if trace is not None:
-                trace.append(f"R k={k} dim={als.n}")
-            if k > 2 and 2 * k > n + 1:
-                k -= 1
-            continue
-        k += 1
-    if all(x == 0 for x in als.rhs):
-        return Als.empty(als.alphabet)
-    return restore_polynomial_form(als)
+    work = _Work(als)
+    _reduce(work, trace)
+    return work.freeze()
 
 
 def _is_reduced(als: Als) -> bool:
@@ -231,6 +309,7 @@ def build_als(
 
     Each monomial's bidiagonal system is added and the sum is minimized
     before the next one, keeping intermediate dimensions near-minimal.
+    All of it happens on one working system, validated once at the end.
     The default insertion order is canonical deglex (lowest degree first);
     the final dimension is order-independent, though the sparsity of the
     result is not.
@@ -241,11 +320,13 @@ def build_als(
         words = list(insertion_order)
         if sorted(words, key=word_key) != sorted(p.support(), key=word_key):
             raise ValueError("insertion order must be a permutation of the support")
-    acc = Als.empty(p.alphabet)
+    work = _Work(Als.empty(p.alphabet))
+    d = len(p.alphabet)
     for word in words:
-        mono = minimal_monomial(p.alphabet, word, p.coefficient(word))
-        acc = minimize(als_add(acc, mono))
-    return acc
+        rows, rhs = _monomial_block(word, p.coefficient(word), d)
+        _append_summand(work.rows, work.rhs, rows, rhs, d)
+        _reduce(work, None)
+    return work.freeze()
 
 
 def rank_of(p: NcPolynomial) -> int:
@@ -258,13 +339,13 @@ def rank_of(p: NcPolynomial) -> int:
 
 
 def _family_rank(family: Sequence[NcPolynomial]) -> int:
-    support = sorted(set().union(*(q.support() for q in family)), key=word_key)
+    """Rank of the family's coefficient rows over their joint word support."""
+    terms = [q.term_map() for q in family]
+    support = set().union(*terms)  # the rank does not depend on column order
     if not support:
         return 0
-    matrix = linalg.RatMatrix(
-        [[q.coefficient(w) for w in support] for q in family]
-    )
-    return linalg.rank(matrix)
+    rows = [linalg.integer_scaled([t.get(w, _ZERO) for w in support])[0] for t in terms]
+    return len(linalg._eliminate(rows)[1])
 
 
 def is_minimal(als: Als) -> bool:

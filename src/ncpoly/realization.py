@@ -18,9 +18,9 @@ minimizer restores it after transformations.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence, Union
+from typing import Optional, Sequence, Union
 
 from . import linalg
 from .linalg import to_fraction
@@ -35,11 +35,18 @@ class LinearEntry:
     """Affine-linear form c0 + c1*x1 + ... + cd*xd as a coefficient tuple."""
 
     coeffs: tuple[Fraction, ...]  # length d+1; index 0 is the constant part
+    # Set once from coeffs: system edits and evaluation read them per cell.
+    is_scalar: bool = field(init=False, compare=False, repr=False)
+    is_zero: bool = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "coeffs", tuple(map(to_fraction, self.coeffs)))
-        if not self.coeffs:
+        coeffs = tuple(map(to_fraction, self.coeffs))
+        if not coeffs:
             raise ValueError("entry needs at least the constant coefficient")
+        is_scalar = not any(coeffs[1:])
+        object.__setattr__(self, "coeffs", coeffs)
+        object.__setattr__(self, "is_scalar", is_scalar)
+        object.__setattr__(self, "is_zero", is_scalar and not coeffs[0])
 
     @classmethod
     def zero(cls, d: int) -> "LinearEntry":
@@ -77,14 +84,6 @@ class LinearEntry:
     @property
     def constant(self) -> Fraction:
         return self.coeffs[0]
-
-    @property
-    def is_scalar(self) -> bool:
-        return not any(self.coeffs[1:])
-
-    @property
-    def is_zero(self) -> bool:
-        return not any(self.coeffs)
 
     def __neg__(self) -> "LinearEntry":
         return LinearEntry(tuple(-c for c in self.coeffs))
@@ -314,67 +313,104 @@ _Mix = dict[int, Sequence[tuple[int, Fraction]]]
 
 
 def _combine(
-    terms: Iterable[tuple[Fraction, LinearEntry]], zero: LinearEntry
+    terms: Sequence[tuple[Fraction, LinearEntry]], zero: LinearEntry
 ) -> LinearEntry:
-    """Sum of factor * entry over the pairs, skipping zero entries.
+    """Sum of factor * entry over pairs with nonzero entries.
 
     A sum that is zero comes back as the shared ``zero``.
     """
-    live = [(f, e) for f, e in terms if not (e is zero or e.is_zero)]
-    if not live:
-        return zero
-    if len(live) == 1 and live[0][0] == 1:
-        return live[0][1]
-    coeffs = list(zero.coeffs)
-    for factor, entry in live:
+    factor, entry = terms[0]
+    if factor == 1:
+        if len(terms) == 1:
+            return entry
+        coeffs = list(entry.coeffs)
+    else:
+        coeffs = [factor * x if x else x for x in entry.coeffs]
+    for factor, entry in terms[1:]:
         for c, x in enumerate(entry.coeffs):
             if x:
                 coeffs[c] += factor * x
     return LinearEntry(tuple(coeffs)) if any(coeffs) else zero
 
 
-def _transform(als: Als, row_mix: _Mix, col_mix: _Mix) -> Als:
-    """(A, v) -> (P A Q, P v) for sparse P and Q.
+def _mixed(
+    lines: Sequence[tuple[Fraction, Sequence[tuple[int, LinearEntry]]]],
+    zero: LinearEntry,
+) -> dict[int, LinearEntry]:
+    """Position -> sum of factor * line, over sparse lines (position, entry).
+
+    Lines list only their nonzero entries, and so does the result.
+    """
+    terms: dict[int, list[tuple[Fraction, LinearEntry]]] = {}
+    for factor, cells in lines:
+        for at, entry in cells:
+            terms.setdefault(at, []).append((factor, entry))
+    out = {}
+    for at, pairs in terms.items():
+        entry = _combine(pairs, zero)
+        if entry is not zero:
+            out[at] = entry
+    return out
+
+
+def _mix_in_place(
+    rows: list[list[LinearEntry]],
+    rhs: list[Fraction],
+    row_mix: _Mix,
+    col_mix: _Mix,
+    zero: LinearEntry,
+) -> None:
+    """(A, v) -> (P A Q, P v) for sparse P and Q, on mutable rows in place.
 
     ``row_mix[i]`` lists the nonzeros ``(k, P[i, k])`` of row i of P and
     ``col_mix[j]`` the nonzeros ``(k, Q[k, j])`` of column j of Q; absent
     rows and columns are those of the identity.  Rows are mixed first, then
-    columns of the row-mixed grid.  A mixed cell is only computed where one
-    of its sources is nonzero; every other mixed cell is the shared zero.
-    This is the one place where a system is transformed; the result is
-    validated like any other system.
+    columns of the row-mixed grid; every source row (column) is read before
+    any mixed row (column) is written.  A mixed cell is only computed where
+    one of its sources is nonzero; every other mixed cell is ``zero``.
+    Nothing is validated here.
     """
-    n = als.n
-    zero = LinearEntry.zero(len(als.alphabet))
-    rows = [list(row) for row in als.rows]
-    rhs = list(als.rhs)
-    live_cols = {
-        k: [j for j, e in enumerate(als.rows[k]) if not (e is zero or e.is_zero)]
+    n = len(rows)
+    sources = {
+        k: [(j, e) for j, e in enumerate(rows[k]) if not e.is_zero]
         for k in {k for mix in row_mix.values() for k, _ in mix}
     }
-    for i, mix in row_mix.items():
+    mixed_rows = {
+        i: (
+            _mixed([(f, sources[k]) for k, f in mix], zero),
+            sum((f * v for k, f in mix if (v := rhs[k])), Fraction(0)),
+        )
+        for i, mix in row_mix.items()
+    }
+    for i, (cells, value) in mixed_rows.items():
         row = rows[i] = [zero] * n
-        for j in set().union(*(live_cols[k] for k, _ in mix)):
-            row[j] = _combine(((f, als.rows[k][j]) for k, f in mix), zero)
-        rhs[i] = sum((f * als.rhs[k] for k, f in mix), Fraction(0))
-    live_rows = {
-        k: [
-            r for r, row in enumerate(rows) if not (row[k] is zero or row[k].is_zero)
-        ]
+        for j, entry in cells.items():
+            row[j] = entry
+        rhs[i] = value
+    sources = {
+        k: [(r, row[k]) for r, row in enumerate(rows) if not row[k].is_zero]
         for k in {k for mix in col_mix.values() for k, _ in mix}
     }
-    mixed = {
-        j: [
-            (r, _combine(((f, rows[r][k]) for k, f in mix), zero))
-            for r in set().union(*(live_rows[k] for k, _ in mix))
-        ]
+    mixed_cols = {
+        j: _mixed([(f, sources[k]) for k, f in mix], zero)
         for j, mix in col_mix.items()
     }
-    for j, cells in mixed.items():
+    for j, cells in mixed_cols.items():
         for row in rows:
             row[j] = zero
-        for r, entry in cells:
+        for r, entry in cells.items():
             rows[r][j] = entry
+
+
+def _transform(als: Als, row_mix: _Mix, col_mix: _Mix) -> Als:
+    """(A, v) -> (P A Q, P v) for sparse P and Q (see ``_mix_in_place``).
+
+    This is the one place where a system is transformed: a copy is mixed
+    in place and validated like any other system.
+    """
+    rows = [list(row) for row in als.rows]
+    rhs = list(als.rhs)
+    _mix_in_place(rows, rhs, row_mix, col_mix, LinearEntry.zero(len(als.alphabet)))
     return Als(als.alphabet, rows, rhs)
 
 
@@ -411,27 +447,61 @@ def minimal_monomial(alphabet: Alphabet, word: Word, coeff=1) -> Als:
     coeff = Fraction(coeff)
     if coeff == 0:
         return Als.empty(alphabet)
-    word = tuple(word)
-    d = len(alphabet)
+    rows, rhs = _monomial_block(tuple(word), coeff, len(alphabet))
+    return Als(alphabet, rows, rhs)
+
+
+def _monomial_block(
+    word: Word, coeff: Fraction, d: int
+) -> tuple[list[list[LinearEntry]], list[Fraction]]:
+    """Mutable rows and right-hand side of the bidiagonal system for coeff * word."""
     n = len(word) + 1
     rows = _unit_rows(n, d)
     for i, letter in enumerate(word):
         rows[i][i + 1] = LinearEntry.letter(letter, d, -1)
-    rhs = [Fraction(0)] * (n - 1) + [coeff]
-    return Als(alphabet, rows, rhs)
+    return rows, [Fraction(0)] * (n - 1) + [coeff]
+
+
+def _append_block(
+    rows: list[list[LinearEntry]],
+    b_rows: Sequence[Sequence[LinearEntry]],
+    coupling: dict[tuple[int, int], Fraction],
+    d: int,
+) -> None:
+    """Extend mutable rows A in place to [[A, C], [0, B]].
+
+    C is given sparsely by ``coupling``; this is the one block layout.
+    """
+    na, nb = len(rows), len(b_rows)
+    zero = LinearEntry.zero(d)
+    for row in rows:
+        row.extend([zero] * nb)
+    rows.extend([zero] * na + list(row) for row in b_rows)
+    for (i, j), value in coupling.items():
+        rows[i][na + j] = LinearEntry.scalar(value, d)
+
+
+def _append_summand(
+    rows: list[list[LinearEntry]],
+    rhs: list[Fraction],
+    b_rows: Sequence[Sequence[LinearEntry]],
+    b_rhs: Sequence[Fraction],
+    d: int,
+) -> None:
+    """Extend (A, v) in place to the sum system ([[A, -e1 e1^T], [0, B]], (v, w)).
+
+    An empty (A, v) becomes (B, w).
+    """
+    _append_block(rows, b_rows, {(0, 0): Fraction(-1)} if rows else {}, d)
+    rhs.extend(b_rhs)
 
 
 def _block_join(
     a: Als, b: Als, coupling: dict[tuple[int, int], Fraction], rhs: Sequence
 ) -> Als:
     """Assemble [[A_a, C], [0, A_b]] with C given sparsely by `coupling`."""
-    d = len(a.alphabet)
-    na, nb = a.n, b.n
-    zero = LinearEntry.zero(d)
-    rows = [list(row) + [zero] * nb for row in a.rows]
-    rows += [[zero] * na + list(row) for row in b.rows]
-    for (i, j), value in coupling.items():
-        rows[i][na + j] = LinearEntry.scalar(value, d)
+    rows = [list(row) for row in a.rows]
+    _append_block(rows, b.rows, coupling, len(a.alphabet))
     return Als(a.alphabet, rows, rhs)
 
 
@@ -448,8 +518,9 @@ def als_add(a: Als, b: Als) -> Als:
         return b
     if b.is_empty:
         return a
-    coupling = {(0, 0): Fraction(-1)}
-    return _block_join(a, b, coupling, list(a.rhs) + list(b.rhs))
+    rows, rhs = [list(row) for row in a.rows], list(a.rhs)
+    _append_summand(rows, rhs, b.rows, b.rhs, len(a.alphabet))
+    return Als(a.alphabet, rows, rhs)
 
 
 def als_mul(a: Als, b: Als) -> Als:
@@ -487,18 +558,21 @@ def restore_polynomial_form(als: Als) -> Als:
     """
     if als.is_empty or als.is_polynomial_form:
         return als
-    n = als.n
-    if als.rhs[-1] == 0:
+    return _transform(als, _restoring_mix(als.rhs), {})
+
+
+def _restoring_mix(rhs: Sequence[Fraction]) -> _Mix:
+    """The row mix of ``restore_polynomial_form``: empty in polynomial form."""
+    if rhs[-1] == 0:
         raise ValueError(
             "cannot restore polynomial form: v_n is zero (see minimize)"
         )
-    lam = als.rhs[-1]
-    row_mix = {
+    n, lam = len(rhs), rhs[-1]
+    return {
         i: [(i, Fraction(1)), (n - 1, -v / lam)]
-        for i, v in enumerate(als.rhs[:-1])
+        for i, v in enumerate(rhs[:-1])
         if v
     }
-    return _transform(als, row_mix, {})
 
 
 # -- companion systems --------------------------------------------------------

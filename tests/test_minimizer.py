@@ -32,9 +32,12 @@ from ncpoly import (
     solve_right_minimization,
 )
 
+from ncpoly import minimizer
 from ncpoly.families import convolution_system, power_system
-from ncpoly.linalg import _integer_row, _solve
-from ncpoly.minimizer import _is_reduced
+from ncpoly.freepoly import word_key
+from ncpoly.linalg import _integer_row, _solve, rank
+from ncpoly.minimizer import _family_rank, _is_reduced
+from ncpoly.realization import LinearEntry, _transform
 
 from conftest import BENCH19_TEXT, random_polynomial
 
@@ -146,8 +149,11 @@ class TestMinimize:
         )
 
     def test_opposites_collapse_to_empty(self, ab_xy):
+        trace = []
         total = als_add(minimal_monomial(ab_xy, (0,)), minimal_monomial(ab_xy, (0,), -1))
-        assert minimize(total).is_empty
+        assert minimize(total, trace).is_empty
+        # the pivot-1 collapse is a step too: the trace ends at dimension 0
+        assert trace == ["L k=2 dim=3", "R k=2 dim=2", "L k=1 dim=0"]
 
     def test_idempotent_on_minimal_input(self, ab_xyz):
         als = minimal_monomial(ab_xyz, (0, 1, 2))
@@ -257,6 +263,167 @@ class TestScanMatchesFamilyRanks:
             assert _is_reduced(als) == minimal
             verdicts[minimal] += 1
         assert all(verdicts)  # both verdicts occur, so both paths are compared
+
+
+def reference_minimize(als, trace=None):
+    """The per-step minimizer: each step is _transform, drop, a full Als."""
+
+    def drop(als, k):
+        p = k - 1
+        rows = [row[:p] + row[k:] for i, row in enumerate(als.rows) if i != p]
+        return Als(als.alphabet, rows, als.rhs[:p] + als.rhs[k:])
+
+    if als.is_empty:
+        return als
+    if all(x == 0 for x in als.rhs):
+        return Als.empty(als.alphabet)
+    m = max(i for i, x in enumerate(als.rhs) if x) + 1
+    als = Als(als.alphabet, [row[:m] for row in als.rows[:m]], als.rhs[:m])
+    als = restore_polynomial_form(als)
+    k = 2
+    while k <= als.n:
+        n = als.n
+        pivot = n + 1 - k
+        left = solve_left_minimization(als, pivot) if pivot >= 1 else None
+        if left is not None:
+            if pivot == 1:
+                if trace is not None:
+                    trace.append("L k=1 dim=0")
+                return Als.empty(als.alphabet)
+            t, u = left
+            p = pivot - 1
+            row_mix = {p: [(p, Fraction(1))] + [(pivot + j, x) for j, x in enumerate(t) if x]}
+            col_mix = {
+                pivot + j: [(pivot + j, Fraction(1)), (p, x)] for j, x in enumerate(u) if x
+            }
+            als = _transform(als, row_mix, col_mix)
+            assert all(e.is_zero for e in als.rows[p][pivot:]) and als.rhs[p] == 0
+            als = drop(als, pivot)
+            if trace is not None:
+                trace.append(f"L k={pivot} dim={als.n}")
+        else:
+            right = solve_right_minimization(als, k)
+            if right is None:
+                k += 1
+                continue
+            t, u = right
+            p = k - 1
+            row_mix = {i: [(i, Fraction(1)), (p, x)] for i, x in enumerate(t) if x}
+            col_mix = {p: [(i, x) for i, x in enumerate(u) if x] + [(p, Fraction(1))]}
+            als = _transform(als, row_mix, col_mix)
+            assert all(row[p].is_zero for row in als.rows[:p])
+            als = drop(als, k)
+            if trace is not None:
+                trace.append(f"R k={k} dim={als.n}")
+        if k > 2 and 2 * k > n + 1:
+            k -= 1
+    if all(x == 0 for x in als.rhs):
+        return Als.empty(als.alphabet)
+    return restore_polynomial_form(als)
+
+
+def reference_build_als(p, insertion_order=None):
+    """The per-monomial builder: als_add, then the per-step minimizer."""
+    words = insertion_order or sorted(p.support(), key=word_key)
+    acc = Als.empty(p.alphabet)
+    for word in words:
+        mono = minimal_monomial(p.alphabet, word, p.coefficient(word))
+        acc = reference_minimize(als_add(acc, mono))
+    return acc
+
+
+def outcome(reduce, als):
+    """dump_als and trace of the reduced system, or the ValueError raised."""
+    trace = []
+    try:
+        return dump_als(reduce(als, trace)), trace
+    except ValueError as exc:
+        return "ValueError", str(exc)
+
+
+class TestWorkingSystemMatchesPerStepReference:
+    """minimize/build_als on one working system equal the per-step versions."""
+
+    def seeded_inputs(self, rng, alphabet, count):
+        for _ in range(count):
+            p = random_polynomial(rng, alphabet, max_terms=6, max_degree=3)
+            q = random_polynomial(rng, alphabet, max_terms=4, max_degree=2)
+            built, other = build_als(p), build_als(q)
+            yield als_add(built, other)
+            yield als_add(other, build_als(-p))  # sums to -p + q
+            yield als_add(build_als(-p), built)  # sums to zero
+            yield als_mul(built, other)
+            raw = Als.empty(alphabet)
+            for word, coeff in p.terms():
+                raw = als_add(raw, minimal_monomial(alphabet, word, coeff))
+            yield raw
+            yield apply_transformation(raw, random_admissible(rng, raw.n))
+            yield apply_transformation(built, random_admissible(rng, built.n))
+            rhs = [Fraction(rng.randint(-2, 2)) for _ in range(raw.n - 1)] + [0]
+            yield Als(alphabet, raw.rows, rhs)  # general rhs with v_n = 0
+
+    def test_minimize_on_seeded_systems(self, ab_xy, ab_xyz, seven_dim_remark):
+        systems = [seven_dim_remark, convolution_system(3), power_system(3)]
+        rng = random.Random(41)
+        for alphabet in (ab_xy, ab_xyz):
+            systems.extend(self.seeded_inputs(rng, alphabet, 10))
+        shrunk = 0
+        for als in systems:
+            expected = outcome(reference_minimize, als)
+            assert outcome(minimize, als) == expected
+            shrunk += expected[0] != "ValueError" and bool(expected[1])
+        assert shrunk > len(systems) // 2  # most inputs take minimization steps
+
+    def test_build_als_with_shuffled_insertion_orders(self, ab_xy, ab_xyz):
+        rng = random.Random(43)
+        for alphabet in (ab_xy, ab_xyz):
+            for _ in range(6):
+                p = random_polynomial(rng, alphabet, max_terms=7, max_degree=3)
+                words = sorted(p.support(), key=word_key)
+                assert dump_als(build_als(p)) == dump_als(reference_build_als(p))
+                for _ in range(3):
+                    rng.shuffle(words)
+                    assert dump_als(build_als(p, list(words))) == dump_als(
+                        reference_build_als(p, list(words))
+                    )
+
+    def test_broken_step_fails_final_validation(self, ab_xy, monkeypatch):
+        # a step that leaves a letter below the diagonal is caught once, when
+        # the working system is frozen into the returned Als
+        step = minimizer._right_step
+
+        def broken_step(work, k, t, u):
+            step(work, k, t, u)
+            work.rows[-1][0] = LinearEntry.letter(0, len(work.alphabet))
+
+        monkeypatch.setattr(minimizer, "_right_step", broken_step)
+        total = als_add(system_for_x(ab_xy), system_for_one_minus_yx(ab_xy))
+        with pytest.raises(ValueError, match="below the diagonal"):
+            minimize(total)
+
+
+class TestFamilyRankMatchesRatMatrixRank:
+    """_family_rank on integer rows equals rank(RatMatrix) of the coefficients."""
+
+    def test_seeded_families(self, ab_xy, ab_xyz):
+        rng = random.Random(47)
+        families = []
+        for alphabet in (ab_xy, ab_xyz):
+            for _ in range(8):
+                p = random_polynomial(rng, alphabet, max_terms=6, max_degree=3)
+                q = random_polynomial(rng, alphabet, max_terms=4, max_degree=2)
+                for als in (build_als(p), als_add(build_als(p), build_als(q))):
+                    families += [als.left_family(), als.right_family()]
+                members = [random_polynomial(rng, alphabet) for _ in range(3)]
+                members.append(members[0] * Fraction(2, 3) - members[1])
+                families.append(members)
+        ranks = set()
+        for family in families:
+            support = sorted(set().union(*(q.support() for q in family)), key=word_key)
+            expected = rank(RatMatrix([[q.coefficient(w) for w in support] for q in family]))
+            assert _family_rank(family) == expected
+            ranks.add(expected == len(family))
+        assert ranks == {True, False}  # full and deficient ranks both occur
 
 
 class TestRankOf:
