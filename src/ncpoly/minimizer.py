@@ -25,7 +25,7 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from . import linalg
-from .freepoly import NcPolynomial, Word, word_key
+from .freepoly import Alphabet, NcPolynomial, Word, word_key
 from .realization import (
     Als,
     LinearEntry,
@@ -164,11 +164,11 @@ class _Work:
 
     __slots__ = ("alphabet", "rows", "rhs", "zero")
 
-    def __init__(self, als: Als):
-        self.alphabet = als.alphabet
-        self.rows = [list(row) for row in als.rows]
-        self.rhs = list(als.rhs)
-        self.zero = LinearEntry.zero(len(als.alphabet))
+    def __init__(self, alphabet: Alphabet, rows=(), rhs=()):
+        self.alphabet = alphabet
+        self.rows = [list(row) for row in rows]
+        self.rhs = list(rhs)
+        self.zero = LinearEntry.zero(len(alphabet))
 
     @property
     def n(self) -> int:
@@ -281,7 +281,7 @@ def minimize(als: Als, trace: Optional[list[str]] = None) -> Als:
     """
     if als.is_empty:
         return als
-    work = _Work(als)
+    work = _Work(als.alphabet, als.rows, als.rhs)
     _reduce(work, trace)
     return work.freeze()
 
@@ -320,7 +320,7 @@ def build_als(
         words = list(insertion_order)
         if sorted(words, key=word_key) != sorted(p.support(), key=word_key):
             raise ValueError("insertion order must be a permutation of the support")
-    work = _Work(Als.empty(p.alphabet))
+    work = _Work(p.alphabet)
     d = len(p.alphabet)
     for word in words:
         rows, rhs = _monomial_block(word, p.coefficient(word), d)

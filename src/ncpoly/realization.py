@@ -496,15 +496,6 @@ def _append_summand(
     rhs.extend(b_rhs)
 
 
-def _block_join(
-    a: Als, b: Als, coupling: dict[tuple[int, int], Fraction], rhs: Sequence
-) -> Als:
-    """Assemble [[A_a, C], [0, A_b]] with C given sparsely by `coupling`."""
-    rows = [list(row) for row in a.rows]
-    _append_block(rows, b.rows, coupling, len(a.alphabet))
-    return Als(a.alphabet, rows, rhs)
-
-
 def als_add(a: Als, b: Als) -> Als:
     """System for the sum of the represented polynomials (not yet minimal).
 
@@ -540,7 +531,9 @@ def als_mul(a: Als, b: Als) -> Als:
     coupling = {
         (i, 0): -a.rhs[i] for i in range(a.n) if a.rhs[i] != 0
     }
-    return _block_join(a, b, coupling, [Fraction(0)] * a.n + list(b.rhs))
+    rows = [list(row) for row in a.rows]
+    _append_block(rows, b.rows, coupling, len(a.alphabet))
+    return Als(a.alphabet, rows, [Fraction(0)] * a.n + list(b.rhs))
 
 
 def _scale_rhs(als: Als, factor: Fraction) -> Als:
