@@ -195,8 +195,7 @@ class _Work:
 
     def restore_polynomial_form(self) -> None:
         """As ``realization.restore_polynomial_form``, in place."""
-        if self.rows:
-            self.mix(_restoring_mix(self.rhs), {})
+        self.mix(_restoring_mix(self.rhs), {})
 
 
 def _left_step(work: _Work, k: int, t, u) -> None:
