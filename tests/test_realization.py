@@ -63,6 +63,17 @@ class TestLinearEntry:
         assert LinearEntry((0, 0, 0)).is_zero
         assert LinearEntry(("-3", 0, 0)).is_scalar
 
+    def test_stored_flags(self):
+        # set once from the coefficients; equality, hash and repr ignore them
+        flags = [(e.is_zero, e.is_scalar) for e in (
+            LinearEntry((0, 0)), LinearEntry((5, 0)), LinearEntry((0, 1)), LinearEntry((5, -1))
+        )]
+        assert flags == [(True, True), (False, True), (False, False), (False, False)]
+        entry = LinearEntry((1, 0, "2/3"))
+        assert entry == LinearEntry((Fraction(1), 0, Fraction(2, 3)))
+        assert hash(entry) == hash(LinearEntry((1, 0, Fraction(2, 3))))
+        assert repr(entry) == f"LinearEntry(coeffs={entry.coeffs!r})"
+
 
 class TestSharedEntries:
     """The constant zero and one are shared; only their own place skips checks."""
