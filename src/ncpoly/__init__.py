@@ -48,7 +48,6 @@ from .freepoly import (
     parse,
     word_key,
 )
-from .linalg import RatMatrix, is_invertible, rank, solve_linear
 from .minimizer import (
     build_als,
     is_minimal,
@@ -86,7 +85,6 @@ __all__ = [
     "MatrixTuple",
     "NcPolynomial",
     "ParseError",
-    "RatMatrix",
     "Word",
     "als_add",
     "als_mul",
@@ -110,7 +108,6 @@ __all__ = [
     "factor_atoms",
     "find_split",
     "hstack",
-    "is_invertible",
     "is_minimal",
     "left_companion",
     "load_als",
@@ -121,13 +118,11 @@ __all__ = [
     "naive_evaluate",
     "naive_mult_count",
     "parse",
-    "rank",
     "rank_of",
     "random_rational_tuple",
     "restore_polynomial_form",
     "right_companion",
     "solve_left_minimization",
-    "solve_linear",
     "solve_right_minimization",
     "verify_block_factorization",
     "vstack",

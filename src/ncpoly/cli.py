@@ -289,6 +289,18 @@ def cmd_selftest(args) -> int:
     return OK if failures == 0 else VERIFY_ERROR
 
 
+def _count(minimum: int):
+    """An argparse type: an int that is at least ``minimum``."""
+
+    def count(text: str) -> int:
+        value = int(text)
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"must be at least {minimum}, not {value}")
+        return value
+
+    return count
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ncpoly",
@@ -343,13 +355,13 @@ def build_parser() -> argparse.ArgumentParser:
     s.set_defaults(func=cmd_verify_block)
 
     s = sub.add_parser("table", help="multiplication counts for two families")
-    s.add_argument("--kmax-p", type=int, default=6)
-    s.add_argument("--kmax-q", type=int, default=5)
+    s.add_argument("--kmax-p", type=_count(0), default=6)
+    s.add_argument("--kmax-q", type=_count(0), default=5)
     s.set_defaults(func=cmd_table)
 
     s = sub.add_parser("selftest", help="quick built-in verification")
-    s.add_argument("--rounds", type=int, default=25)
-    s.add_argument("--size", type=int, default=3, help="matrix size m")
+    s.add_argument("--rounds", type=_count(1), default=25)
+    s.add_argument("--size", type=_count(1), default=3, help="matrix size m")
     s.set_defaults(func=cmd_selftest)
 
     return parser

@@ -26,13 +26,11 @@ from typing import Optional, Sequence
 from . import linalg, minimizer
 from .errors import FormatError
 from .freepoly import Alphabet, NcPolynomial
-from .linalg import RatMatrix
 from .realization import (
     AdmissibleTransformation,
     Als,
     CellLike,
     LinearEntry,
-    _Mix,
     _coerce_cell,
     _entry_row_str,
     _parse_entry_row,
@@ -178,6 +176,8 @@ class FactorSplit:
         n = self.transformed.n
         if self.n1 + self.n2 != n + 1:
             raise ValueError("factor ranks must satisfy n1 + n2 = n + 1")
+        if self.transformation.n != n:
+            raise ValueError("transformation size does not match the system")
         if not _block_is_zero(self.transformed, self.n1):
             raise ValueError("zero-block certificate does not hold")
 
@@ -188,14 +188,6 @@ def _block_is_zero(als: Als, n1: int) -> bool:
         for i in range(n1 - 1)
         for j in range(n1, als.n)
     )
-
-
-def _unitriangular(n: int, cells: dict[tuple[int, int], Fraction]) -> RatMatrix:
-    rows = [
-        [Fraction(1) if i == j else cells.get((i, j), Fraction(0)) for j in range(n)]
-        for i in range(n)
-    ]
-    return RatMatrix(rows)
 
 
 def _zero_block_ops(
@@ -262,12 +254,7 @@ def _solve_joint(
         row_sources,
         col_sources,
     )
-    if found is None:
-        return None
-    alpha, beta = found
-    return AdmissibleTransformation(
-        _unitriangular(n, alpha), _unitriangular(n, beta)
-    )
+    return None if found is None else AdmissibleTransformation(n, *found)
 
 
 def _single_pass_ops(
@@ -294,19 +281,18 @@ def _single_pass_ops(
     return None
 
 
-def _mix_lists(vectors: list[list[Fraction]], mix: _Mix) -> None:
-    """vectors[i] = sum of f * vectors[k] over mix[i], in place.
+def _add_rows(cells: _Ops, i: int, ops: _Ops) -> None:
+    """Row i of I + cells gains x times row r for each op (i, r) -> x, in place.
 
-    Composes a sparse op with an accumulated matrix held as plain lists:
-    rows of P for a row op, columns of Q for a column op.  Every op here
-    targets a single vector and reads only the others, so in place is safe.
+    Composes a row op with an accumulated unitriangular matrix held as its
+    off-diagonal cells; a column op composes as a row op on the transpose.
+    No op reads row i itself, so every source row is read before row i is
+    written.
     """
-    for i, terms in mix.items():
-        width = len(vectors[i])
-        vectors[i] = [
-            sum((f * vectors[k][c] for k, f in terms), Fraction(0))
-            for c in range(width)
-        ]
+    added = [(r, x) for (_, r), x in ops.items()]
+    added += [(k, x * y) for r, x in added for (s, k), y in cells.items() if s == r]
+    for k, x in added:
+        cells[i, k] = cells.get((i, k), 0) + x
 
 
 def _partial_passes(
@@ -322,35 +308,31 @@ def _partial_passes(
     column ops compose exactly even where a one-shot joint solve would be
     bilinear.  Bounded, so possibly incomplete by design.  Each op is one
     sparse unitriangular row or column, applied by ``_transform`` and
-    composed into P (rows) and Q (kept as columns) on plain lists.
+    composed into the cells of P and of Q's transpose.
     """
     n = als.n
     current = als
-    p_rows = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
-    q_cols = [list(col) for col in p_rows]
+    p_cells: _Ops = {}
+    qt_cells: _Ops = {}  # Q transposed: column ops compose as row ops
     for _ in range(max_passes):
         changed = False
         for i in range(n1 - 1):
             alpha = _single_pass_ops(current, [i], range(n1, n), range(1, n - 1), ())
             if alpha is None:
                 continue
-            mix = {i: [(i, Fraction(1))] + [(r, x) for (_, r), x in alpha.items()]}
-            current = _transform(current, mix, {})
-            _mix_lists(p_rows, mix)
+            current = _transform(current, alpha, {})
+            _add_rows(p_cells, i, alpha)
             changed = True
         for j in range(n1, n):
             beta = _single_pass_ops(current, range(n1 - 1), [j], (), range(1, j))
             if beta is None:
                 continue
-            mix = {j: [(j, Fraction(1))] + [(c, x) for (c, _), x in beta.items()]}
-            current = _transform(current, {}, mix)
-            _mix_lists(q_cols, mix)
+            current = _transform(current, {}, beta)
+            _add_rows(qt_cells, j, {(j, c): x for (c, _), x in beta.items()})
             changed = True
         if _block_is_zero(current, n1):
-            trans = AdmissibleTransformation(
-                RatMatrix(p_rows), RatMatrix(list(zip(*q_cols)))
-            )
-            return current, trans
+            q_cells = {(c, j): x for (j, c), x in qt_cells.items()}
+            return current, AdmissibleTransformation(n, p_cells, q_cells)
         if not changed:
             return None
     return None

@@ -1,6 +1,6 @@
-"""Dense exact-rational linear algebra.
+"""Exact-rational linear algebra on rows given as plain lists.
 
-Matrices hold ``Fraction`` entries; ``to_fraction`` is the one place where
+Rows hold ``Fraction`` entries; ``to_fraction`` is the one place where
 other numbers (ints, strings, floats) become ``Fraction`` and values that
 already are pass through untouched.  All solving and ranking goes through
 one kernel, ``_eliminate``: each row is scaled to integers by the lcm of
@@ -16,83 +16,12 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 
 def to_fraction(x) -> Fraction:
     """``x`` as an exact ``Fraction``; a ``Fraction`` is returned as is."""
     return x if type(x) is Fraction else Fraction(x)
-
-
-class RatMatrix:
-    """Immutable rows x cols matrix of Fractions."""
-
-    __slots__ = ("rows", "cols", "data")
-
-    def __init__(self, entries: Iterable[Iterable]):
-        data = tuple(tuple(map(to_fraction, row)) for row in entries)
-        if not data:
-            raise ValueError("matrix needs at least one row")
-        width = len(data[0])
-        if width == 0 or any(len(row) != width for row in data):
-            raise ValueError("rows must be non-empty and of equal length")
-        self.data = data
-        self.rows = len(data)
-        self.cols = width
-
-    @classmethod
-    def identity(cls, n: int) -> "RatMatrix":
-        return cls(
-            [[Fraction(1 if i == j else 0) for j in range(n)] for i in range(n)]
-        )
-
-    @classmethod
-    def zeros(cls, rows: int, cols: int) -> "RatMatrix":
-        return cls([[Fraction(0)] * cols for _ in range(rows)])
-
-    @classmethod
-    def column(cls, entries: Sequence) -> "RatMatrix":
-        return cls([[x] for x in entries])
-
-    def __getitem__(self, index: tuple[int, int]) -> Fraction:
-        i, j = index
-        return self.data[i][j]
-
-    def row(self, i: int) -> tuple[Fraction, ...]:
-        return self.data[i]
-
-    def transpose(self) -> "RatMatrix":
-        return RatMatrix(
-            [[self.data[i][j] for i in range(self.rows)] for j in range(self.cols)]
-        )
-
-    def __matmul__(self, other: "RatMatrix") -> "RatMatrix":
-        if self.cols != other.rows:
-            raise ValueError("shape mismatch in matrix product")
-        return RatMatrix(
-            [
-                [
-                    sum(
-                        (self.data[i][k] * other.data[k][j] for k in range(self.cols)),
-                        Fraction(0),
-                    )
-                    for j in range(other.cols)
-                ]
-                for i in range(self.rows)
-            ]
-        )
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, RatMatrix):
-            return NotImplemented
-        return self.data == other.data
-
-    def __hash__(self) -> int:
-        return hash(self.data)
-
-    def __repr__(self) -> str:
-        body = "; ".join(" ".join(str(x) for x in row) for row in self.data)
-        return f"RatMatrix[{body}]"
 
 
 def integer_scaled(values: Sequence[Fraction]) -> tuple[list[int], int]:
@@ -176,28 +105,9 @@ def _solve(rows: list[list[int]], width: int) -> Optional[list[Fraction]]:
     return solution
 
 
-def rank(a: RatMatrix) -> int:
-    """Exact rank by fraction-free Gaussian elimination."""
-    return len(_eliminate([_integer_row(row) for row in a.data])[1])
-
-
-def is_invertible(a: RatMatrix) -> bool:
-    if a.rows != a.cols:
-        raise ValueError("invertibility is only defined for square matrices")
-    return rank(a) == a.rows
-
-
-def solve_linear(a: RatMatrix, b: RatMatrix) -> Optional[RatMatrix]:
-    """Solve A x = b exactly.
-
-    Returns the particular solution with all free variables set to zero,
-    or ``None`` when the system is inconsistent.
-    """
-    if b.cols != 1 or b.rows != a.rows:
-        raise ValueError("right-hand side must be a column of matching height")
-    rows = [_integer_row(row + b.data[i]) for i, row in enumerate(a.data)]
-    solution = _solve(rows, a.cols)
-    return None if solution is None else RatMatrix.column(solution)
+def rank(rows: Sequence[Sequence[Fraction]]) -> int:
+    """Exact rank of equal-length rows of Fractions or ints (fraction-free)."""
+    return len(_eliminate([_integer_row(row) for row in rows])[1])
 
 
 def solve_rows(

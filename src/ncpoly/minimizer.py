@@ -32,7 +32,7 @@ from .realization import (
     _append_summand,
     _mix_in_place,
     _monomial_block,
-    _restoring_mix,
+    _restoring_cells,
 )
 
 
@@ -177,8 +177,8 @@ class _Work:
     def freeze(self) -> Als:
         return Als(self.alphabet, self.rows, self.rhs)
 
-    def mix(self, row_mix, col_mix) -> None:
-        _mix_in_place(self.rows, self.rhs, row_mix, col_mix, self.zero)
+    def mix(self, p_cells, q_cells) -> None:
+        _mix_in_place(self.rows, self.rhs, p_cells, q_cells, self.zero)
 
     def cut(self, m: int) -> None:
         """Keep the first m rows and columns."""
@@ -195,15 +195,16 @@ class _Work:
 
     def restore_polynomial_form(self) -> None:
         """As ``realization.restore_polynomial_form``, in place."""
-        self.mix(_restoring_mix(self.rhs), {})
+        self.mix(_restoring_cells(self.rhs), {})
 
 
 def _left_step(work: _Work, k: int, t, u) -> None:
     """Row k += T . (rows below), column k+j += U_j . column k; drop k."""
     p = k - 1
-    row_mix = {p: [(p, Fraction(1))] + [(k + j, x) for j, x in enumerate(t) if x]}
-    col_mix = {k + j: [(k + j, Fraction(1)), (p, x)] for j, x in enumerate(u) if x}
-    work.mix(row_mix, col_mix)
+    work.mix(
+        {(p, k + j): x for j, x in enumerate(t) if x},
+        {(p, k + j): x for j, x in enumerate(u) if x},
+    )
     assert all(entry.is_zero for entry in work.rows[p][k:]) and work.rhs[p] == 0
     work.drop(k)
 
@@ -211,9 +212,10 @@ def _left_step(work: _Work, k: int, t, u) -> None:
 def _right_step(work: _Work, k: int, t, u) -> None:
     """Row i += T_i . row k (i < k), column k += sum_i U_i . column i; drop k."""
     p = k - 1
-    row_mix = {i: [(i, Fraction(1)), (p, x)] for i, x in enumerate(t) if x}
-    col_mix = {p: [(i, x) for i, x in enumerate(u) if x] + [(p, Fraction(1))]}
-    work.mix(row_mix, col_mix)
+    work.mix(
+        {(i, p): x for i, x in enumerate(t) if x},
+        {(i, p): x for i, x in enumerate(u) if x},
+    )
     assert all(row[p].is_zero for row in work.rows[:p])
     work.drop(k)
 
@@ -343,8 +345,7 @@ def _family_rank(family: Sequence[NcPolynomial]) -> int:
     support = set().union(*terms)  # the rank does not depend on column order
     if not support:
         return 0
-    rows = [linalg.integer_scaled([t.get(w, _ZERO) for w in support])[0] for t in terms]
-    return len(linalg._eliminate(rows)[1])
+    return linalg.rank([[t.get(w, _ZERO) for w in support] for t in terms])
 
 
 def is_minimal(als: Als) -> bool:

@@ -20,9 +20,8 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional, Sequence, Union
+from typing import Mapping, Optional, Sequence, Union
 
-from . import linalg
 from .linalg import to_fraction
 from .errors import FormatError
 from .freepoly import Alphabet, NcPolynomial, Word, parse
@@ -285,31 +284,43 @@ def _subtract_product(
             terms[key] = terms.get(key, 0) - x * value
 
 
+# Off-diagonal cells (i, j) -> x of a unitriangular P or Q.
+_Cells = Mapping[tuple[int, int], Fraction]
+_ONE = Fraction(1)
+
+
 @dataclass(frozen=True)
 class AdmissibleTransformation:
-    """Pair of invertible scalar matrices (P, Q) with first row of Q = e1."""
+    """Unitriangular n x n pair (P, Q), given by its off-diagonal cells.
 
-    p: linalg.RatMatrix
-    q: linalg.RatMatrix
+    ``p`` and ``q`` map (i, j) to P[i, j] and Q[i, j] (0-based); every other
+    cell is that of the identity.  P cells need 0 <= i < j < n and Q cells
+    1 <= i < j < n, so the first row of Q stays e1, and such a pair is
+    invertible by construction.  Zero cells are dropped and the others are
+    kept as sorted ``((i, j), value)`` tuples, so transformations compare
+    and hash by value.
+    """
+
+    n: int
+    p: tuple[tuple[tuple[int, int], Fraction], ...] = ()
+    q: tuple[tuple[tuple[int, int], Fraction], ...] = ()
 
     def __post_init__(self):
-        if self.p.rows != self.p.cols or self.q.rows != self.q.cols:
-            raise ValueError("transformation matrices must be square")
-        if self.p.rows != self.q.rows:
-            raise ValueError("P and Q must have the same size")
-        n = self.q.rows
-        first = self.q.row(0)
-        if first[0] != 1 or any(x != 0 for x in first[1:]):
-            raise ValueError("first row of Q must be e1")
-        if not linalg.is_invertible(self.p) or not linalg.is_invertible(self.q):
-            raise ValueError("P and Q must be invertible")
-
-    @property
-    def n(self) -> int:
-        return self.p.rows
+        object.__setattr__(self, "p", _upper_cells(self.p, 0, self.n, "P"))
+        object.__setattr__(self, "q", _upper_cells(self.q, 1, self.n, "Q"))
 
 
-_Mix = dict[int, Sequence[tuple[int, Fraction]]]
+def _upper_cells(cells, first: int, n: int, name: str) -> tuple:
+    """The nonzero cells of a mapping (or pairs), checked and sorted."""
+    out = []
+    for (i, j), x in sorted(dict(cells).items()):
+        x = to_fraction(x)
+        if not x:
+            continue
+        if not first <= i < j < n:
+            raise ValueError(f"{name} cell {(i, j)} not in {first} <= i < j < {n}")
+        out.append(((i, j), x))
+    return tuple(out)
 
 
 def _combine(
@@ -353,24 +364,37 @@ def _mixed(
     return out
 
 
+def _line_terms(cells: _Cells, by_column: bool) -> dict[int, list]:
+    """Target line -> (line, factor) terms of I + cells, by rows or by columns.
+
+    A target lists itself with factor 1 first: row i gains P[i, j] times row
+    j, column j gains Q[i, j] times column i.
+    """
+    lines: dict[int, list[tuple[int, Fraction]]] = {}
+    for (i, j), x in cells.items():
+        target, source = (j, i) if by_column else (i, j)
+        lines.setdefault(target, [(target, _ONE)]).append((source, x))
+    return lines
+
+
 def _mix_in_place(
     rows: list[list[LinearEntry]],
     rhs: list[Fraction],
-    row_mix: _Mix,
-    col_mix: _Mix,
+    p_cells: _Cells,
+    q_cells: _Cells,
     zero: LinearEntry,
 ) -> None:
-    """(A, v) -> (P A Q, P v) for sparse P and Q, on mutable rows in place.
+    """(A, v) -> (P A Q, P v) for unitriangular P and Q, on mutable rows in place.
 
-    ``row_mix[i]`` lists the nonzeros ``(k, P[i, k])`` of row i of P and
-    ``col_mix[j]`` the nonzeros ``(k, Q[k, j])`` of column j of Q; absent
-    rows and columns are those of the identity.  Rows are mixed first, then
+    ``p_cells`` and ``q_cells`` hold the off-diagonal cells of P and Q;
+    every other cell is that of the identity.  Rows are mixed first, then
     columns of the row-mixed grid; every source row (column) is read before
     any mixed row (column) is written.  A mixed cell is only computed where
     one of its sources is nonzero; every other mixed cell is ``zero``.
     Nothing is validated here.
     """
     n = len(rows)
+    row_mix = _line_terms(p_cells, False)
     sources = {
         k: [(j, e) for j, e in enumerate(rows[k]) if not e.is_zero]
         for k in {k for mix in row_mix.values() for k, _ in mix}
@@ -387,6 +411,7 @@ def _mix_in_place(
         for j, entry in cells.items():
             row[j] = entry
         rhs[i] = value
+    col_mix = _line_terms(q_cells, True)
     sources = {
         k: [(r, row[k]) for r, row in enumerate(rows) if not row[k].is_zero]
         for k in {k for mix in col_mix.values() for k, _ in mix}
@@ -402,26 +427,16 @@ def _mix_in_place(
             rows[r][j] = entry
 
 
-def _transform(als: Als, row_mix: _Mix, col_mix: _Mix) -> Als:
-    """(A, v) -> (P A Q, P v) for sparse P and Q (see ``_mix_in_place``).
+def _transform(als: Als, p_cells: _Cells, q_cells: _Cells) -> Als:
+    """(A, v) -> (P A Q, P v) for unitriangular P and Q (see ``_mix_in_place``).
 
     This is the one place where a system is transformed: a copy is mixed
     in place and validated like any other system.
     """
     rows = [list(row) for row in als.rows]
     rhs = list(als.rhs)
-    _mix_in_place(rows, rhs, row_mix, col_mix, LinearEntry.zero(len(als.alphabet)))
+    _mix_in_place(rows, rhs, p_cells, q_cells, LinearEntry.zero(len(als.alphabet)))
     return Als(als.alphabet, rows, rhs)
-
-
-def _mix(vectors: Sequence[Sequence[Fraction]]) -> _Mix:
-    """Nonzeros of every vector that is not the matching unit vector."""
-    mix = {}
-    for i, vector in enumerate(vectors):
-        nonzeros = [(k, x) for k, x in enumerate(vector) if x]
-        if nonzeros != [(i, 1)]:
-            mix[i] = nonzeros
-    return mix
 
 
 def apply_transformation(als: Als, trans: AdmissibleTransformation) -> Als:
@@ -432,7 +447,7 @@ def apply_transformation(als: Als, trans: AdmissibleTransformation) -> Als:
     """
     if trans.n != als.n:
         raise ValueError("transformation size does not match the system")
-    return _transform(als, _mix(trans.p.data), _mix(list(zip(*trans.q.data))))
+    return _transform(als, dict(trans.p), dict(trans.q))
 
 
 # -- constructors ------------------------------------------------------------
@@ -551,21 +566,17 @@ def restore_polynomial_form(als: Als) -> Als:
     """
     if als.is_empty or als.is_polynomial_form:
         return als
-    return _transform(als, _restoring_mix(als.rhs), {})
+    return _transform(als, _restoring_cells(als.rhs), {})
 
 
-def _restoring_mix(rhs: Sequence[Fraction]) -> _Mix:
-    """The row mix of ``restore_polynomial_form``: empty in polynomial form."""
+def _restoring_cells(rhs: Sequence[Fraction]) -> dict[tuple[int, int], Fraction]:
+    """The P cells of ``restore_polynomial_form``: none in polynomial form."""
     if rhs[-1] == 0:
         raise ValueError(
             "cannot restore polynomial form: v_n is zero (see minimize)"
         )
     n, lam = len(rhs), rhs[-1]
-    return {
-        i: [(i, Fraction(1)), (n - 1, -v / lam)]
-        for i, v in enumerate(rhs[:-1])
-        if v
-    }
+    return {(i, n - 1): -v / lam for i, v in enumerate(rhs[:-1]) if v}
 
 
 # -- companion systems --------------------------------------------------------
@@ -682,13 +693,18 @@ def _parse_entry_row(line: str, width: int, d: int) -> tuple[LinearEntry, ...]:
     return tuple(row)
 
 
+def _lambda_pos(als: Als) -> int:
+    """The 1-based position of lam in polynomial form, otherwise 0."""
+    return als.n if als.is_polynomial_form else 0
+
+
 def dump_als(als: Als) -> str:
     """Stable text serialization; bit-exact round trip with load_als."""
     lines = [
         _FORMAT_TAG,
         f"dim {als.n}",
         "alphabet " + ",".join(als.alphabet.letters),
-        f"lambda-pos {als.n if als.is_polynomial_form and not als.is_empty else 0}",
+        f"lambda-pos {_lambda_pos(als)}",
         "matrix",
     ]
     lines.extend(_entry_row_str(row) for row in als.rows)
@@ -706,7 +722,7 @@ def load_als(text: str) -> Als:
         keys = [line.split()[0] for line in lines[1:4]]
         dim = int(lines[1].split()[1])
         alphabet = Alphabet(lines[2].split(" ", 1)[1].split(","))
-        lines[3].split()[1]  # lambda-pos: informational
+        lambda_pos = int(lines[3].split()[1])
     except (IndexError, ValueError) as exc:
         raise FormatError(f"malformed ALS header: {exc}") from exc
     if keys != ["dim", "alphabet", "lambda-pos"]:
@@ -727,6 +743,9 @@ def load_als(text: str) -> Als:
     else:
         rhs = []
     try:
-        return Als(alphabet, rows, rhs)
+        als = Als(alphabet, rows, rhs)
     except ValueError as exc:
         raise FormatError(str(exc)) from exc
+    if lambda_pos != _lambda_pos(als):
+        raise FormatError(f"lambda-pos must be {_lambda_pos(als)}, not {lambda_pos}")
+    return als

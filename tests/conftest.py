@@ -12,6 +12,7 @@ from ncpoly import (
     Alphabet,
     Als,
     BlockFactorization,
+    LinearEntry,
     NcPolynomial,
     block_diag,
     entry_grid,
@@ -184,3 +185,73 @@ def assert_bitwise_equal(a, b) -> None:
         assert np.array_equal(a, b)
     else:
         assert a.tobytes() == b.tobytes()
+
+
+# -- dense references on plain lists -------------------------------------------
+
+
+def matmul(a, b):
+    """Product of two matrices given as lists of rows of Fractions."""
+    return [
+        [
+            sum((row[k] * b[k][j] for k in range(len(b))), Fraction(0))
+            for j in range(len(b[0]))
+        ]
+        for row in a
+    ]
+
+
+def dense_unitriangular(n, cells):
+    """I + cells as n rows of Fractions; cells are ((i, j), x) pairs."""
+    matrix = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+    for (i, j), x in cells:
+        matrix[i][j] = x
+    return matrix
+
+
+def dense_transformation(als, trans):
+    """Reference: P A_c Q for every pencil component c and P v, as dense products."""
+    n, d = als.n, len(als.alphabet)
+    p, q = dense_unitriangular(n, trans.p), dense_unitriangular(n, trans.q)
+    components = [
+        matmul(matmul(p, [[entry.coeffs[c] for entry in row] for row in als.rows]), q)
+        for c in range(d + 1)
+    ]
+    rows = [
+        [LinearEntry(tuple(components[c][i][j] for c in range(d + 1))) for j in range(n)]
+        for i in range(n)
+    ]
+    rhs = [sum((p[i][k] * als.rhs[k] for k in range(n)), Fraction(0)) for i in range(n)]
+    return Als(als.alphabet, rows, rhs)
+
+
+def reference_eliminate(rows):
+    """Gauss-Jordan on Fractions with normalized pivots, in place.
+
+    Returns (rows, pivot column indices).
+    """
+    n_rows = len(rows)
+    n_cols = len(rows[0]) if rows else 0
+    pivots = []
+    target = 0
+    for col in range(n_cols):
+        pivot_row = next((r for r in range(target, n_rows) if rows[r][col] != 0), None)
+        if pivot_row is None:
+            continue
+        rows[target], rows[pivot_row] = rows[pivot_row], rows[target]
+        inv = 1 / Fraction(rows[target][col])
+        rows[target] = [x * inv for x in rows[target]]
+        for r in range(n_rows):
+            if r != target and rows[r][col] != 0:
+                factor = rows[r][col]
+                rows[r] = [a - factor * b for a, b in zip(rows[r], rows[target])]
+        pivots.append(col)
+        target += 1
+        if target == n_rows:
+            break
+    return rows, pivots
+
+
+def reference_rank(rows):
+    """Rank by ``reference_eliminate`` on a copy of the rows."""
+    return len(reference_eliminate([[Fraction(x) for x in row] for row in rows])[1])

@@ -246,3 +246,32 @@ class TestSelftest:
         code, out, _ = run(capsys, "--seed", "1", "selftest", "--rounds", "5")
         assert code == 0
         assert "FAIL" not in out and "ok" in out
+
+
+class TestCountOptions:
+    """--kmax-p/--kmax-q are at least 0, --rounds/--size at least 1."""
+
+    @pytest.mark.parametrize(
+        "argv, option",
+        [
+            (("table", "--kmax-p", "-1", "--kmax-q", "-1"), "--kmax-p"),
+            (("table", "--kmax-q", "-1"), "--kmax-q"),
+            (("table", "--kmax-p", "two"), "--kmax-p"),
+            (("selftest", "--rounds", "-3"), "--rounds"),
+            (("selftest", "--rounds", "0"), "--rounds"),
+            (("selftest", "--size", "0"), "--size"),
+        ],
+    )
+    def test_bad_counts_exit_two(self, capsys, argv, option):
+        with pytest.raises(SystemExit) as exc:
+            main(list(argv))
+        assert exc.value.code == 2
+        assert f"argument {option}:" in capsys.readouterr().err
+
+    def test_smallest_counts_run(self, capsys):
+        code, out, _ = run(
+            capsys, "--format", "csv", "table", "--kmax-p", "0", "--kmax-q", "0"
+        )
+        assert code == 0 and out.splitlines()[1:] == ["p,0,1,1,0,0", "q,0,1,1,0,0"]
+        code, out, _ = run(capsys, "selftest", "--rounds", "1", "--size", "1")
+        assert code == 0 and "ok oracle equivalence on 1 random polynomials" in out

@@ -32,7 +32,7 @@ from ncpoly import (
 from ncpoly.errors import FormatError
 from ncpoly.factorizer import FactorSplit
 
-from conftest import assert_bitwise_equal
+from conftest import assert_bitwise_equal, dense_unitriangular, matmul, random_polynomial
 
 
 def product_of(polys):
@@ -56,17 +56,11 @@ class TestFindSplit:
     def test_triple_product_transformation_is_polynomial(self, triple_product_als):
         split = find_split(triple_product_als)
         trans = split.transformation
-        n = triple_product_als.n
-        # P unitriangular with last column e_n, Q unitriangular with first row e1
-        for i in range(n):
-            assert trans.p[i, i] == 1 and trans.q[i, i] == 1
-            for j in range(i):
-                assert trans.p[i, j] == 0 and trans.q[i, j] == 0
-        assert all(trans.p[i, n - 1] == 0 for i in range(n - 1))
-        assert all(trans.q[0, j] == 0 for j in range(1, n))
-        # the one-shot solve recovers exactly "add row 4 to row 2,
-        # subtract column 2 from column 4"
-        assert trans.p[1, 3] == 1 and trans.q[1, 3] == -1
+        # the one-shot solve recovers exactly "add row 4 to row 2, subtract
+        # column 2 from column 4": P keeps its last column e_n, Q its first
+        # row e1 (unitriangular by construction)
+        assert trans.n == triple_product_als.n
+        assert trans.p == (((1, 3), 1),) and trans.q == (((1, 3), -1),)
         assert split.transformed.polynomial() == triple_product_als.polynomial()
         tup = random_rational_tuple(random.Random(0), 6, 2)
         assert np.array_equal(
@@ -100,13 +94,17 @@ class TestFindSplit:
         assert split is not None
 
     def test_certificate_is_validated(self, intro_als):
-        from ncpoly import AdmissibleTransformation, RatMatrix
+        from ncpoly import AdmissibleTransformation
 
-        identity = AdmissibleTransformation(
-            RatMatrix.identity(4), RatMatrix.identity(4)
-        )
-        with pytest.raises(ValueError):
-            FactorSplit(intro_als, 3, 2, identity)  # (1,4) entry is -x, not zero
+        with pytest.raises(ValueError):  # (1,4) entry is -x, not zero
+            FactorSplit(intro_als, 3, 2, AdmissibleTransformation(4))
+        split = find_split(build_als(parse("x*y*x", intro_als.alphabet)))
+        FactorSplit(split.transformed, split.n1, split.n2, split.transformation)
+        for n in (3, 5):  # a zero-block system, a transformation of another size
+            with pytest.raises(ValueError, match="size"):
+                FactorSplit(
+                    split.transformed, split.n1, split.n2, AdmissibleTransformation(n)
+                )
 
 
 class TestSplitTransformation:
@@ -129,6 +127,63 @@ class TestSplitTransformation:
         self.assert_certified(als, split)
         partial = ncpoly.factorizer._partial_passes(als, split.n1)
         assert partial == (split.transformed, split.transformation)
+
+    def test_ops_compose_like_dense_products(self):
+        # _partial_passes composes each row op into P's cells, and each
+        # column op into the cells of Q's transpose, as (I + op) @ matrix
+        rng = random.Random(12)
+        for n in range(2, 8):
+            for lower in (False, True):  # P's cells, or those of Q transposed
+                pairs = [
+                    (i, j) for i in range(n) for j in range(n) if i != j and (i > j) == lower
+                ]
+                cells = {
+                    cell: Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+                    for cell in pairs
+                    if rng.random() < 0.5
+                }
+                dense = dense_unitriangular(n, cells.items())
+                for _ in range(3):
+                    i = rng.randrange(n)
+                    ops = {
+                        (i, r): Fraction(rng.randint(1, 4))
+                        for a, r in pairs
+                        if a == i and rng.random() < 0.7
+                    }
+                    ncpoly.factorizer._add_rows(cells, i, ops)
+                    dense = matmul(dense_unitriangular(n, ops.items()), dense)
+                    assert dense_unitriangular(n, cells.items()) == dense
+
+    def test_seeded_products(self, monkeypatch, ab_xy):
+        # factor seeded products p*q; a few of their splits are reached only
+        # by the alternating passes, whose (P, Q) are composed op by op
+        find = ncpoly.factorizer.find_split
+        passes = ncpoly.factorizer._partial_passes
+        splits, from_passes = [], []
+
+        def recording_find(als, order=None):
+            split = find(als, order)
+            if split is not None:
+                splits.append((als, split))
+            return split
+
+        def recording_passes(als, n1, max_passes=3):
+            found = passes(als, n1, max_passes)
+            if found is not None:
+                from_passes.append(found)
+            return found
+
+        monkeypatch.setattr(ncpoly.factorizer, "find_split", recording_find)
+        monkeypatch.setattr(ncpoly.factorizer, "_partial_passes", recording_passes)
+        rng = random.Random(3)
+        for _ in range(150):
+            p = random_polynomial(rng, ab_xy, max_terms=3, max_degree=2)
+            q = random_polynomial(rng, ab_xy, max_terms=3, max_degree=2)
+            if not (p * q).is_scalar:
+                factor_atoms(p * q)
+        for als, split in splits:
+            self.assert_certified(als, split)
+        assert from_passes
 
     def test_criterion_5_splits(self, monkeypatch):
         find = ncpoly.factorizer.find_split

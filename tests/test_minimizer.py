@@ -11,7 +11,6 @@ from ncpoly import (
     AdmissibleTransformation,
     Alphabet,
     Als,
-    RatMatrix,
     als_add,
     als_mul,
     apply_transformation,
@@ -35,11 +34,11 @@ from ncpoly import (
 from ncpoly import minimizer
 from ncpoly.families import convolution_system, power_system
 from ncpoly.freepoly import word_key
-from ncpoly.linalg import _integer_row, _solve, rank
+from ncpoly.linalg import _integer_row, _solve
 from ncpoly.minimizer import _family_rank, _is_reduced
-from ncpoly.realization import LinearEntry, _transform
+from ncpoly.realization import LinearEntry
 
-from conftest import BENCH19_TEXT, random_polynomial
+from conftest import BENCH19_TEXT, dense_transformation, random_polynomial, reference_rank
 
 
 def system_for_x(ab):
@@ -171,21 +170,13 @@ class TestMinimize:
         n = total.n
         k = 3
         t, u = solve_right_minimization(total, k)
-        cells_p = {(i, k - 1): t[i] for i in range(k - 1)}
-        cells_q = {(i, k - 1): u[i] for i in range(k - 1)}
-        p = RatMatrix(
-            [
-                [Fraction(1) if i == j else cells_p.get((i, j), Fraction(0)) for j in range(n)]
-                for i in range(n)
-            ]
+        trans = AdmissibleTransformation(
+            n,
+            {(i, k - 1): t[i] for i in range(k - 1)},
+            {(i, k - 1): u[i] for i in range(k - 1)},
         )
-        q = RatMatrix(
-            [
-                [Fraction(1) if i == j else cells_q.get((i, j), Fraction(0)) for j in range(n)]
-                for i in range(n)
-            ]
-        )
-        moved = apply_transformation(total, AdmissibleTransformation(p, q))
+        moved = apply_transformation(total, trans)
+        assert moved == dense_transformation(total, trans)
         assert all(moved.rows[i][k - 1].is_zero for i in range(k - 1))
         assert moved.polynomial() == total.polynomial()
 
@@ -222,15 +213,14 @@ def random_admissible(rng, n):
 
     Such a transformation keeps a polynomial system in polynomial form.
     """
-    p = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
-    q = [list(row) for row in p]
+    p, q = {}, {}
     for i in range(n):
         for j in range(i + 1, n):
             if j < n - 1 and rng.random() < 0.3:
-                p[i][j] = Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+                p[i, j] = Fraction(rng.randint(-3, 3), rng.randint(1, 3))
             if i > 0 and rng.random() < 0.3:
-                q[i][j] = Fraction(rng.randint(-3, 3), rng.randint(1, 3))
-    return AdmissibleTransformation(RatMatrix(p), RatMatrix(q))
+                q[i, j] = Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+    return AdmissibleTransformation(n, p, q)
 
 
 class TestScanMatchesFamilyRanks:
@@ -266,7 +256,7 @@ class TestScanMatchesFamilyRanks:
 
 
 def reference_minimize(als, trace=None):
-    """The per-step minimizer: each step is _transform, drop, a full Als."""
+    """The per-step minimizer: each step is apply_transformation, drop, a full Als."""
 
     def drop(als, k):
         p = k - 1
@@ -292,11 +282,12 @@ def reference_minimize(als, trace=None):
                 return Als.empty(als.alphabet)
             t, u = left
             p = pivot - 1
-            row_mix = {p: [(p, Fraction(1))] + [(pivot + j, x) for j, x in enumerate(t) if x]}
-            col_mix = {
-                pivot + j: [(pivot + j, Fraction(1)), (p, x)] for j, x in enumerate(u) if x
-            }
-            als = _transform(als, row_mix, col_mix)
+            trans = AdmissibleTransformation(
+                n,
+                {(p, pivot + j): x for j, x in enumerate(t)},
+                {(p, pivot + j): x for j, x in enumerate(u)},
+            )
+            als = apply_transformation(als, trans)
             assert all(e.is_zero for e in als.rows[p][pivot:]) and als.rhs[p] == 0
             als = drop(als, pivot)
             if trace is not None:
@@ -308,9 +299,12 @@ def reference_minimize(als, trace=None):
                 continue
             t, u = right
             p = k - 1
-            row_mix = {i: [(i, Fraction(1)), (p, x)] for i, x in enumerate(t) if x}
-            col_mix = {p: [(i, x) for i, x in enumerate(u) if x] + [(p, Fraction(1))]}
-            als = _transform(als, row_mix, col_mix)
+            trans = AdmissibleTransformation(
+                n,
+                {(i, p): x for i, x in enumerate(t)},
+                {(i, p): x for i, x in enumerate(u)},
+            )
+            als = apply_transformation(als, trans)
             assert all(row[p].is_zero for row in als.rows[:p])
             als = drop(als, k)
             if trace is not None:
@@ -403,7 +397,7 @@ class TestWorkingSystemMatchesPerStepReference:
 
 
 class TestFamilyRankMatchesRatMatrixRank:
-    """_family_rank on integer rows equals rank(RatMatrix) of the coefficients."""
+    """_family_rank equals the rank of the coefficient rows by rational Gauss-Jordan."""
 
     def test_seeded_families(self, ab_xy, ab_xyz):
         rng = random.Random(47)
@@ -420,7 +414,7 @@ class TestFamilyRankMatchesRatMatrixRank:
         ranks = set()
         for family in families:
             support = sorted(set().union(*(q.support() for q in family)), key=word_key)
-            expected = rank(RatMatrix([[q.coefficient(w) for w in support] for q in family]))
+            expected = reference_rank([[q.coefficient(w) for w in support] for q in family])
             assert _family_rank(family) == expected
             ranks.add(expected == len(family))
         assert ranks == {True, False}  # full and deficient ranks both occur
