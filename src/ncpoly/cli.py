@@ -117,12 +117,15 @@ def cmd_minimize(args) -> int:
     with open(args.input) as handle:
         als = load_als(handle.read())
     reduced = minimize(als)
+    info = _summary(reduced)
     if args.output:
         with open(args.output, "w") as handle:
             handle.write(dump_als(reduced))
+    elif config.fmt == "json":
+        info["system"] = dump_als(reduced)
     else:
         print(format_system(reduced))
-    _print_summary(_summary(reduced), config.fmt)
+    _print_summary(info, config.fmt)
     return OK
 
 
@@ -289,13 +292,15 @@ def cmd_selftest(args) -> int:
     return OK if failures == 0 else VERIFY_ERROR
 
 
-def _count(minimum: int):
-    """An argparse type: an int that is at least ``minimum``."""
+def _count(minimum: int, maximum: Optional[int] = None):
+    """An argparse type: an int that is at least ``minimum``, at most ``maximum``."""
 
     def count(text: str) -> int:
         value = int(text)
         if value < minimum:
             raise argparse.ArgumentTypeError(f"must be at least {minimum}, not {value}")
+        if maximum is not None and value > maximum:
+            raise argparse.ArgumentTypeError(f"must be at most {maximum}, not {value}")
         return value
 
     return count
@@ -355,8 +360,10 @@ def build_parser() -> argparse.ArgumentParser:
     s.set_defaults(func=cmd_verify_block)
 
     s = sub.add_parser("table", help="multiplication counts for two families")
-    s.add_argument("--kmax-p", type=_count(0), default=6)
-    s.add_argument("--kmax-q", type=_count(0), default=5)
+    # the families grow exponentially (p_k has 3^k terms): the caps keep a
+    # table to seconds
+    s.add_argument("--kmax-p", type=_count(0, 10), default=6)
+    s.add_argument("--kmax-q", type=_count(0, 8), default=5)
     s.set_defaults(func=cmd_table)
 
     s = sub.add_parser("selftest", help="quick built-in verification")

@@ -36,6 +36,7 @@ from .realization import (
     _parse_entry_row,
     _transform,
     _unit_rows,
+    _zero_cell_rows,
     apply_transformation,
 )
 
@@ -207,54 +208,25 @@ def _zero_block_ops(
     the bilinear alpha*A*beta terms and makes the equations exactly linear.
     Returns the nonzero (alpha, beta), or ``None`` when inconsistent.
     """
-    variables: list[tuple[str, int, int]] = []
-    for i in target_rows:
-        for r in row_sources:
-            if r > i:
-                variables.append(("row", i, r))
-    for j in target_cols:
-        for c in col_sources:
-            if 0 < c < j:
-                variables.append(("col", c, j))
+    a = als.rows
+    variables = [("row", i, r) for i in target_rows for r in row_sources if r > i]
+    variables += [("col", c, j) for j in target_cols for c in col_sources if 0 < c < j]
     index = {var: pos for pos, var in enumerate(variables)}
-    rows: list[list[Fraction]] = []
-    rhs: list[Fraction] = []
-    for comp in comps:
-        for i in target_rows:
-            for j in target_cols:
-                coeffs = [Fraction(0)] * len(variables)
-                for r in row_sources:
-                    if r > i:
-                        coeffs[index[("row", i, r)]] = als.rows[r][j].coeffs[comp]
-                for c in col_sources:
-                    if 0 < c < j:
-                        coeffs[index[("col", c, j)]] = als.rows[i][c].coeffs[comp]
-                rows.append(coeffs)
-                rhs.append(-als.rows[i][j].coeffs[comp])
-    solution = linalg.solve_rows(rows, rhs, len(variables))
+    targets = []
+    for i in target_rows:
+        for j in target_cols:
+            terms = [(index["row", i, r], a[r][j]) for r in row_sources if r > i]
+            terms += [(index["col", c, j], a[i][c]) for c in col_sources if 0 < c < j]
+            targets.append((a[i][j], terms))
+    eqs = _zero_cell_rows(targets, comps, len(variables))
+    solution = None if eqs is None else linalg.solve_rows(*eqs, len(variables))
     if solution is None:
         return None
     ops: dict[str, _Ops] = {"row": {}, "col": {}}
-    for (kind, a, b), x in zip(variables, solution):
+    for (kind, s, t), x in zip(variables, solution):
         if x != 0:
-            ops[kind][a, b] = x
+            ops[kind][s, t] = x
     return ops["row"], ops["col"]
-
-
-def _solve_joint(
-    als: Als, n1: int, row_sources: Sequence[int], col_sources: Sequence[int]
-) -> Optional[AdmissibleTransformation]:
-    """Row and column ops zeroing the whole target block in one solve."""
-    n = als.n
-    found = _zero_block_ops(
-        als,
-        range(n1 - 1),
-        range(n1, n),
-        range(len(als.alphabet) + 1),
-        row_sources,
-        col_sources,
-    )
-    return None if found is None else AdmissibleTransformation(n, *found)
 
 
 def _single_pass_ops(
@@ -360,6 +332,7 @@ def find_split(
     positions = list(order) if order is not None else list(range(2, n))
     if sorted(positions) != list(range(2, n)):
         raise ValueError("order must be a permutation of 2..n-1")
+    comps = range(len(als.alphabet) + 1)
     for n1 in positions:
         strategies = (
             (range(1, n - 1), ()),          # rows only
@@ -368,9 +341,12 @@ def find_split(
             (range(n1, n - 1), range(1, n1)),          # joint, split col at n1
         )
         for row_sources, col_sources in strategies:
-            trans = _solve_joint(als, n1, list(row_sources), list(col_sources))
-            if trans is None:
+            found = _zero_block_ops(
+                als, range(n1 - 1), range(n1, n), comps, row_sources, col_sources
+            )
+            if found is None:
                 continue
+            trans = AdmissibleTransformation(n, *found)
             transformed = apply_transformation(als, trans)
             if _block_is_zero(transformed, n1):
                 return FactorSplit(transformed, n1, n + 1 - n1, trans)
@@ -544,6 +520,8 @@ def load_factors(text: str) -> BlockFactorization:
         rows = lines[at:at + height]
         factors.append(tuple(_parse_entry_row(row, width, d) for row in rows))
         at += height
+    if at != len(lines):
+        raise FormatError("unexpected lines after the last factor")
     try:
         return BlockFactorization(alphabet, factors)
     except ValueError as exc:

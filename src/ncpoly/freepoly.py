@@ -191,6 +191,7 @@ class NcPolynomial:
             return NcPolynomial(
                 self.alphabet, {w: c * other for w, c in self._terms.items()}
             )
+        other = self._coerce(other)
         self._check_alphabet(other)
         out: Dict[Word, Fraction] = {}
         for wa, ca in self._terms.items():

@@ -33,6 +33,7 @@ from .realization import (
     _mix_in_place,
     _monomial_block,
     _restoring_cells,
+    _zero_cell_rows,
 )
 
 
@@ -54,52 +55,24 @@ def solve_left_minimization(
         raise IndexError(f"left pivot {k} out of range for dimension {n}")
     a = als.rows
     q = n - k
-    d = len(als.alphabet)
-    # Column j of A_33 below its diagonal is zero; on it, the scalar 1.  So
-    # a letter equation reads rows r < j, the constant one (k = 1) r <= j.
-    if k == 1:
-        components = range(d + 1)
-        columns = [
-            [(r, e) for r in range(j + 1) if not (e := a[k + r][k + j]).is_zero]
-            for j in range(q)
-        ]
-    else:
-        components = range(1, d + 1)
-        columns = [
-            [(r, e) for r in range(j) if not (e := a[k + r][k + j]).is_scalar]
-            for j in range(q)
-        ]
-    rows: list[list[Fraction]] = []
-    rhs: list[Fraction] = []
-    for comp in components:
-        for j, column in enumerate(columns):
-            row = None
-            for r, entry in column:
-                x = entry.coeffs[comp]
-                if x:
-                    if row is None:
-                        row = [_ZERO] * q
-                    row[r] = x
-            b = a[k - 1][k + j].coeffs[comp]
-            if row is not None:
-                rows.append(row)
-                rhs.append(-b)
-            elif b:
-                return None  # 0 = b: unsolvable, no elimination needed
+    # Target: row k-1 right of the pivot.  T_r multiplies row k+r, which is
+    # zero left of its diagonal.  T zeroes the letters (at k = 1 also the
+    # constants); U takes the constants.
+    targets = []
+    for c in range(k, n):
+        column = [(i - k, e) for i in range(k, c + 1) if not (e := a[i][c]).is_zero]
+        targets.append((a[k - 1][c], column))
+    comps = range(0 if k == 1 else 1, len(als.alphabet) + 1)
+    eqs = _zero_cell_rows(targets, comps, q)
+    if eqs is None:
+        return None
+    rows, rhs = eqs
     rows.append(list(als.rhs[k:]))
     rhs.append(-als.rhs[k - 1])
     t = linalg.solve_rows(rows, rhs, q)
     if t is None:
         return None
-    live = [(k + r, x) for r, x in enumerate(t) if x]  # free variables are 0
-    u = [
-        -(
-            a[k - 1][c].constant
-            + sum((x * e for i, x in live if (e := a[i][c].constant)), _ZERO)
-        )
-        for c in range(k, n)
-    ]
-    return tuple(t), tuple(u)
+    return tuple(t), _constant_parts(targets, t)
 
 
 def solve_right_minimization(
@@ -108,50 +81,40 @@ def solve_right_minimization(
     """Solve A_11 U + A_12 + T = 0 at pivot k.
 
     Returns (T, U) with entries in K^{(k-1) x 1}, or None.  Admissibility
-    forbids touching the first column, so U_1 = 0 is imposed.
+    forbids touching the first column, so U_1 must be 0.  No letter of
+    A_11 lies in its first column, so U_1 is a free unknown, and free
+    unknowns are 0.
     """
     n = als.n
     if not 2 <= k <= n:
         raise IndexError(f"right pivot {k} out of range for dimension {n}")
     a = als.rows
     q = k - 1
-    d = len(als.alphabet)
-    # Row i of A_11 has letters only right of its diagonal.
-    lines = [
-        [(c, e) for c in range(i + 1, q) if not (e := a[i][c]).is_scalar]
+    # Target: column k-1 above the diagonal.  U_c multiplies column c,
+    # which is zero below its diagonal.  U zeroes the letters; T takes
+    # the constants.
+    targets = [
+        (a[i][q], [(c, e) for c in range(i, q) if not (e := a[i][c]).is_zero])
         for i in range(q)
     ]
-    rows: list[list[Fraction]] = []
-    rhs: list[Fraction] = []
-    for comp in range(1, d + 1):
-        for i, line in enumerate(lines):
-            row = None
-            for c, entry in line:
-                x = entry.coeffs[comp]
-                if x:
-                    if row is None:
-                        row = [_ZERO] * q
-                    row[c] = x
-            b = a[i][q].coeffs[comp]
-            if row is not None:
-                rows.append(row)
-                rhs.append(-b)
-            elif b:
-                return None  # 0 = b: unsolvable, no elimination needed
-    rows.append([Fraction(1)] + [_ZERO] * (q - 1))  # U_1 = 0
-    rhs.append(_ZERO)
-    u = linalg.solve_rows(rows, rhs, q)
+    eqs = _zero_cell_rows(targets, range(1, len(als.alphabet) + 1), q)
+    u = None if eqs is None else linalg.solve_rows(*eqs, q)
     if u is None:
         return None
-    live = [(c, x) for c, x in enumerate(u) if x]  # free variables are 0
-    t = [
-        -(
-            a[i][q].constant
-            + sum((e * x for c, x in live if (e := a[i][c].constant)), _ZERO)
-        )
-        for i in range(q)
-    ]
-    return tuple(t), tuple(u)
+    return _constant_parts(targets, u), tuple(u)
+
+
+def _constant_parts(targets, x) -> tuple[Fraction, ...]:
+    """Minus each target's constant part once the unknowns x are applied.
+
+    The left and right solvers zero only letters (except at left pivot 1);
+    this is the other unknown, U on the left and T on the right, that
+    cancels the constants left behind.
+    """
+    return tuple(
+        -(entry.constant + sum((x[v] * e.constant for v, e in terms if x[v]), _ZERO))
+        for entry, terms in targets
+    )
 
 
 class _Work:

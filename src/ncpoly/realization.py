@@ -20,7 +20,7 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Mapping, Optional, Sequence, Union
+from typing import Iterable, Mapping, Optional, Sequence, Union
 
 from .linalg import to_fraction
 from .errors import FormatError
@@ -63,6 +63,8 @@ class LinearEntry:
 
     @classmethod
     def letter(cls, index: int, d: int, coeff=1) -> "LinearEntry":
+        if not 0 <= index < d:
+            raise ValueError(f"letter index {index} not in 0..{d - 1}")
         coeffs = [Fraction(0)] * (d + 1)
         coeffs[index + 1] = Fraction(coeff)
         return cls(tuple(coeffs))
@@ -286,7 +288,7 @@ def _subtract_product(
 
 # Off-diagonal cells (i, j) -> x of a unitriangular P or Q.
 _Cells = Mapping[tuple[int, int], Fraction]
-_ONE = Fraction(1)
+_ZERO, _ONE = Fraction(0), Fraction(1)
 
 
 @dataclass(frozen=True)
@@ -425,6 +427,41 @@ def _mix_in_place(
             row[j] = zero
         for r, entry in cells.items():
             rows[r][j] = entry
+
+
+# A cell to zero: its entry, and the (unknown, entry) pairs that multiply
+# each unknown in it, so the transformed cell is entry + sum x_v * e_v.
+_Target = tuple[LinearEntry, Sequence[tuple[int, LinearEntry]]]
+
+
+def _zero_cell_rows(
+    targets: Sequence[_Target], comps: Iterable[int], width: int
+) -> Optional[tuple[list[list[Fraction]], list[Fraction]]]:
+    """Equations ``(rows, rhs)`` zeroing the given pencil components of targets.
+
+    This is where every minimization and split equation is built: one row
+    per component, then per target, over ``width`` unknowns.  A ``0 = 0``
+    row is dropped, and the first ``0 = b`` row with ``b != 0`` returns
+    ``None``: nothing is eliminated for a system that has no solution.
+    """
+    rows: list[list[Fraction]] = []
+    rhs: list[Fraction] = []
+    for comp in comps:
+        for entry, terms in targets:
+            row = None
+            for v, e in terms:
+                x = e.coeffs[comp]
+                if x:
+                    if row is None:
+                        row = [_ZERO] * width
+                    row[v] = x
+            b = entry.coeffs[comp]
+            if row is not None:
+                rows.append(row)
+                rhs.append(-b)
+            elif b:
+                return None
+    return rows, rhs
 
 
 def _transform(als: Als, p_cells: _Cells, q_cells: _Cells) -> Als:
@@ -742,6 +779,8 @@ def load_als(text: str) -> Als:
             raise FormatError("right-hand side length mismatch")
     else:
         rhs = []
+    if len(lines) > expected_lines:
+        raise FormatError("unexpected lines after the right-hand side")
     try:
         als = Als(alphabet, rows, rhs)
     except ValueError as exc:

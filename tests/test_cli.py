@@ -91,6 +91,17 @@ class TestMinimizeCommand:
         assert "dim=3" in out
         assert load_als(dst.read_text()).n == 3
 
+    def test_json_output_is_one_json_document(self, capsys, tmp_path, ab_xy):
+        from ncpoly import als_add, minimal_monomial
+
+        raw = als_add(minimal_monomial(ab_xy, (0,)), minimal_monomial(ab_xy, (0, 1)))
+        src = tmp_path / "raw.als"
+        src.write_text(dump_als(raw))
+        code, out, _ = run(capsys, "--format", "json", "minimize", str(src))
+        info = json.loads(out)
+        assert code == 0 and info["dim"] == 3
+        assert load_als(info["system"]).polynomial() == raw.polynomial()
+
     def test_missing_file(self, capsys, tmp_path):
         code, _, err = run(capsys, "minimize", str(tmp_path / "nope.als"))
         assert code == 2
@@ -249,7 +260,7 @@ class TestSelftest:
 
 
 class TestCountOptions:
-    """--kmax-p/--kmax-q are at least 0, --rounds/--size at least 1."""
+    """--kmax-p/--kmax-q are 0..10/0..8, --rounds/--size at least 1."""
 
     @pytest.mark.parametrize(
         "argv, option",
@@ -260,6 +271,8 @@ class TestCountOptions:
             (("selftest", "--rounds", "-3"), "--rounds"),
             (("selftest", "--rounds", "0"), "--rounds"),
             (("selftest", "--size", "0"), "--size"),
+            (("table", "--kmax-p", "11"), "--kmax-p"),
+            (("table", "--kmax-q", "9"), "--kmax-q"),
         ],
     )
     def test_bad_counts_exit_two(self, capsys, argv, option):

@@ -341,9 +341,13 @@ class TestFactorSerialization:
         assert again.alphabet == bench19_chain.alphabet
         assert again.factors == bench19_chain.factors
 
-    def test_rejects_garbage(self):
+    def test_rejects_garbage(self, ab_xy):
         with pytest.raises(FormatError):
             load_factors("nope\n")
+        bf = BlockFactorization.from_cells(ab_xy, [[["x", "y"]], [["y"], ["x"]]])
+        for tail in ("junk\n", "factor 9 9\njunk\n"):
+            with pytest.raises(FormatError, match="after the last factor"):
+                load_factors(dump_factors(bf) + tail)
 
     def test_rejects_truncated_factor(self, ab_xy):
         bf = BlockFactorization.from_cells(ab_xy, [[["x", "y"]], [["y"], ["x"]]])

@@ -164,6 +164,12 @@ class TestArithmetic:
         assert p.term_map() == {(): 3, (0,): Fraction(-1, 2), (1,): Fraction(2, 3)}
         assert all(type(c) is Fraction for _, c in p.terms())
 
+    def test_other_operands_raise_type_error(self, ab_xy):
+        p = parse("x + y", ab_xy)
+        for combine in (lambda: p + 1.5, lambda: p * 1.5, lambda: p * "x"):
+            with pytest.raises(TypeError, match="cannot combine NcPolynomial"):
+                combine()
+
     def test_scalar_multiplication_and_power(self, ab_xy):
         p = parse("x + y", ab_xy)
         assert 2 * p == parse("2*x + 2*y", ab_xy)

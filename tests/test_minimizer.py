@@ -33,6 +33,7 @@ from ncpoly import (
 
 from ncpoly import minimizer
 from ncpoly.families import convolution_system, power_system
+from ncpoly.factorizer import _zero_block_ops
 from ncpoly.freepoly import word_key
 from ncpoly.linalg import _integer_row, _solve
 from ncpoly.minimizer import _family_rank, _is_reduced
@@ -551,6 +552,58 @@ def full_right_solve(als, k):
     return tuple(t), tuple(u)
 
 
+def dense_zero_block_ops(
+    als, target_rows, target_cols, comps, row_sources, col_sources
+):
+    """The former split builder: a dense row for every component and cell."""
+    variables = []
+    for i in target_rows:
+        for r in row_sources:
+            if r > i:
+                variables.append(("row", i, r))
+    for j in target_cols:
+        for c in col_sources:
+            if 0 < c < j:
+                variables.append(("col", c, j))
+    index = {var: pos for pos, var in enumerate(variables)}
+    rows, rhs = [], []
+    for comp in comps:
+        for i in target_rows:
+            for j in target_cols:
+                coeffs = [Fraction(0)] * len(variables)
+                for r in row_sources:
+                    if r > i:
+                        coeffs[index[("row", i, r)]] = als.rows[r][j].coeffs[comp]
+                for c in col_sources:
+                    if 0 < c < j:
+                        coeffs[index[("col", c, j)]] = als.rows[i][c].coeffs[comp]
+                rows.append(coeffs)
+                rhs.append(-als.rows[i][j].coeffs[comp])
+    augmented = [_integer_row(row + [b]) for row, b in zip(rows, rhs)]
+    solution = _solve(augmented, len(variables))
+    if solution is None:
+        return None
+    ops = {"row": {}, "col": {}}
+    for (kind, a, b), x in zip(variables, solution):
+        if x != 0:
+            ops[kind][a, b] = x
+    return ops["row"], ops["col"]
+
+
+def split_solves(n):
+    """Every (target rows, target cols, (row, col sources)) find_split tries."""
+    for n1 in range(2, n):
+        rows, cols = range(n1 - 1), range(n1, n)
+        yield rows, cols, (range(1, n - 1), ())  # rows only
+        yield rows, cols, ((), range(1, n1))  # columns only
+        yield rows, cols, (range(n1 - 1, n - 1), range(1, n1 - 1))  # joint
+        yield rows, cols, (range(n1, n - 1), range(1, n1))  # joint
+        for i in rows:  # one row of a partial pass
+            yield [i], cols, (range(1, n - 1), ())
+        for j in cols:  # one column of a partial pass
+            yield rows, [j], ((), range(1, j))
+
+
 class TestCertificateMatchesFullElimination:
     """Stopping at the first 0 = b row gives what full elimination gives."""
 
@@ -582,6 +635,28 @@ class TestCertificateMatchesFullElimination:
                     assert found == full_right_solve(als, k)
                     outcomes["right"][found is None] += 1
         # both outcomes occur on both sides, so both paths are compared
+        assert all(solved and unsolved for solved, unsolved in outcomes.values())
+
+    def test_split_solves_of_seeded_minimal_systems(self, ab_xy, ab_xyz):
+        """The sparse split equations solve like the former dense rows."""
+        rng = random.Random(34)
+        polys = []
+        for alphabet in (ab_xy, ab_xyz):
+            for _ in range(6):
+                p = random_polynomial(rng, alphabet, max_terms=3, max_degree=2)
+                q = random_polynomial(rng, alphabet, max_terms=3, max_degree=2)
+                polys += [p * q, p + q * p]
+        outcomes = {"all": [0, 0], "letters": [0, 0]}
+        for p in polys:
+            als = build_als(p)
+            d = len(als.alphabet)
+            for rows, cols, sources in split_solves(als.n):
+                for name, first in (("all", 0), ("letters", 1)):
+                    args = (als, rows, cols, range(first, d + 1), *sources)
+                    found = _zero_block_ops(*args)
+                    assert found == dense_zero_block_ops(*args)
+                    outcomes[name][found is None] += 1
+        # both outcomes occur for both component sets
         assert all(solved and unsolved for solved, unsolved in outcomes.values())
 
 

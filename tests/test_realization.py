@@ -62,6 +62,12 @@ class TestLinearEntry:
         assert LinearEntry((0, 0, 0)).is_zero
         assert LinearEntry(("-3", 0, 0)).is_scalar
 
+    def test_letter_index_in_range(self):
+        assert LinearEntry.letter(1, 2).coeffs == (0, 0, 1)
+        for index in (-1, 2):
+            with pytest.raises(ValueError):
+                LinearEntry.letter(index, 2)
+
     def test_stored_flags(self):
         # set once from the coefficients; equality, hash and repr ignore them
         flags = [(e.is_zero, e.is_scalar) for e in (
@@ -501,9 +507,12 @@ class TestSerialization:
         als = build_als(bench19_poly)
         assert load_als(dump_als(als)) == als
 
-    def test_rejects_garbage(self):
+    def test_rejects_garbage(self, intro_als):
         with pytest.raises(FormatError):
             load_als("not a system\n")
+        for als in (intro_als, Als.empty(intro_als.alphabet)):
+            with pytest.raises(FormatError, match="after the right-hand side"):
+                load_als(dump_als(als) + "junk\n")
 
     def test_rejects_unknown_header_keys(self, intro_als):
         with pytest.raises(FormatError):
