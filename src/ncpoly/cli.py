@@ -136,29 +136,21 @@ def cmd_eval(args) -> int:
     with open(args.matrices) as handle:
         tup = load_matrix_tuple(handle.read())
     sides = ("left", "right") if args.side == "both" else (args.side,)
-    reports = {}
+    reports, rows = {}, {}
     for side in sides:
         evaluate = evaluate_left if side == "left" else evaluate_right
         reports[side] = evaluate(als, tup)
+        rows[side] = _matrix_lines(reports[side].result, tup.is_exact)
     if config.fmt == "json":
-        print(
-            json.dumps(
-                {
-                    side: {
-                        "mults": rep.mult_count,
-                        "matrix": [
-                            line.split() for line in _matrix_lines(rep.result, tup.is_exact)
-                        ],
-                    }
-                    for side, rep in reports.items()
-                }
-            )
-        )
+        info = {
+            side: {"mults": rep.mult_count, "matrix": [r.split() for r in rows[side]]}
+            for side, rep in reports.items()
+        }
+        print(json.dumps(info))
     else:
         for side, rep in reports.items():
             print(f"side={side} mults={rep.mult_count}")
-            for line in _matrix_lines(rep.result, tup.is_exact):
-                print(line)
+            print("\n".join(rows[side]))
     if len(reports) == 2:
         left, right = reports["left"].result, reports["right"].result
         same = (
@@ -196,12 +188,14 @@ def cmd_verify_block(args) -> int:
     config = _session(args)
     with open(args.factors) as handle:
         bf = load_factors(handle.read())
-    p = parse(args.polynomial, bf.alphabet)
-    if verify_block_factorization(bf, p):
+    equal = verify_block_factorization(bf, parse(args.polynomial, bf.alphabet))
+    if config.fmt == "json":
+        print(json.dumps({"equal": equal}))
+    elif equal:
         print("ok: block product equals the polynomial")
-        return OK
-    print("mismatch: block product differs from the polynomial", file=sys.stderr)
-    return VERIFY_ERROR
+    if not equal:
+        print("mismatch: block product differs from the polynomial", file=sys.stderr)
+    return OK if equal else VERIFY_ERROR
 
 
 def _table_rows(kmax_p: int, kmax_q: int) -> list[dict]:
@@ -251,12 +245,10 @@ def cmd_table(args) -> int:
 def cmd_selftest(args) -> int:
     config = _session(args)
     rng = random.Random(config.seed)
-    failures = 0
+    checks: list[dict] = []
 
     def check(name: str, passed: bool) -> None:
-        nonlocal failures
-        print(f"{'ok' if passed else 'FAIL'} {name}")
-        failures += 0 if passed else 1
+        checks.append({"name": name, "ok": passed})
 
     alphabet = Alphabet(("x", "y", "z"))
     p = parse("x - x*y*x", alphabet)
@@ -289,7 +281,12 @@ def cmd_selftest(args) -> int:
             equal = False
             break
     check(f"oracle equivalence on {args.rounds} random polynomials", equal)
-    return OK if failures == 0 else VERIFY_ERROR
+    if config.fmt == "json":
+        print(json.dumps({"checks": checks}))
+    else:
+        for c in checks:
+            print(f"{'ok' if c['ok'] else 'FAIL'} {c['name']}")
+    return OK if all(c["ok"] for c in checks) else VERIFY_ERROR
 
 
 def _count(minimum: int, maximum: Optional[int] = None):
@@ -320,9 +317,7 @@ def build_parser() -> argparse.ArgumentParser:
         help='comma-separated letters, e.g. "x,y,z" (default: inferred)',
     )
     parser.add_argument("--seed", type=int, default=0, help="seed for randomized runs")
-    parser.add_argument(
-        "--format", choices=("text", "csv", "json"), default="text"
-    )
+    parser.add_argument("--format", choices=("text", "csv", "json"), default="text")
     sub = parser.add_subparsers(dest="command", required=True)
 
     s = sub.add_parser("rank", help="rank of a polynomial (minimal system dimension)")

@@ -4,10 +4,10 @@ A minimal polynomial ALS of dimension n represents a product q1*q2 with
 rank(q_i) = n_i (n_1 + n_2 = n + 1) exactly when some polynomial
 transformation (P, Q) pushes an (n_1 - 1) x (n_2 - 1) block of zeros into
 the upper right corner of the system matrix.  Finding such (P, Q) is a
-non-linear problem in general; this module implements the *linear*
-"non-overlapping" strategies: rows-only, columns-only, joint solves whose
-row sources all lie below the split and whose column sources all lie above
-it (so no bilinear terms survive), and a bounded alternation of partial
+non-linear problem in general; this module implements the *linear* part:
+two joint solves whose row sources all lie below their column sources (so
+each bilinear term multiplies a zero cell below the diagonal, and a
+solution zeroes the block exactly), and a bounded alternation of partial
 row/column passes.  A ``None`` result therefore means "no split found",
 never "irreducible".
 
@@ -34,7 +34,6 @@ from .realization import (
     _coerce_cell,
     _entry_row_str,
     _parse_entry_row,
-    _transform,
     _unit_rows,
     _zero_cell_rows,
     apply_transformation,
@@ -42,6 +41,7 @@ from .realization import (
 
 Grid = tuple[tuple[LinearEntry, ...], ...]
 _Ops = dict[tuple[int, int], Fraction]  # off-diagonal cells of P or Q
+_MAX_PASSES = 3  # alternations of row and column passes per split position
 
 
 def entry_grid(alphabet: Alphabet, cells: Sequence[Sequence[CellLike]]) -> Grid:
@@ -175,6 +175,8 @@ class FactorSplit:
 
     def __post_init__(self):
         n = self.transformed.n
+        if not 2 <= self.n1 <= n - 1:
+            raise ValueError(f"split position n1 = {self.n1} is outside 2..{n - 1}")
         if self.n1 + self.n2 != n + 1:
             raise ValueError("factor ranks must satisfy n1 + n2 = n + 1")
         if self.transformation.n != n:
@@ -184,11 +186,7 @@ class FactorSplit:
 
 
 def _block_is_zero(als: Als, n1: int) -> bool:
-    return all(
-        als.rows[i][j].is_zero
-        for i in range(n1 - 1)
-        for j in range(n1, als.n)
-    )
+    return all(als.rows[i][j].is_zero for i in range(n1 - 1) for j in range(n1, als.n))
 
 
 def _zero_block_ops(
@@ -268,7 +266,7 @@ def _add_rows(cells: _Ops, i: int, ops: _Ops) -> None:
 
 
 def _partial_passes(
-    als: Als, n1: int, max_passes: int = 3
+    als: Als, n1: int
 ) -> Optional[tuple[Als, AdmissibleTransformation]]:
     """Alternating per-row / per-column cleanup passes.
 
@@ -279,32 +277,33 @@ def _partial_passes(
     passes see the transformed system, so sequentially applied row and
     column ops compose exactly even where a one-shot joint solve would be
     bilinear.  Bounded, so possibly incomplete by design.  Each op is one
-    sparse unitriangular row or column, applied by ``_transform`` and
-    composed into the cells of P and of Q's transpose.
+    sparse unitriangular row or column op, mixed into one working system in
+    place (validated once, when frozen) and composed into the cells of P
+    and of Q's transpose.
     """
     n = als.n
-    current = als
+    work = minimizer._Work(als.alphabet, als.rows, als.rhs)
     p_cells: _Ops = {}
     qt_cells: _Ops = {}  # Q transposed: column ops compose as row ops
-    for _ in range(max_passes):
+    for _ in range(_MAX_PASSES):
         changed = False
         for i in range(n1 - 1):
-            alpha = _single_pass_ops(current, [i], range(n1, n), range(1, n - 1), ())
+            alpha = _single_pass_ops(work, [i], range(n1, n), range(1, n - 1), ())
             if alpha is None:
                 continue
-            current = _transform(current, alpha, {})
+            work.mix(alpha, {})
             _add_rows(p_cells, i, alpha)
             changed = True
         for j in range(n1, n):
-            beta = _single_pass_ops(current, range(n1 - 1), [j], (), range(1, j))
+            beta = _single_pass_ops(work, range(n1 - 1), [j], (), range(1, j))
             if beta is None:
                 continue
-            current = _transform(current, {}, beta)
+            work.mix({}, beta)
             _add_rows(qt_cells, j, {(j, c): x for (c, _), x in beta.items()})
             changed = True
-        if _block_is_zero(current, n1):
+        if _block_is_zero(work, n1):
             q_cells = {(c, j): x for (j, c), x in qt_cells.items()}
-            return current, AdmissibleTransformation(n, p_cells, q_cells)
+            return work.freeze(), AdmissibleTransformation(n, p_cells, q_cells)
         if not changed:
             return None
     return None
@@ -316,9 +315,10 @@ def find_split(
     """Search split positions for a certified zero block.
 
     ``order`` optionally permutes the candidate positions n1 = 2..n-1.
-    Strategies per position, in order: rows-only, columns-only, the two
-    non-overlapping joint solves, then bounded alternating passes.  The
-    input must be minimal (the factorization criterion presupposes it):
+    Strategies per position, in order: the two joint solves (split row
+    n1 - 1 as a row source, then as a column source), which subsume the
+    rows-only and columns-only solves, then bounded alternating passes.
+    The input must be minimal (the factorization criterion presupposes it):
     a system on which some minimization equation is solvable raises
     ``ValueError``.
     """
@@ -334,21 +334,16 @@ def find_split(
         raise ValueError("order must be a permutation of 2..n-1")
     comps = range(len(als.alphabet) + 1)
     for n1 in positions:
-        strategies = (
-            (range(1, n - 1), ()),          # rows only
-            ((), range(1, n1)),             # columns only
-            (range(n1 - 1, n - 1), range(1, n1 - 1)),  # joint, split row at n1
-            (range(n1, n - 1), range(1, n1)),          # joint, split col at n1
-        )
-        for row_sources, col_sources in strategies:
+        for row_sources, col_sources in (
+            (range(n1 - 1, n - 1), range(1, n1 - 1)),  # split row as a row source
+            (range(n1, n - 1), range(1, n1)),  # split row as a column source
+        ):
             found = _zero_block_ops(
                 als, range(n1 - 1), range(n1, n), comps, row_sources, col_sources
             )
-            if found is None:
-                continue
-            trans = AdmissibleTransformation(n, *found)
-            transformed = apply_transformation(als, trans)
-            if _block_is_zero(transformed, n1):
+            if found is not None:
+                trans = AdmissibleTransformation(n, *found)
+                transformed = apply_transformation(als, trans)
                 return FactorSplit(transformed, n1, n + 1 - n1, trans)
         partial = _partial_passes(als, n1)
         if partial is not None:
@@ -424,8 +419,6 @@ def _atoms_from_system(als: Als, rng: Optional[random.Random]) -> list[Als]:
     if split is None:
         return [als]
     left, right = extract_factors(split)
-    left = minimizer.minimize(left)
-    right = minimizer.minimize(right)
     return _atoms_from_system(left, rng) + _atoms_from_system(right, rng)
 
 
@@ -438,8 +431,10 @@ def factor_atoms(
     *as far as the linear strategies can tell*; a single-element result is
     not a proof of irreducibility.  A miss on one minimal system may be a
     hit on another, so each no-split verdict is double-checked on a few
-    rebuilt representatives (small dimensions only).  ``rng`` randomizes
-    the split-position order; the atom count is invariant under it.
+    rebuilt representatives (small dimensions only).  Split factors are
+    minimal (their ranks n1 + n2 = n + 1 add up as for any product) and
+    are searched again as they are.  ``rng`` randomizes the split-position
+    order; the atom count is invariant under it.
     """
     if p.is_zero or p.is_scalar:
         raise ValueError("factorization needs a non-scalar polynomial")

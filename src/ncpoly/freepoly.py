@@ -259,9 +259,11 @@ class NcPolynomial:
 # Limits on parsed text, checked before anything is expanded: a power
 # ``base^e`` multiplies e times and its term count can grow like
 # len(base)**e, and a product of factors like the product of their term
-# counts, so unbounded input would never return.
+# counts, so unbounded input would never return; each nested parenthesis
+# costs the recursive-descent parser three stack frames.
 MAX_DEGREE = 1000  # bound on e, on degree(base) * e and on a product's degree
 MAX_TERMS = 10_000  # bound on len(base) ** e and on len(a) * len(b)
+MAX_NESTING = 100  # bound on the depth of nested parentheses
 
 _TOKEN_RE = re.compile(
     r"\s*(?:(?P<ident>[A-Za-z][A-Za-z0-9_]*)|(?P<number>\d+)|(?P<op>[-+*/^()]))"
@@ -298,7 +300,8 @@ class _Parser:
     power      := '^' positive-integer   (bounded by MAX_DEGREE, MAX_TERMS)
     coeff      := integer ('/' positive-integer)?
 
-    Each product in a term is bounded like a power before it is expanded.
+    Each product in a term is bounded like a power before it is expanded,
+    and parentheses nest at most MAX_NESTING deep.
 
     A bare identifier such as "xy" is split into single letters when the
     alphabet consists solely of single-character letters.
@@ -307,6 +310,7 @@ class _Parser:
     def __init__(self, text: str, alphabet: Alphabet):
         self.tokens = _tokenize(text)
         self.pos = 0
+        self.depth = 0
         self.alphabet = alphabet
 
     def peek(self) -> tuple[str, str, int]:
@@ -402,8 +406,12 @@ class _Parser:
         if kind == "ident":
             base = self.identifier_poly(value, at)
         elif kind == "op" and value == "(":
+            if self.depth == MAX_NESTING:
+                raise ParseError(f"parentheses nest deeper than {MAX_NESTING}", at)
+            self.depth += 1
             base = self.expression()
             self.expect_op(")")
+            self.depth -= 1
         else:
             raise ParseError(f"unexpected {value!r}", at)
         kind, value, _ = self.peek()
@@ -436,8 +444,9 @@ def parse(text: str, alphabet: Alphabet) -> NcPolynomial:
 
     Raises ``ParseError`` (with position) on syntax errors, on
     identifiers not present in the alphabet, on integers too long for
-    ``int``, and on a power or product whose expansion could exceed
-    ``MAX_DEGREE`` or ``MAX_TERMS``.
+    ``int``, on a power or product whose expansion could exceed
+    ``MAX_DEGREE`` or ``MAX_TERMS``, and on parentheses nested deeper than
+    ``MAX_NESTING``.
     """
     return _Parser(text, alphabet).parse()
 

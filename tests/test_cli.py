@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+import ncpoly.cli
 from ncpoly import dump_als, dump_factors, dump_matrix_tuple, load_als
 from ncpoly.cli import main
 
@@ -45,6 +46,10 @@ class TestRank:
     def test_oversized_product_exits_two(self, capsys):
         code, _, err = run(capsys, "rank", "(x+y)^13*(x+y)^3")
         assert code == 2 and "product" in err
+
+    def test_deep_nesting_exits_two(self, capsys):
+        code, _, err = run(capsys, "rank", "(" * 2000 + "x" + ")" * 2000)
+        assert code == 2 and err.startswith("error:") and "nest" in err
 
     def test_unknown_letter_with_explicit_alphabet(self, capsys):
         code, _, err = run(capsys, "--alphabet", "x,y", "rank", "x + q")
@@ -218,6 +223,15 @@ class TestVerifyBlock:
         code, _, err = run(capsys, "verify-block", str(path), "3cyxb")
         assert code == 3
 
+    def test_json_outcomes(self, capsys, tmp_path, bench19_chain):
+        path = tmp_path / "factors.txt"
+        path.write_text(dump_factors(bench19_chain))
+        argv = ("--format", "json", "verify-block", str(path))
+        code, out, _ = run(capsys, *argv, BENCH19_TEXT)
+        assert code == 0 and json.loads(out) == {"equal": True}
+        code, out, _ = run(capsys, *argv, "3cyxb")
+        assert code == 3 and json.loads(out) == {"equal": False}
+
     def test_truncated_file_exits_two(self, capsys, tmp_path, bench19_chain):
         path = tmp_path / "factors.txt"
         path.write_text("\n".join(dump_factors(bench19_chain).splitlines()[:-1]))
@@ -257,6 +271,21 @@ class TestSelftest:
         code, out, _ = run(capsys, "--seed", "1", "selftest", "--rounds", "5")
         assert code == 0
         assert "FAIL" not in out and "ok" in out
+
+    def test_json(self, capsys):
+        code, out, _ = run(capsys, "--format", "json", "selftest", "--rounds", "2")
+        checks = json.loads(out)["checks"]
+        assert code == 0 and len(checks) == 8
+        assert all(set(c) == {"name", "ok"} and c["ok"] is True for c in checks)
+        assert checks[-1]["name"] == "oracle equivalence on 2 random polynomials"
+
+    def test_failed_check_exits_three(self, capsys, monkeypatch):
+        monkeypatch.setattr(ncpoly.cli, "rank_of", lambda p: 0)
+        code, out, _ = run(capsys, "selftest", "--rounds", "1")
+        assert code == 3 and out.startswith("FAIL rank x - x*y*x == 4\n")
+        code, out, _ = run(capsys, "--format", "json", "selftest", "--rounds", "1")
+        failed = [c["name"] for c in json.loads(out)["checks"] if not c["ok"]]
+        assert code == 3 and len(failed) == 3 and failed[0] == "rank x - x*y*x == 4"
 
 
 class TestCountOptions:

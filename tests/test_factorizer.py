@@ -9,6 +9,7 @@ import pytest
 
 import ncpoly.factorizer
 from ncpoly import (
+    AdmissibleTransformation,
     Alphabet,
     BlockFactorization,
     NcPolynomial,
@@ -22,8 +23,10 @@ from ncpoly import (
     extract_factors,
     factor_atoms,
     find_split,
+    is_minimal,
     load_factors,
     minimal_monomial,
+    minimize,
     naive_evaluate,
     parse,
     random_rational_tuple,
@@ -31,6 +34,7 @@ from ncpoly import (
 )
 from ncpoly.errors import FormatError
 from ncpoly.factorizer import FactorSplit
+from ncpoly.realization import _transform
 
 from conftest import assert_bitwise_equal, dense_unitriangular, matmul, random_polynomial
 
@@ -94,8 +98,6 @@ class TestFindSplit:
         assert split is not None
 
     def test_certificate_is_validated(self, intro_als):
-        from ncpoly import AdmissibleTransformation
-
         with pytest.raises(ValueError):  # (1,4) entry is -x, not zero
             FactorSplit(intro_als, 3, 2, AdmissibleTransformation(4))
         split = find_split(build_als(parse("x*y*x", intro_als.alphabet)))
@@ -104,6 +106,12 @@ class TestFindSplit:
             with pytest.raises(ValueError, match="size"):
                 FactorSplit(
                     split.transformed, split.n1, split.n2, AdmissibleTransformation(n)
+                )
+        n = split.transformed.n
+        for n1 in (0, 1, n, n + 1):  # positions outside 2..n-1; n1 + n2 = n + 1
+            with pytest.raises(ValueError, match="position"):
+                FactorSplit(
+                    split.transformed, n1, n + 1 - n1, AdmissibleTransformation(n)
                 )
 
 
@@ -167,8 +175,8 @@ class TestSplitTransformation:
                 splits.append((als, split))
             return split
 
-        def recording_passes(als, n1, max_passes=3):
-            found = passes(als, n1, max_passes)
+        def recording_passes(als, n1):
+            found = passes(als, n1)
             if found is not None:
                 from_passes.append(found)
             return found
@@ -208,6 +216,153 @@ class TestSplitTransformation:
         assert len(hits) == 5  # one split fewer than atoms: 1 + 2 + 2 + 0
         for als, split in hits:
             self.assert_certified(als, split)
+
+
+def former_strategies(n, n1):
+    """The former split ladder: rows-only, columns-only, joint row, joint column."""
+    return (
+        (range(1, n - 1), ()),
+        ((), range(1, n1)),
+        (range(n1 - 1, n - 1), range(1, n1 - 1)),
+        (range(n1, n - 1), range(1, n1)),
+    )
+
+
+def former_partial_passes(als, n1, max_passes=3):
+    """The former passes: one validated ``Als`` per row or column op."""
+    fz = ncpoly.factorizer
+    n = als.n
+    current = als
+    p_cells, qt_cells = {}, {}
+    for _ in range(max_passes):
+        changed = False
+        for i in range(n1 - 1):
+            alpha = fz._single_pass_ops(current, [i], range(n1, n), range(1, n - 1), ())
+            if alpha is None:
+                continue
+            current = _transform(current, alpha, {})
+            fz._add_rows(p_cells, i, alpha)
+            changed = True
+        for j in range(n1, n):
+            beta = fz._single_pass_ops(current, range(n1 - 1), [j], (), range(1, j))
+            if beta is None:
+                continue
+            current = _transform(current, {}, beta)
+            fz._add_rows(qt_cells, j, {(j, c): x for (c, _), x in beta.items()})
+            changed = True
+        if fz._block_is_zero(current, n1):
+            q_cells = {(c, j): x for (j, c), x in qt_cells.items()}
+            return current, AdmissibleTransformation(n, p_cells, q_cells)
+        if not changed:
+            return None
+    return None
+
+
+def former_find_split(als, order=None):
+    """The former find_split: four one-shot solves, each re-checked, then passes."""
+    n = als.n
+    if n < 3:
+        return None
+    comps = range(len(als.alphabet) + 1)
+    for n1 in order or range(2, n):
+        for row_sources, col_sources in former_strategies(n, n1):
+            found = ncpoly.factorizer._zero_block_ops(
+                als, range(n1 - 1), range(n1, n), comps, row_sources, col_sources
+            )
+            if found is None:
+                continue
+            trans = AdmissibleTransformation(n, *found)
+            transformed = apply_transformation(als, trans)
+            if ncpoly.factorizer._block_is_zero(transformed, n1):
+                return FactorSplit(transformed, n1, n + 1 - n1, trans)
+        partial = former_partial_passes(als, n1)
+        if partial is not None:
+            return FactorSplit(partial[0], n1, n + 1 - n1, partial[1])
+    return None
+
+
+def former_factor_atoms(p):
+    """The former recursion: the former search, and each factor re-minimized."""
+
+    def atoms(als):
+        if als.n < 3:
+            return [als]
+        split = former_find_split(als)
+        if split is None and als.n <= ncpoly.factorizer._RETRY_LIMIT_DIM:
+            words = sorted(als.polynomial().support())
+            local = random.Random(0x5EED)
+            for _ in range(5):
+                local.shuffle(words)
+                candidate = build_als(als.polynomial(), insertion_order=list(words))
+                split = former_find_split(candidate)
+                if split is not None:
+                    break
+        if split is None:
+            return [als]
+        left, right = extract_factors(split)
+        return atoms(minimize(left)) + atoms(minimize(right))
+
+    return [als.polynomial() for als in atoms(build_als(p))]
+
+
+class TestSplitSearchMatchesFormerLadder:
+    """The two joint solves and the passes find what the four-strategy ladder found."""
+
+    def corpus(self):
+        for seed, letters in ((7, "xy"), (8, "xyz")):
+            ab = Alphabet(tuple(letters))
+            rng = random.Random(seed)
+            for index in range(40):
+                p = random_polynomial(rng, ab, max_terms=3, max_degree=2)
+                q = random_polynomial(rng, ab, max_terms=3, max_degree=2)
+                poly = p * q if index % 4 else p + q
+                if not poly.is_scalar:
+                    yield poly
+
+    def test_same_splits_factors_and_atoms(self):
+        outcomes = set()
+        for poly in self.corpus():
+            pending = [build_als(poly)]
+            while pending:
+                als = pending.pop()
+                for order in (None, list(range(als.n - 1, 1, -1))):
+                    split = find_split(als, order)
+                    former = former_find_split(als, order)
+                    outcomes.add(split is not None)
+                    assert (split is None) == (former is None)
+                    if split is None:
+                        continue
+                    assert split.n1 == former.n1
+                    factors = extract_factors(split)
+                    assert [f.polynomial() for f in factors] == [
+                        f.polynomial() for f in extract_factors(former)
+                    ]
+                    assert all(is_minimal(f) for f in factors)
+                    if order is None:
+                        pending.extend(f for f in factors if f.n >= 3)
+            assert factor_atoms(poly) == former_factor_atoms(poly)
+        assert outcomes == {True, False}
+
+    def test_joint_solves_subsume_the_narrow_ones(self):
+        solved = {"rows": 0, "cols": 0}
+        for poly in self.corpus():
+            als = build_als(poly)
+            n = als.n
+            comps = range(len(als.alphabet) + 1)
+            for n1 in range(2, n):
+                hits = [
+                    ncpoly.factorizer._zero_block_ops(
+                        als, range(n1 - 1), range(n1, n), comps, rows, cols
+                    )
+                    is not None
+                    for rows, cols in former_strategies(n, n1)
+                ]
+                rows_only, cols_only, joint_row, joint_col = hits
+                assert joint_row or not rows_only
+                assert joint_col or not cols_only
+                solved["rows"] += rows_only
+                solved["cols"] += cols_only
+        assert solved["rows"] and solved["cols"]
 
 
 class TestExtractFactors:

@@ -14,7 +14,7 @@ from ncpoly import (
     naive_mult_count,
     parse,
 )
-from ncpoly.freepoly import MAX_DEGREE, MAX_TERMS, identity_matrix
+from ncpoly.freepoly import MAX_DEGREE, MAX_NESTING, MAX_TERMS, identity_matrix
 
 from conftest import random_polynomial
 
@@ -116,6 +116,19 @@ class TestParse:
             with pytest.raises(ParseError) as err:
                 parse(bad, ab_xy)
             assert err.value.position == at
+
+    def test_nesting_limit(self, ab_xy):
+        # at the limit the text parses; one more level fails at the '(' that
+        # passes the limit, far short of the interpreter's recursion limit
+        nested = "(" * MAX_NESTING + "x + y" + ")" * MAX_NESTING
+        assert parse(nested + "^2", ab_xy) == parse("(x + y)^2", ab_xy)
+        for depth in (MAX_NESTING + 1, 2000):
+            bad = "2 + " + "(" * depth + "x" + ")" * depth
+            with pytest.raises(ParseError, match="nest") as err:
+                parse(bad, ab_xy)
+            assert err.value.position == 4 + MAX_NESTING
+        # sibling groups do not add up
+        assert parse(" * ".join([nested] * 3), ab_xy) == parse("(x + y)^3", ab_xy)
 
     def test_leading_sign(self, ab_xy):
         assert parse("-x + y", ab_xy) == parse("y - x", ab_xy)
