@@ -167,8 +167,7 @@ def cmd_eval(args) -> int:
 def cmd_factor(args) -> int:
     config = _session(args)
     p = _parse_poly(config, args.polynomial)
-    rng = random.Random(config.seed) if args.shuffle else None
-    atoms = factor_atoms(p, rng)
+    atoms = factor_atoms(p)
     if config.fmt == "json":
         print(json.dumps({"atoms": [str(a) for a in atoms]}))
     else:
@@ -342,11 +341,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     s = sub.add_parser("factor", help="factor a polynomial into atoms")
     s.add_argument("polynomial")
-    s.add_argument(
-        "--shuffle",
-        action="store_true",
-        help="randomize the split-position order (seeded)",
-    )
     s.set_defaults(func=cmd_factor)
 
     s = sub.add_parser("verify-block", help="check a block factorization file")

@@ -47,13 +47,14 @@ RAT = "rat"
 F64 = "f64"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MatrixTuple:
     """One square matrix per letter, all of the same size and mode.
 
     The constructor stores its own copies in the mode's arithmetic: every
     exact entry becomes a ``Fraction`` (``linalg.to_fraction``) in an object
-    array, every f64 matrix a float64 array.
+    array, every f64 matrix a float64 array.  Equal tuples have the same
+    mode and equal matrices; like the arrays, a tuple is unhashable.
     """
 
     mats: tuple[np.ndarray, ...]
@@ -77,6 +78,14 @@ class MatrixTuple:
                 for mat in mats
             )
         object.__setattr__(self, "mats", mats)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, MatrixTuple):
+            return NotImplemented
+        same_shape = (self.mode, self.d, self.m) == (other.mode, other.d, other.m)
+        return same_shape and all(map(np.array_equal, self.mats, other.mats))
+
+    __hash__ = None
 
     @classmethod
     def exact(cls, mats: Sequence[Sequence[Sequence]]) -> "MatrixTuple":

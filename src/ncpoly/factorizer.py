@@ -120,6 +120,14 @@ class BlockFactorization:
     ) -> "BlockFactorization":
         return cls(alphabet, [entry_grid(alphabet, grid) for grid in factors])
 
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, BlockFactorization):
+            return NotImplemented
+        return self.alphabet == other.alphabet and self.factors == other.factors
+
+    def __hash__(self) -> int:
+        return hash((self.alphabet, self.factors))
+
     def polynomial(self) -> NcPolynomial:
         """Symbolic product of the chain in the free algebra."""
         row = [entry.to_polynomial(self.alphabet) for entry in self.factors[0][0]]
@@ -309,18 +317,15 @@ def _partial_passes(
     return None
 
 
-def find_split(
-    als: Als, order: Optional[Sequence[int]] = None
-) -> Optional[FactorSplit]:
-    """Search split positions for a certified zero block.
+def find_split(als: Als) -> Optional[FactorSplit]:
+    """Search split positions n1 = 2..n-1, in order, for a certified zero block.
 
-    ``order`` optionally permutes the candidate positions n1 = 2..n-1.
     Strategies per position, in order: the two joint solves (split row
     n1 - 1 as a row source, then as a column source), which subsume the
     rows-only and columns-only solves, then bounded alternating passes.
-    The input must be minimal (the factorization criterion presupposes it):
-    a system on which some minimization equation is solvable raises
-    ``ValueError``.
+    Equal systems give equal results.  The input must be minimal (the
+    factorization criterion presupposes it): a system on which some
+    minimization equation is solvable raises ``ValueError``.
     """
     n = als.n
     if n < 3:
@@ -329,11 +334,8 @@ def find_split(
         raise ValueError("split search needs a polynomial ALS")
     if not minimizer._is_reduced(als):
         raise ValueError("split search needs a minimal system; minimize first")
-    positions = list(order) if order is not None else list(range(2, n))
-    if sorted(positions) != list(range(2, n)):
-        raise ValueError("order must be a permutation of 2..n-1")
     comps = range(len(als.alphabet) + 1)
-    for n1 in positions:
+    for n1 in range(2, n):
         for row_sources, col_sources in (
             (range(n1 - 1, n - 1), range(1, n1 - 1)),  # split row as a row source
             (range(n1, n - 1), range(1, n1)),  # split row as a column source
@@ -379,52 +381,45 @@ def extract_factors(split: FactorSplit) -> tuple[Als, Als]:
 _RETRY_LIMIT_DIM = 10  # beyond this a single search is already expensive
 
 
-def _split_with_retries(
-    als: Als, rng: Optional[random.Random]
-) -> Optional[FactorSplit]:
+def _split_with_retries(als: Als) -> Optional[FactorSplit]:
     """find_split, retried on alternative minimal representatives.
 
     Whether the linear strategies reach a zero block depends on the
     concrete system matrix, not just on the polynomial, so when the search
     misses we rebuild the system with shuffled monomial insertion orders
-    and try again.  Seeded deterministically unless a caller rng is given.
+    (from a fixed seed) and try again.  find_split is deterministic, so a
+    rebuilt system equal to one already searched would miss again: each
+    distinct system is searched once.
     """
-
-    def order_for(n: int) -> Optional[list[int]]:
-        if rng is None:
-            return None
-        positions = list(range(2, n))
-        rng.shuffle(positions)
-        return positions
-
-    split = find_split(als, order_for(als.n))
+    split = find_split(als)
     if split is not None or als.n > _RETRY_LIMIT_DIM:
         return split
     poly = als.polynomial()
     words = sorted(poly.support())
-    local = random.Random(0x5EED if rng is None else rng.randrange(1 << 30))
+    local = random.Random(0x5EED)
+    searched = {als}
     for _ in range(5):
         local.shuffle(words)
         candidate = minimizer.build_als(poly, insertion_order=list(words))
-        split = find_split(candidate, order_for(candidate.n))
-        if split is not None:
-            return split
+        if candidate not in searched:
+            searched.add(candidate)
+            split = find_split(candidate)
+            if split is not None:
+                return split
     return None
 
 
-def _atoms_from_system(als: Als, rng: Optional[random.Random]) -> list[Als]:
+def _atoms_from_system(als: Als) -> list[Als]:
     if als.n < 3:
         return [als]
-    split = _split_with_retries(als, rng)
+    split = _split_with_retries(als)
     if split is None:
         return [als]
     left, right = extract_factors(split)
-    return _atoms_from_system(left, rng) + _atoms_from_system(right, rng)
+    return _atoms_from_system(left) + _atoms_from_system(right)
 
 
-def factor_atoms(
-    p: NcPolynomial, rng: Optional[random.Random] = None
-) -> list[NcPolynomial]:
+def factor_atoms(p: NcPolynomial) -> list[NcPolynomial]:
     """Split recursively until no further split is found.
 
     The returned factors multiply back to p in order.  Factors are atoms
@@ -433,12 +428,11 @@ def factor_atoms(
     hit on another, so each no-split verdict is double-checked on a few
     rebuilt representatives (small dimensions only).  Split factors are
     minimal (their ranks n1 + n2 = n + 1 add up as for any product) and
-    are searched again as they are.  ``rng`` randomizes the split-position
-    order; the atom count is invariant under it.
+    are searched again as they are.  The result depends on p alone.
     """
     if p.is_zero or p.is_scalar:
         raise ValueError("factorization needs a non-scalar polynomial")
-    systems = _atoms_from_system(minimizer.build_als(p), rng)
+    systems = _atoms_from_system(minimizer.build_als(p))
     return [als.polynomial() for als in systems]
 
 

@@ -127,6 +127,8 @@ def _coerce_cell(cell: CellLike, alphabet: Alphabet) -> LinearEntry:
             raise ValueError("entry width does not match the alphabet")
         return cell
     if isinstance(cell, NcPolynomial):
+        if cell.alphabet != alphabet:
+            raise ValueError("cell polynomial uses a different alphabet")
         return LinearEntry.from_polynomial(cell)
     if isinstance(cell, str):
         return LinearEntry.from_polynomial(parse(cell, alphabet))

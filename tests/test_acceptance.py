@@ -6,9 +6,11 @@ minimality-certification criterion can inspect every system the earlier
 criteria produced, whether or not they ran first.
 """
 
+import operator
 import random
 import time
 from fractions import Fraction
+from functools import reduce
 
 import numpy as np
 
@@ -25,6 +27,7 @@ from ncpoly import (
     evaluate_product,
     evaluate_right,
     factor_atoms,
+    find_split,
     is_minimal,
     minimize,
     naive_evaluate,
@@ -215,14 +218,19 @@ def test_criterion_5_factorization_goldens():
         (triple, 3),
         (parse("x*y + y*x", ab), 1),
     ):
-        for seed in range(10):
-            shuffled = factor_atoms(poly, random.Random(seed))
-            ok &= len(shuffled) == expected
+        atoms = factor_atoms(poly)
+        ok &= len(atoms) == expected and reduce(operator.mul, atoms) == poly
+        rng = random.Random(expected)
+        words = sorted(poly.support())
+        for _ in range(10):
+            rng.shuffle(words)
+            split = find_split(build_als(poly, insertion_order=list(words)))
+            ok &= (split is not None) == (expected > 1)
 
     _report(
         5,
         "factorization goldens (2/3/3 atoms, costs 10 vs 3, no split for xy+yx;"
-        " counts stable over 10 shuffled orders)",
+        " a split found exactly for the products on 10 shuffled representatives)",
         ok,
     )
 

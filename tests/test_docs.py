@@ -1,5 +1,7 @@
-"""The README's library tour and every demo script run as written."""
+"""The README's library tour and every demo script run as written, and the
+README names every command and option of the command line."""
 
+import argparse
 import os
 import re
 import subprocess
@@ -7,6 +9,8 @@ import sys
 from pathlib import Path
 
 import pytest
+
+from ncpoly import cli
 
 ROOT = Path(__file__).resolve().parents[1]
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
@@ -29,3 +33,19 @@ def test_demo_runs(demo):
         [sys.executable, str(demo)], capture_output=True, text=True, env=env, timeout=120
     )
     assert done.returncode == 0, done.stderr
+
+
+def test_readme_names_every_command_and_option():
+    readme = (ROOT / "README.md").read_text()
+    parser = cli.build_parser()
+    (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    parsers = [("ncpoly", parser)] + sorted(sub.choices.items())
+    missing = [name for name, _ in parsers[1:] if f"ncpoly {name}" not in readme]
+    for name, command in parsers:
+        for action in command._actions:
+            if action.option_strings and not isinstance(action, argparse._HelpAction):
+                # the long form where there is one: "-o" alone says little
+                options = [o for o in action.option_strings if o.startswith("--")]
+                if not any(o in readme for o in options or action.option_strings):
+                    missing.append(f"{name} {action.option_strings[0]}")
+    assert not missing, missing

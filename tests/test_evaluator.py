@@ -422,6 +422,20 @@ class TestMatrixTupleBoundary:
         mat[0, 0] = 9.0
         assert tup.mats[0][0, 0] == 1.0
 
+    def test_value_equality(self):
+        tup = random_rational_tuple(random.Random(4), 2, 3)
+        again = MatrixTuple.exact([mat.tolist() for mat in tup.mats])
+        assert tup == again and not tup != again
+        assert tup != tup.to_float() and tup.to_float() == again.to_float()
+        assert tup != MatrixTuple.exact([mat.tolist() for mat in tup.mats[:1]])
+        assert tup != random_rational_tuple(random.Random(4), 2, 2)
+        changed = [mat.tolist() for mat in tup.mats]
+        changed[1][2][0] += 1
+        assert tup != MatrixTuple.exact(changed)
+        assert tup != "rat"
+        with pytest.raises(TypeError):
+            hash(tup)
+
     def test_rejects_non_square_input(self):
         for mats in ([[1, 2], [3]], [1, 2], 5, [[[1]]]):
             for mode in ("rat", "f64"):

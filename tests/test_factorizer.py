@@ -89,14 +89,6 @@ class TestFindSplit:
         with pytest.raises(ValueError):
             find_split(seven_dim_remark)
 
-    def test_rejects_bad_order(self, triple_product_als):
-        with pytest.raises(ValueError):
-            find_split(triple_product_als, order=[2, 2, 3])
-
-    def test_custom_order(self, triple_product_als):
-        split = find_split(triple_product_als, order=[4, 3, 2])
-        assert split is not None
-
     def test_certificate_is_validated(self, intro_als):
         with pytest.raises(ValueError):  # (1,4) entry is -x, not zero
             FactorSplit(intro_als, 3, 2, AdmissibleTransformation(4))
@@ -169,8 +161,8 @@ class TestSplitTransformation:
         passes = ncpoly.factorizer._partial_passes
         splits, from_passes = [], []
 
-        def recording_find(als, order=None):
-            split = find(als, order)
+        def recording_find(als):
+            split = find(als)
             if split is not None:
                 splits.append((als, split))
             return split
@@ -197,8 +189,8 @@ class TestSplitTransformation:
         find = ncpoly.factorizer.find_split
         calls = []
 
-        def recording(als, order=None):
-            split = find(als, order)
+        def recording(als):
+            split = find(als)
             calls.append((als, split))
             return split
 
@@ -258,13 +250,13 @@ def former_partial_passes(als, n1, max_passes=3):
     return None
 
 
-def former_find_split(als, order=None):
+def former_find_split(als):
     """The former find_split: four one-shot solves, each re-checked, then passes."""
     n = als.n
     if n < 3:
         return None
     comps = range(len(als.alphabet) + 1)
-    for n1 in order or range(2, n):
+    for n1 in range(2, n):
         for row_sources, col_sources in former_strategies(n, n1):
             found = ncpoly.factorizer._zero_block_ops(
                 als, range(n1 - 1), range(n1, n), comps, row_sources, col_sources
@@ -325,21 +317,19 @@ class TestSplitSearchMatchesFormerLadder:
             pending = [build_als(poly)]
             while pending:
                 als = pending.pop()
-                for order in (None, list(range(als.n - 1, 1, -1))):
-                    split = find_split(als, order)
-                    former = former_find_split(als, order)
-                    outcomes.add(split is not None)
-                    assert (split is None) == (former is None)
-                    if split is None:
-                        continue
-                    assert split.n1 == former.n1
-                    factors = extract_factors(split)
-                    assert [f.polynomial() for f in factors] == [
-                        f.polynomial() for f in extract_factors(former)
-                    ]
-                    assert all(is_minimal(f) for f in factors)
-                    if order is None:
-                        pending.extend(f for f in factors if f.n >= 3)
+                split = find_split(als)
+                former = former_find_split(als)
+                outcomes.add(split is not None)
+                assert (split is None) == (former is None)
+                if split is None:
+                    continue
+                assert split.n1 == former.n1
+                factors = extract_factors(split)
+                assert [f.polynomial() for f in factors] == [
+                    f.polynomial() for f in extract_factors(former)
+                ]
+                assert all(is_minimal(f) for f in factors)
+                pending.extend(f for f in factors if f.n >= 3)
             assert factor_atoms(poly) == former_factor_atoms(poly)
         assert outcomes == {True, False}
 
@@ -402,19 +392,25 @@ class TestFactorAtoms:
         with pytest.raises(ValueError):
             factor_atoms(parse("5", ab_xy))
 
-    def test_atom_count_invariant_under_split_order(self, ab_xyz, triple_product_als):
+    def test_shuffled_representatives_split_iff_atoms_do(
+        self, ab_xyz, triple_product_als
+    ):
         cases = [
             parse("x - x*y*x", ab_xyz),
             parse("x*y*z", ab_xyz),
             parse("(x*y+1)*(z*x-3)", ab_xyz),
             triple_product_als.polynomial(),
+            parse("x*y + y*x", ab_xyz),
         ]
+        rng = random.Random(0)
         for p in cases:
-            reference = len(factor_atoms(p))
-            for seed in range(10):
-                atoms = factor_atoms(p, random.Random(seed))
-                assert len(atoms) == reference
-                assert product_of(atoms) == p
+            atoms = factor_atoms(p)
+            assert product_of(atoms) == p
+            words = sorted(p.support())
+            for _ in range(10):
+                rng.shuffle(words)
+                split = find_split(build_als(p, insertion_order=list(words)))
+                assert (split is not None) == (len(atoms) > 1)
 
 
 def seeded_affine_products(count):
@@ -438,6 +434,79 @@ def seeded_affine_products(count):
                     terms[word] = Fraction(rng.choice(nonzero))
             product = product * NcPolynomial(ab, terms)
         yield product
+
+
+def seeded_xy_products(count):
+    """Products of 2-3 seeded affine factors, all over the letters x and y."""
+    ab = Alphabet(("x", "y"))
+    rng = random.Random(5)
+    coefficients = (-3, -2, -1, 0, 0, 1, 2, 3)
+    for _ in range(count):
+        product = NcPolynomial.one(ab)
+        for _ in range(rng.choice((2, 3))):
+            terms = {(0,): Fraction(rng.choice((-2, -1, 1, 2)))}
+            for word in ((), (1,)):
+                terms[word] = Fraction(rng.choice(coefficients))
+            product = product * NcPolynomial(ab, terms)
+        yield product
+
+
+def retries_searching_repeats(als):
+    """The retry loop as it was before repeated systems were skipped."""
+    fz = ncpoly.factorizer
+    split = fz.find_split(als)
+    if split is not None or als.n > fz._RETRY_LIMIT_DIM:
+        return split
+    poly = als.polynomial()
+    words = sorted(poly.support())
+    local = random.Random(0x5EED)
+    for _ in range(5):
+        local.shuffle(words)
+        candidate = build_als(poly, insertion_order=list(words))
+        split = fz.find_split(candidate)
+        if split is not None:
+            return split
+    return None
+
+
+class TestRetrySearchesEachSystemOnce:
+    """Skipping systems already searched in a retry changes no atom."""
+
+    def searches(self, monkeypatch, retry, polys):
+        """Atoms of each polynomial, and the systems each retry searched."""
+        fz = ncpoly.factorizer
+        find = fz.find_split
+        per_retry = []
+
+        def recording_find(als):
+            per_retry[-1].append(als)
+            return find(als)
+
+        def recording_retry(als):
+            per_retry.append([])
+            return retry(als)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(fz, "find_split", recording_find)
+            patch.setattr(fz, "_split_with_retries", recording_retry)
+            atoms = [factor_atoms(p) for p in polys]
+        return atoms, per_retry
+
+    def test_same_atoms_and_no_repeated_search(self, monkeypatch):
+        polys = list(seeded_affine_products(150)) + list(seeded_xy_products(40))
+        atoms, searched = self.searches(
+            monkeypatch, ncpoly.factorizer._split_with_retries, polys
+        )
+        reference, reference_searched = self.searches(
+            monkeypatch, retries_searching_repeats, polys
+        )
+        assert atoms == reference
+        for systems in searched:
+            assert len(set(systems)) == len(systems)
+        repeats = sum(len(s) - len(set(s)) for s in reference_searched)
+        assert repeats > 0  # the corpus does rebuild equal systems
+        calls = sum(map(len, searched))
+        assert calls + repeats == sum(map(len, reference_searched))
 
 
 # sha256 of the atoms below, recorded when they were last changed
@@ -493,8 +562,18 @@ class TestFactorSerialization:
     def test_round_trip(self, bench19_chain):
         text = dump_factors(bench19_chain)
         again = load_factors(text)
+        assert again == bench19_chain and hash(again) == hash(bench19_chain)
         assert again.alphabet == bench19_chain.alphabet
         assert again.factors == bench19_chain.factors
+
+    def test_value_equality(self, ab_xy, ab_xyz):
+        cells = [[["x", "y"]], [["y"], ["x"]]]
+        bf = BlockFactorization.from_cells(ab_xy, cells)
+        assert bf == BlockFactorization.from_cells(ab_xy, cells)
+        assert len({bf, BlockFactorization.from_cells(ab_xy, cells)}) == 1
+        assert bf != BlockFactorization.from_cells(ab_xyz, cells)
+        assert bf != BlockFactorization.from_cells(ab_xy, [[["x", "y"]], [["x"], ["y"]]])
+        assert bf != bf.factors
 
     def test_rejects_garbage(self, ab_xy):
         with pytest.raises(FormatError):

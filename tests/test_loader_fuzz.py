@@ -173,6 +173,7 @@ def test_generated_systems_round_trip(als):
 @given(chain=chains())
 def test_generated_chains_round_trip(chain):
     again = load_factors(dump_factors(chain))
+    assert again == chain and hash(again) == hash(chain)
     assert again.alphabet == chain.alphabet and again.factors == chain.factors
 
 
@@ -183,6 +184,7 @@ def test_generated_chains_round_trip(chain):
 def test_generated_matrix_tuples_round_trip(tup):
     """Exact entries come back equal; float64 entries bit for bit, -0.0 included."""
     again = load_matrix_tuple(dump_matrix_tuple(tup))
+    assert again == tup
     assert again.mode == tup.mode and len(again.mats) == len(tup.mats)
     for a, b in zip(again.mats, tup.mats):
         assert_bitwise_equal(a, b)

@@ -16,6 +16,7 @@ from ncpoly import (
     apply_transformation,
     build_als,
     dump_als,
+    entry_grid,
     is_minimal,
     left_companion,
     load_als,
@@ -134,6 +135,20 @@ class TestAlsValidation:
     def test_empty_system(self, ab_xy):
         empty = Als.empty(ab_xy)
         assert empty.is_empty and empty.polynomial().is_zero
+
+    def test_rejects_cells_from_another_alphabet(self, ab_xy):
+        # a polynomial over another alphabet of the same size would have
+        # its letters renamed, "a" read as "x"
+        foreign = parse("a", Alphabet(("a", "b")))
+        with pytest.raises(ValueError, match="alphabet"):
+            Als.from_cells(ab_xy, [[1, foreign], [0, 1]], [0, 1])
+        with pytest.raises(ValueError, match="alphabet"):
+            entry_grid(ab_xy, [[foreign]])
+        with pytest.raises(ValueError, match="alphabet"):
+            left_companion(ab_xy, [foreign], [0])
+        own = parse("x", ab_xy)
+        assert Als.from_cells(ab_xy, [[1, own], [0, 1]], [0, 1]).polynomial() == -own
+        assert left_companion(ab_xy, [own], [0]) == system_for_x(ab_xy)
 
     def test_stores_plain_fractions(self, ab_xy):
         als = Als.from_cells(ab_xy, [[1, "-x"], [0, 1]], [0, 3])
