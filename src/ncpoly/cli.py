@@ -64,6 +64,8 @@ def _session(args) -> SessionConfig:
     alphabet = None
     if args.alphabet:
         alphabet = Alphabet([x.strip() for x in args.alphabet.split(",")])
+    if args.format == "csv" and args.command != "table":
+        raise ValueError(f"--format csv is for table only, not {args.command}")
     return SessionConfig(alphabet, args.seed, args.format)
 
 

@@ -379,6 +379,8 @@ def evaluate_product(systems: Sequence[Als], tup: MatrixTuple) -> EvalReport:
     """
     if not systems:
         raise ValueError("need at least one factor")
+    if any(als.alphabet != systems[0].alphabet for als in systems):
+        raise ValueError("operands use different alphabets")
     value, count = tup.coeff(Fraction(1)), 0
     for als in systems:
         factor, factor_count = _left_value(als, tup)

@@ -31,6 +31,7 @@ from .realization import (
     Als,
     CellLike,
     LinearEntry,
+    _Work,
     _coerce_cell,
     _entry_row_str,
     _parse_entry_row,
@@ -129,21 +130,8 @@ class BlockFactorization:
         return hash((self.alphabet, self.factors))
 
     def polynomial(self) -> NcPolynomial:
-        """Symbolic product of the chain in the free algebra."""
-        row = [entry.to_polynomial(self.alphabet) for entry in self.factors[0][0]]
-        for grid in self.factors[1:]:
-            width = len(grid[0])
-            row = [
-                sum(
-                    (
-                        row[i] * grid[i][j].to_polynomial(self.alphabet)
-                        for i in range(len(row))
-                    ),
-                    NcPolynomial.zero(self.alphabet),
-                )
-                for j in range(width)
-            ]
-        return row[0]
+        """Symbolic product of the chain: the polynomial of ``to_block_als``."""
+        return self.to_block_als().polynomial()
 
     def to_block_als(self) -> Als:
         """Polynomial ALS with -factor blocks on the block superdiagonal."""
@@ -290,7 +278,7 @@ def _partial_passes(
     and of Q's transpose.
     """
     n = als.n
-    work = minimizer._Work(als.alphabet, als.rows, als.rhs)
+    work = _Work.thaw(als)
     p_cells: _Ops = {}
     qt_cells: _Ops = {}  # Q transposed: column ops compose as row ops
     for _ in range(_MAX_PASSES):

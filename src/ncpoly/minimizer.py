@@ -25,16 +25,8 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from . import linalg
-from .freepoly import Alphabet, NcPolynomial, Word, word_key
-from .realization import (
-    Als,
-    LinearEntry,
-    _append_summand,
-    _mix_in_place,
-    _monomial_block,
-    _restoring_cells,
-    _zero_cell_rows,
-)
+from .freepoly import NcPolynomial, Word, word_key
+from .realization import Als, _Work, _zero_cell_rows
 
 
 _ZERO = Fraction(0)
@@ -115,50 +107,6 @@ def _constant_parts(targets, x) -> tuple[Fraction, ...]:
         -(entry.constant + sum((x[v] * e.constant for v, e in terms if x[v]), _ZERO))
         for entry, terms in targets
     )
-
-
-class _Work:
-    """A system under minimization: mutable rows and right-hand side.
-
-    The steps below edit it in place and validate nothing; the solvers read
-    it like an ``Als`` (``rows``, ``rhs``, ``alphabet``, ``n``).  ``freeze``
-    validates it once, as the ``Als`` it returns.
-    """
-
-    __slots__ = ("alphabet", "rows", "rhs", "zero")
-
-    def __init__(self, alphabet: Alphabet, rows=(), rhs=()):
-        self.alphabet = alphabet
-        self.rows = [list(row) for row in rows]
-        self.rhs = list(rhs)
-        self.zero = LinearEntry.zero(len(alphabet))
-
-    @property
-    def n(self) -> int:
-        return len(self.rows)
-
-    def freeze(self) -> Als:
-        return Als(self.alphabet, self.rows, self.rhs)
-
-    def mix(self, p_cells, q_cells) -> None:
-        _mix_in_place(self.rows, self.rhs, p_cells, q_cells, self.zero)
-
-    def cut(self, m: int) -> None:
-        """Keep the first m rows and columns."""
-        del self.rows[m:], self.rhs[m:]
-        for row in self.rows:
-            del row[m:]
-
-    def drop(self, k: int) -> None:
-        """Remove row/column k (1-based)."""
-        p = k - 1
-        del self.rows[p], self.rhs[p]
-        for row in self.rows:
-            del row[p]
-
-    def restore_polynomial_form(self) -> None:
-        """As ``realization.restore_polynomial_form``, in place."""
-        self.mix(_restoring_cells(self.rhs), {})
 
 
 def _left_step(work: _Work, k: int, t, u) -> None:
@@ -245,7 +193,7 @@ def minimize(als: Als, trace: Optional[list[str]] = None) -> Als:
     """
     if als.is_empty:
         return als
-    work = _Work(als.alphabet, als.rows, als.rhs)
+    work = _Work.thaw(als)
     _reduce(work, trace)
     return work.freeze()
 
@@ -285,10 +233,8 @@ def build_als(
         if sorted(words, key=word_key) != sorted(p.support(), key=word_key):
             raise ValueError("insertion order must be a permutation of the support")
     work = _Work(p.alphabet)
-    d = len(p.alphabet)
     for word in words:
-        rows, rhs = _monomial_block(word, p.coefficient(word), d)
-        _append_summand(work.rows, work.rhs, rows, rhs, d)
+        work.add_monomial(word, p.coefficient(word))
         _reduce(work, None)
     return work.freeze()
 

@@ -11,8 +11,10 @@ Entries are *pencils*: an entry is ``c0 + c1*x1 + ... + cd*xd`` stored as a
 ``A = A0 + A1 (x) x1 + ... + Ad (x) xd`` with scalar coefficient matrices.
 
 A *polynomial* ALS additionally has ``v = (0, ..., 0, lam)`` with nonzero
-``lam``; all constructors here produce that shape directly, and the
-minimizer restores it after transformations.
+``lam``.  Every system is built and changed on one mutable ``_Work``: each
+constructor and transformation, the minimizer's and the factorizer's
+included, thaws an ``Als`` into one or starts an empty one, edits it in
+place and freezes it once, which validates the result.
 """
 
 from __future__ import annotations
@@ -212,9 +214,6 @@ class Als:
             raise ValueError("system is not in polynomial form")
         return self.rhs[-1]
 
-    def entry(self, i: int, j: int) -> LinearEntry:
-        return self.rows[i][j]
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, Als):
             return NotImplemented
@@ -381,54 +380,118 @@ def _line_terms(cells: _Cells, by_column: bool) -> dict[int, list]:
     return lines
 
 
-def _mix_in_place(
-    rows: list[list[LinearEntry]],
-    rhs: list[Fraction],
-    p_cells: _Cells,
-    q_cells: _Cells,
-    zero: LinearEntry,
-) -> None:
-    """(A, v) -> (P A Q, P v) for unitriangular P and Q, on mutable rows in place.
+class _Work:
+    """A system being built or changed: mutable rows and right-hand side.
 
-    ``p_cells`` and ``q_cells`` hold the off-diagonal cells of P and Q;
-    every other cell is that of the identity.  Rows are mixed first, then
-    columns of the row-mixed grid; every source row (column) is read before
-    any mixed row (column) is written.  A mixed cell is only computed where
-    one of its sources is nonzero; every other mixed cell is ``zero``.
-    Nothing is validated here.
+    The edits validate nothing; ``freeze`` validates the result once, as the
+    ``Als`` it returns.  Solvers read it like an ``Als`` (``rows``, ``rhs``,
+    ``alphabet``, ``n``).
     """
-    n = len(rows)
-    row_mix = _line_terms(p_cells, False)
-    sources = {
-        k: [(j, e) for j, e in enumerate(rows[k]) if not e.is_zero]
-        for k in {k for mix in row_mix.values() for k, _ in mix}
-    }
-    mixed_rows = {
-        i: (
-            _mixed([(f, sources[k]) for k, f in mix], zero),
-            sum((f * v for k, f in mix if (v := rhs[k])), Fraction(0)),
-        )
-        for i, mix in row_mix.items()
-    }
-    for i, (cells, value) in mixed_rows.items():
-        row = rows[i] = [zero] * n
-        for j, entry in cells.items():
-            row[j] = entry
-        rhs[i] = value
-    col_mix = _line_terms(q_cells, True)
-    sources = {
-        k: [(r, row[k]) for r, row in enumerate(rows) if not row[k].is_zero]
-        for k in {k for mix in col_mix.values() for k, _ in mix}
-    }
-    mixed_cols = {
-        j: _mixed([(f, sources[k]) for k, f in mix], zero)
-        for j, mix in col_mix.items()
-    }
-    for j, cells in mixed_cols.items():
-        for row in rows:
-            row[j] = zero
-        for r, entry in cells.items():
-            rows[r][j] = entry
+
+    __slots__ = ("alphabet", "rows", "rhs", "zero")
+
+    def __init__(self, alphabet: Alphabet, rows=(), rhs=()):
+        self.alphabet = alphabet
+        self.rows = [list(row) for row in rows]
+        self.rhs = list(rhs)
+        self.zero = LinearEntry.zero(len(alphabet))
+
+    @classmethod
+    def thaw(cls, als: Als) -> "_Work":
+        return cls(als.alphabet, als.rows, als.rhs)
+
+    @property
+    def n(self) -> int:
+        return len(self.rows)
+
+    def freeze(self) -> Als:
+        return Als(self.alphabet, self.rows, self.rhs)
+
+    def mix(self, p_cells: _Cells, q_cells: _Cells) -> None:
+        """(A, v) -> (P A Q, P v) for unitriangular P and Q, in place.
+
+        ``p_cells`` and ``q_cells`` hold the off-diagonal cells of P and Q;
+        every other cell is that of the identity.  Rows are mixed first,
+        then columns of the row-mixed grid; every source row (column) is
+        read before any mixed row (column) is written.  A mixed cell is
+        only computed where one of its sources is nonzero.
+        """
+        rows, rhs, zero, n = self.rows, self.rhs, self.zero, self.n
+        row_mix = _line_terms(p_cells, False)
+        sources = {
+            k: [(j, e) for j, e in enumerate(rows[k]) if not e.is_zero]
+            for k in {k for mix in row_mix.values() for k, _ in mix}
+        }
+        mixed_rows = {
+            i: (
+                _mixed([(f, sources[k]) for k, f in mix], zero),
+                sum((f * v for k, f in mix if (v := rhs[k])), Fraction(0)),
+            )
+            for i, mix in row_mix.items()
+        }
+        for i, (cells, value) in mixed_rows.items():
+            row = rows[i] = [zero] * n
+            for j, entry in cells.items():
+                row[j] = entry
+            rhs[i] = value
+        col_mix = _line_terms(q_cells, True)
+        sources = {
+            k: [(r, row[k]) for r, row in enumerate(rows) if not row[k].is_zero]
+            for k in {k for mix in col_mix.values() for k, _ in mix}
+        }
+        mixed_cols = {
+            j: _mixed([(f, sources[k]) for k, f in mix], zero)
+            for j, mix in col_mix.items()
+        }
+        for j, cells in mixed_cols.items():
+            for row in rows:
+                row[j] = zero
+            for r, entry in cells.items():
+                rows[r][j] = entry
+
+    def append(self, b_rows, b_rhs, coupling: _Cells) -> None:
+        """Extend (A, v) in place to ([[A, C], [0, B]], (v, w)): the one block layout.
+
+        (B, w) is given by ``b_rows`` and ``b_rhs``, and C sparsely by ``coupling``.
+        """
+        na, nb = self.n, len(b_rows)
+        for row in self.rows:
+            row.extend([self.zero] * nb)
+        self.rows.extend([self.zero] * na + list(row) for row in b_rows)
+        for (i, j), value in coupling.items():
+            self.rows[i][na + j] = LinearEntry.scalar(value, len(self.alphabet))
+        self.rhs.extend(b_rhs)
+
+    def add_monomial(self, word: Word, coeff: Fraction) -> None:
+        """Add the bidiagonal system of coeff * word as in ``als_add``."""
+        d = len(self.alphabet)
+        rows = _unit_rows(len(word) + 1, d)
+        for i, letter in enumerate(word):
+            rows[i][i + 1] = LinearEntry.letter(letter, d, -1)
+        coupling = {(0, 0): Fraction(-1)} if self.rows else {}
+        self.append(rows, [Fraction(0)] * len(word) + [coeff], coupling)
+
+    def cut(self, m: int) -> None:
+        """Keep the first m rows and columns."""
+        del self.rows[m:], self.rhs[m:]
+        for row in self.rows:
+            del row[m:]
+
+    def drop(self, k: int) -> None:
+        """Remove row/column k (1-based)."""
+        p = k - 1
+        del self.rows[p], self.rhs[p]
+        for row in self.rows:
+            del row[p]
+
+    def restore_polynomial_form(self) -> None:
+        """As ``restore_polynomial_form``, in place; a no-op in polynomial form."""
+        n, lam = self.n, self.rhs[-1]
+        if lam == 0:
+            raise ValueError(
+                "cannot restore polynomial form: v_n is zero (see minimize)"
+            )
+        self.mix({(i, n - 1): -v / lam for i, v in enumerate(self.rhs[:-1]) if v}, {})
 
 
 # A cell to zero: its entry, and the (unknown, entry) pairs that multiply
@@ -467,15 +530,10 @@ def _zero_cell_rows(
 
 
 def _transform(als: Als, p_cells: _Cells, q_cells: _Cells) -> Als:
-    """(A, v) -> (P A Q, P v) for unitriangular P and Q (see ``_mix_in_place``).
-
-    This is the one place where a system is transformed: a copy is mixed
-    in place and validated like any other system.
-    """
-    rows = [list(row) for row in als.rows]
-    rhs = list(als.rhs)
-    _mix_in_place(rows, rhs, p_cells, q_cells, LinearEntry.zero(len(als.alphabet)))
-    return Als(als.alphabet, rows, rhs)
+    """(A, v) -> (P A Q, P v) for unitriangular P and Q (see ``_Work.mix``)."""
+    work = _Work.thaw(als)
+    work.mix(p_cells, q_cells)
+    return work.freeze()
 
 
 def apply_transformation(als: Als, trans: AdmissibleTransformation) -> Als:
@@ -499,55 +557,10 @@ def minimal_monomial(alphabet: Alphabet, word: Word, coeff=1) -> Als:
     and v = coeff * e_{k+1}.  ``coeff = 0`` yields the empty system.
     """
     coeff = Fraction(coeff)
-    if coeff == 0:
-        return Als.empty(alphabet)
-    rows, rhs = _monomial_block(tuple(word), coeff, len(alphabet))
-    return Als(alphabet, rows, rhs)
-
-
-def _monomial_block(
-    word: Word, coeff: Fraction, d: int
-) -> tuple[list[list[LinearEntry]], list[Fraction]]:
-    """Mutable rows and right-hand side of the bidiagonal system for coeff * word."""
-    n = len(word) + 1
-    rows = _unit_rows(n, d)
-    for i, letter in enumerate(word):
-        rows[i][i + 1] = LinearEntry.letter(letter, d, -1)
-    return rows, [Fraction(0)] * (n - 1) + [coeff]
-
-
-def _append_block(
-    rows: list[list[LinearEntry]],
-    b_rows: Sequence[Sequence[LinearEntry]],
-    coupling: dict[tuple[int, int], Fraction],
-    d: int,
-) -> None:
-    """Extend mutable rows A in place to [[A, C], [0, B]].
-
-    C is given sparsely by ``coupling``; this is the one block layout.
-    """
-    na, nb = len(rows), len(b_rows)
-    zero = LinearEntry.zero(d)
-    for row in rows:
-        row.extend([zero] * nb)
-    rows.extend([zero] * na + list(row) for row in b_rows)
-    for (i, j), value in coupling.items():
-        rows[i][na + j] = LinearEntry.scalar(value, d)
-
-
-def _append_summand(
-    rows: list[list[LinearEntry]],
-    rhs: list[Fraction],
-    b_rows: Sequence[Sequence[LinearEntry]],
-    b_rhs: Sequence[Fraction],
-    d: int,
-) -> None:
-    """Extend (A, v) in place to the sum system ([[A, -e1 e1^T], [0, B]], (v, w)).
-
-    An empty (A, v) becomes (B, w).
-    """
-    _append_block(rows, b_rows, {(0, 0): Fraction(-1)} if rows else {}, d)
-    rhs.extend(b_rhs)
+    work = _Work(alphabet)
+    if coeff:
+        work.add_monomial(tuple(word), coeff)
+    return work.freeze()
 
 
 def als_add(a: Als, b: Als) -> Als:
@@ -563,37 +576,31 @@ def als_add(a: Als, b: Als) -> Als:
         return b
     if b.is_empty:
         return a
-    rows, rhs = [list(row) for row in a.rows], list(a.rhs)
-    _append_summand(rows, rhs, b.rows, b.rhs, len(a.alphabet))
-    return Als(a.alphabet, rows, rhs)
+    work = _Work.thaw(a)
+    work.append(b.rows, b.rhs, {(0, 0): Fraction(-1)})
+    return work.freeze()
 
 
 def als_mul(a: Als, b: Als) -> Als:
     """System for the product (left factor first); dimension n_a + n_b.
 
-    Block shape [[A_a, -v_a e1^T], [0, A_b]] with v = (0, v_b).  Scalar
-    operands short-circuit by scaling the other side's right-hand side.
+    Block shape [[A_a, -v_a e1^T], [0, A_b]] with v = (0, v_b).  A scalar
+    operand (dimension 1) scales the other side's right-hand side instead.
     """
     if a.alphabet != b.alphabet:
         raise ValueError("operands use different alphabets")
     if a.is_empty or b.is_empty:
         return Als.empty(a.alphabet)
-    if a.n == 1:
-        return _scale_rhs(b, a.rhs[0])
-    if b.n == 1:
-        return _scale_rhs(a, b.rhs[0])
-    coupling = {
-        (i, 0): -a.rhs[i] for i in range(a.n) if a.rhs[i] != 0
-    }
-    rows = [list(row) for row in a.rows]
-    _append_block(rows, b.rows, coupling, len(a.alphabet))
-    return Als(a.alphabet, rows, [Fraction(0)] * a.n + list(b.rhs))
-
-
-def _scale_rhs(als: Als, factor: Fraction) -> Als:
-    if factor == 0:
-        return Als.empty(als.alphabet)
-    return Als(als.alphabet, als.rows, [factor * x for x in als.rhs])
+    if a.n == 1 or b.n == 1:
+        scalar, other = (a, b) if a.n == 1 else (b, a)
+        if not scalar.rhs[0]:
+            return Als.empty(a.alphabet)
+        work = _Work.thaw(other)
+        work.rhs = [scalar.rhs[0] * x for x in work.rhs]
+        return work.freeze()
+    work = _Work(a.alphabet, a.rows, [Fraction(0)] * a.n)
+    work.append(b.rows, b.rhs, {(i, 0): -x for i, x in enumerate(a.rhs) if x})
+    return work.freeze()
 
 
 def restore_polynomial_form(als: Als) -> Als:
@@ -605,17 +612,9 @@ def restore_polynomial_form(als: Als) -> Als:
     """
     if als.is_empty or als.is_polynomial_form:
         return als
-    return _transform(als, _restoring_cells(als.rhs), {})
-
-
-def _restoring_cells(rhs: Sequence[Fraction]) -> dict[tuple[int, int], Fraction]:
-    """The P cells of ``restore_polynomial_form``: none in polynomial form."""
-    if rhs[-1] == 0:
-        raise ValueError(
-            "cannot restore polynomial form: v_n is zero (see minimize)"
-        )
-    n, lam = len(rhs), rhs[-1]
-    return {(i, n - 1): -v / lam for i, v in enumerate(rhs[:-1]) if v}
+    work = _Work.thaw(als)
+    work.restore_polynomial_form()
+    return work.freeze()
 
 
 # -- companion systems --------------------------------------------------------

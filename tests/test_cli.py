@@ -288,6 +288,40 @@ class TestSelftest:
         assert code == 3 and len(failed) == 3 and failed[0] == "rank x - x*y*x == 4"
 
 
+class TestCsvIsForTable:
+    """Only table writes CSV; every other command refuses --format csv."""
+
+    @pytest.fixture
+    def argvs(self, tmp_path, intro_als, bench19_chain):
+        import random
+
+        from ncpoly import random_rational_tuple
+
+        als, mats, factors = (tmp_path / name for name in ("p.als", "m.txt", "f.txt"))
+        als.write_text(dump_als(intro_als))
+        mats.write_text(dump_matrix_tuple(random_rational_tuple(random.Random(3), 2, 2)))
+        factors.write_text(dump_factors(bench19_chain))
+        return {
+            "rank": ("x*y",),
+            "compile": ("x*y",),
+            "minimize": (str(als),),
+            "eval": (str(als), str(mats)),
+            "factor": ("x*y",),
+            "verify-block": (str(factors), BENCH19_TEXT),
+            "selftest": ("--rounds", "1"),
+        }
+
+    @pytest.mark.parametrize(
+        "command", ["rank", "compile", "minimize", "eval", "factor", "verify-block", "selftest"]
+    )
+    def test_other_commands_exit_two(self, capsys, argvs, command):
+        code, out, _ = run(capsys, command, *argvs[command])
+        assert code == 0 and out  # the same call runs without --format csv
+        code, out, err = run(capsys, "--format", "csv", command, *argvs[command])
+        assert code == 2 and out == ""
+        assert err == f"error: --format csv is for table only, not {command}\n"
+
+
 class TestCountOptions:
     """--kmax-p/--kmax-q are 0..10/0..8, --rounds/--size at least 1."""
 

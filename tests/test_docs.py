@@ -1,7 +1,9 @@
-"""The README's library tour and every demo script run as written, and the
-README names every command and option of the command line."""
+"""The README's library tour and every demo script run as written, the
+README names every command and option of the command line, and each module
+imports only from the layers below it."""
 
 import argparse
+import ast
 import os
 import re
 import subprocess
@@ -49,3 +51,47 @@ def test_readme_names_every_command_and_option():
                 if not any(o in readme for o in options or action.option_strings):
                     missing.append(f"{name} {action.option_strings[0]}")
     assert not missing, missing
+
+
+# errors < linalg < freepoly < realization < families, minimizer < factorizer
+# < evaluator < cli < the package itself
+LAYERS = {
+    "errors": 0,
+    "linalg": 1,
+    "freepoly": 2,
+    "realization": 3,
+    "families": 4,
+    "minimizer": 4,
+    "factorizer": 5,
+    "evaluator": 6,
+    "cli": 7,
+    "__init__": 8,
+}
+
+
+def package_imports(path):
+    """The ncpoly modules a source file imports, by relative import."""
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.ImportFrom) and node.level:
+            if node.module:
+                names.add(node.module.split(".")[0])
+            else:  # from . import x
+                names.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.Import):
+            names.update(a.name.split(".")[1] for a in node.names if a.name.startswith("ncpoly."))
+    return names
+
+
+def test_modules_import_only_lower_layers():
+    sources = sorted((ROOT / "src" / "ncpoly").glob("*.py"))
+    assert {path.stem for path in sources} == set(LAYERS)
+    upward = [
+        f"{path.stem} imports {name}"
+        for path in sources
+        for name in sorted(package_imports(path))
+        if LAYERS[name] >= LAYERS[path.stem]
+    ]
+    assert not upward, upward
+    imports = package_imports(ROOT / "src" / "ncpoly" / "realization.py")
+    assert imports == {"errors", "freepoly", "linalg"}

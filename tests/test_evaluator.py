@@ -232,6 +232,15 @@ class TestEvaluateProduct:
             assert np.array_equal(report.result, np.zeros((2, 2)))
 
 
+    def test_rejects_systems_over_different_alphabets(self):
+        polys = [parse("a*b", Alphabet(("a", "b"))), parse("x+y", Alphabet(("x", "y")))]
+        tup = random_rational_tuple(random.Random(16), 2, 2)
+        with pytest.raises(ValueError, match="^operands use different alphabets$"):
+            polys[0] * polys[1]  # as multiplying the polynomials does
+        with pytest.raises(ValueError, match="^operands use different alphabets$"):
+            evaluate_product([build_als(p) for p in polys], tup)
+
+
 class TestHornerCounts:
     def horner_oracle(self, coeffs_low_to_high, x):
         m = x.shape[0]
