@@ -2,9 +2,12 @@
 
 A minimal system represents a product exactly when some admissible
 transformation creates an upper-right zero block; the two factors can then
-be read off the diagonal blocks.  The search here uses linear
-(non-overlapping) row/column solves, so a miss is "no split found",
-never a proof of irreducibility.
+be read off the diagonal blocks.  The search first tries linear
+(non-overlapping) row/column solves, then the full equations at each split
+position, whose one bilinear term turns the constant equations into
+quadratics in at most one free parameter.  Positions with more free
+parameters are not searched, so a miss is "no split found", never a proof
+of irreducibility.
 """
 
 from ncpoly import (
@@ -37,6 +40,13 @@ q = parse("2aexc + 2bxc - aexd - bxd", wide_ab)
 atoms = factor_atoms(q)
 print(f"{q}")
 print("  = " + " * ".join(f"({a})" for a in atoms))
+
+print()
+print("== factors sharing a letter: a quadratic in one parameter ==")
+x_ab = Alphabet(("x",))
+for text in ("(1 - 2*x)*(-2 - 3*x)", "x*x - 1"):
+    atoms = factor_atoms(parse(text, x_ab))
+    print(f"{text} = " + " * ".join(f"({a})" for a in atoms))
 
 print()
 print("== an atom: no split exists ==")

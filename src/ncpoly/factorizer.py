@@ -4,11 +4,16 @@ A minimal polynomial ALS of dimension n represents a product q1*q2 with
 rank(q_i) = n_i (n_1 + n_2 = n + 1) exactly when some polynomial
 transformation (P, Q) pushes an (n_1 - 1) x (n_2 - 1) block of zeros into
 the upper right corner of the system matrix.  Finding such (P, Q) is a
-non-linear problem in general; this module implements the *linear* part:
+non-linear problem in general.  This module first tries its linear part:
 two joint solves whose row sources all lie below their column sources (so
 each bilinear term multiplies a zero cell below the diagonal, and a
 solution zeroes the block exactly), and a bounded alternation of partial
-row/column passes.  A ``None`` result therefore means "no split found",
+row/column passes.  Then it solves the full equations over the union of
+the joint solves' unknowns: their one bilinear term per cell passes
+through the split row's diagonal 1, so the letter equations stay linear,
+and when they leave at most one free parameter the constant equations
+become quadratics in it whose rational roots are tried.  More parameters
+are not searched (the cap), so a ``None`` result means "no split found",
 never "irreducible".
 
 Block factorizations (chains of rectangular pencil matrices whose product
@@ -19,6 +24,7 @@ embedded as block systems with the factors on the superdiagonal.
 from __future__ import annotations
 
 import random
+from math import isqrt
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -31,6 +37,7 @@ from .realization import (
     Als,
     CellLike,
     LinearEntry,
+    _Target,
     _Work,
     _coerce_cell,
     _entry_row_str,
@@ -43,6 +50,11 @@ from .realization import (
 Grid = tuple[tuple[LinearEntry, ...], ...]
 _Ops = dict[tuple[int, int], Fraction]  # off-diagonal cells of P or Q
 _MAX_PASSES = 3  # alternations of row and column passes per split position
+# Free parameters the full split solve handles: with one, each constant
+# equation is a quadratic in it.  A position whose letter equations leave
+# more is "capped": it is not searched, and a miss there is retried on
+# rebuilt systems (see _split_with_retries).
+_MAX_KERNEL_DIM = 1
 
 
 def entry_grid(alphabet: Alphabet, cells: Sequence[Sequence[CellLike]]) -> Grid:
@@ -185,22 +197,21 @@ def _block_is_zero(als: Als, n1: int) -> bool:
     return all(als.rows[i][j].is_zero for i in range(n1 - 1) for j in range(n1, als.n))
 
 
-def _zero_block_ops(
+def _block_unknowns(
     als: Als,
     target_rows: Sequence[int],
     target_cols: Sequence[int],
-    comps: Sequence[int],
     row_sources: Sequence[int],
     col_sources: Sequence[int],
-) -> Optional[tuple[_Ops, _Ops]]:
-    """One exact linear solve for row/column ops zeroing the target cells.
+) -> tuple[list[tuple[str, int, int]], list[_Target]]:
+    """The row and column ops on the target cells, and the cells' targets.
 
     Row i gains alpha[i, r] * row r for row sources r > i, and column j
-    gains beta[c, j] * column c for column sources 0 < c < j; only the
-    given pencil components of the target cells are zeroed.  Sources are
-    0-based; every row source must exceed every column source, which kills
-    the bilinear alpha*A*beta terms and makes the equations exactly linear.
-    Returns the nonzero (alpha, beta), or ``None`` when inconsistent.
+    gains beta[c, j] * column c for column sources 0 < c < j.  Returns the
+    unknowns, numbered row ops first as ``("row", i, r)`` and
+    ``("col", c, j)``, and per target cell (rows outer) the cell's entry
+    with the ``(unknown, entry)`` pairs that multiply the unknowns in it,
+    leaving out the bilinear alpha*A*beta terms.
     """
     a = als.rows
     variables = [("row", i, r) for i in target_rows for r in row_sources if r > i]
@@ -212,15 +223,110 @@ def _zero_block_ops(
             terms = [(index["row", i, r], a[r][j]) for r in row_sources if r > i]
             terms += [(index["col", c, j], a[i][c]) for c in col_sources if 0 < c < j]
             targets.append((a[i][j], terms))
-    eqs = _zero_cell_rows(targets, comps, len(variables))
-    solution = None if eqs is None else linalg.solve_rows(*eqs, len(variables))
-    if solution is None:
-        return None
+    return variables, targets
+
+
+def _ops_of(
+    variables: Sequence[tuple[str, int, int]], solution: Sequence[Fraction]
+) -> tuple[_Ops, _Ops]:
+    """The nonzero row ops (P cells) and column ops (Q cells) of a solution."""
     ops: dict[str, _Ops] = {"row": {}, "col": {}}
     for (kind, s, t), x in zip(variables, solution):
         if x != 0:
             ops[kind][s, t] = x
     return ops["row"], ops["col"]
+
+
+def _zero_block_ops(
+    als: Als,
+    target_rows: Sequence[int],
+    target_cols: Sequence[int],
+    comps: Sequence[int],
+    row_sources: Sequence[int],
+    col_sources: Sequence[int],
+) -> Optional[tuple[_Ops, _Ops]]:
+    """One exact linear solve for row/column ops zeroing the target cells.
+
+    The unknowns are those of ``_block_unknowns``; only the given pencil
+    components of the target cells are zeroed.  Sources are 0-based; every
+    row source must exceed every column source, which kills the bilinear
+    alpha*A*beta terms and makes the equations exactly linear.  Returns
+    the nonzero (alpha, beta), or ``None`` when inconsistent.
+    """
+    variables, targets = _block_unknowns(
+        als, target_rows, target_cols, row_sources, col_sources
+    )
+    eqs = _zero_cell_rows(targets, comps, len(variables))
+    solution = None if eqs is None else linalg.solve_rows(*eqs, len(variables))
+    if solution is None:
+        return None
+    return _ops_of(variables, solution)
+
+
+def _rational_roots(c0: Fraction, c1: Fraction, c2: Fraction) -> list[Fraction]:
+    """The rational roots of c0 + c1*t + c2*t^2, not all coefficients zero.
+
+    The roots come in increasing order.
+    """
+    if not c2:
+        return [-c0 / c1] if c1 else []
+    disc = c1 * c1 - 4 * c2 * c0
+    if disc < 0:
+        return []
+    num, den = isqrt(disc.numerator), isqrt(disc.denominator)
+    if num * num != disc.numerator or den * den != disc.denominator:
+        return []
+    roots = {(-c1 + sign * Fraction(num, den)) / (2 * c2) for sign in (1, -1)}
+    return sorted(roots)
+
+
+def _full_split_ops(als: Als, n1: int) -> tuple[Optional[tuple[_Ops, _Ops]], bool]:
+    """Ops zeroing the block at split position n1, bilinear term included.
+
+    The unknowns are the union of the two joint solves': alpha[i, r] for
+    target rows i <= n1-2 and row sources r = n1-1..n-2, beta[c, j] for
+    column sources c = 1..n1-1 and target columns j >= n1.  A bilinear
+    term alpha[i, r] * A[r, c] * beta[c, j] needs A[r, c] != 0, so r <= c,
+    which leaves r = c = n1-1, where A is 1: the letter components of the
+    equations are linear, and the constant component of cell (i, j) gains
+    alpha[i, n1-1] * beta[n1-1, j].  The letter equations are solved
+    exactly, as a particular solution plus a kernel.  Without a kernel
+    the constant equations are checked at that solution; with a kernel of
+    dimension 1 each becomes a quadratic in its parameter t, and the
+    rational roots of the first nonzero one are tried in turn.  A larger
+    kernel is not searched (see ``_MAX_KERNEL_DIM``).
+
+    Returns (the nonzero (alpha, beta) or ``None``, whether the kernel was
+    too large).  Row sources stop above row n-1, so ``P v = v``.
+    """
+    n, d = als.n, len(als.alphabet)
+    split = n1 - 1
+    variables, targets = _block_unknowns(
+        als, range(split), range(n1, n), range(split, n - 1), range(1, n1)
+    )
+    width = len(variables)
+    eqs = _zero_cell_rows(targets, range(1, d + 1), width)
+    space = None if eqs is None else linalg.solution_space(*eqs, width)
+    if space is None:
+        return None, False
+    x0, kernel = space
+    if len(kernel) > _MAX_KERNEL_DIM:
+        return None, True
+    k = kernel[0] if kernel else [Fraction(0)] * width
+    # the alpha[i, n1-1] and beta[n1-1, j] unknowns, in target order
+    alphas = [v for v, (kind, _, r) in enumerate(variables) if kind == "row" and r == split]
+    betas = [v for v, (kind, c, _) in enumerate(variables) if kind == "col" and c == split]
+    quadratics = []
+    cells = ((a, b) for a in alphas for b in betas)
+    for (entry, terms), (a, b) in zip(targets, cells):
+        c0 = entry.coeffs[0] + sum(x0[v] * e.coeffs[0] for v, e in terms) + x0[a] * x0[b]
+        c1 = sum(k[v] * e.coeffs[0] for v, e in terms) + x0[a] * k[b] + k[a] * x0[b]
+        quadratics.append((c0, c1, k[a] * k[b]))
+    first = next((q for q in quadratics if any(q)), None)
+    for t in [Fraction(0)] if first is None else _rational_roots(*first):
+        if all(c0 + t * (c1 + t * c2) == 0 for c0, c1, c2 in quadratics):
+            return _ops_of(variables, [x + t * y for x, y in zip(x0, k)]), False
+    return None, False
 
 
 def _single_pass_ops(
@@ -308,12 +414,15 @@ def _partial_passes(
 def find_split(als: Als) -> Optional[FactorSplit]:
     """Search split positions n1 = 2..n-1, in order, for a certified zero block.
 
-    Strategies per position, in order: the two joint solves (split row
-    n1 - 1 as a row source, then as a column source), which subsume the
+    First, per position in order: the two joint solves (split row n1 - 1
+    as a row source, then as a column source), which subsume the
     rows-only and columns-only solves, then bounded alternating passes.
-    Equal systems give equal results.  The input must be minimal (the
-    factorization criterion presupposes it): a system on which some
-    minimization equation is solvable raises ``ValueError``.
+    Only when all of these miss everywhere does the full solve, bilinear
+    term included (``_full_split_ops``), run at n1 = 2..n-1.  Equal systems
+    give equal results.  The input must be minimal (the factorization
+    criterion presupposes it): a system on which some minimization
+    equation is solvable raises ``ValueError``.  ``None`` means "no split
+    found": the full solve is capped at one free parameter.
     """
     n = als.n
     if n < 3:
@@ -332,14 +441,27 @@ def find_split(als: Als) -> Optional[FactorSplit]:
                 als, range(n1 - 1), range(n1, n), comps, row_sources, col_sources
             )
             if found is not None:
-                trans = AdmissibleTransformation(n, *found)
-                transformed = apply_transformation(als, trans)
-                return FactorSplit(transformed, n1, n + 1 - n1, trans)
+                return _certified(als, n1, found)
         partial = _partial_passes(als, n1)
         if partial is not None:
             transformed, trans = partial
             return FactorSplit(transformed, n1, n + 1 - n1, trans)
+    for n1 in range(2, n):
+        found = _full_split_ops(als, n1)[0]
+        if found is not None:
+            return _certified(als, n1, found)
     return None
+
+
+def _certified(als: Als, n1: int, ops: tuple[_Ops, _Ops]) -> FactorSplit:
+    """The split that the row and column ops give at position n1."""
+    trans = AdmissibleTransformation(als.n, *ops)
+    return FactorSplit(apply_transformation(als, trans), n1, als.n + 1 - n1, trans)
+
+
+def _capped(als: Als) -> bool:
+    """Whether the full solve left too many free parameters at some position."""
+    return any(_full_split_ops(als, n1)[1] for n1 in range(2, als.n))
 
 
 def extract_factors(split: FactorSplit) -> tuple[Als, Als]:
@@ -372,15 +494,17 @@ _RETRY_LIMIT_DIM = 10  # beyond this a single search is already expensive
 def _split_with_retries(als: Als) -> Optional[FactorSplit]:
     """find_split, retried on alternative minimal representatives.
 
-    Whether the linear strategies reach a zero block depends on the
-    concrete system matrix, not just on the polynomial, so when the search
-    misses we rebuild the system with shuffled monomial insertion orders
-    (from a fixed seed) and try again.  find_split is deterministic, so a
-    rebuilt system equal to one already searched would miss again: each
-    distinct system is searched once.
+    Only a miss where the full solve was capped at some position is
+    retried; without a cap every position's full equations were solved,
+    and the miss is final for this system.  After a capped miss, whether
+    the search reaches a zero block depends on the concrete system matrix,
+    not just on the polynomial, so we rebuild the system with shuffled
+    monomial insertion orders (from a fixed seed) and try again.
+    find_split is deterministic, so a rebuilt system equal to one already
+    searched would miss again: each distinct system is searched once.
     """
     split = find_split(als)
-    if split is not None or als.n > _RETRY_LIMIT_DIM:
+    if split is not None or als.n > _RETRY_LIMIT_DIM or not _capped(als):
         return split
     poly = als.polynomial()
     words = sorted(poly.support())
@@ -411,12 +535,13 @@ def factor_atoms(p: NcPolynomial) -> list[NcPolynomial]:
     """Split recursively until no further split is found.
 
     The returned factors multiply back to p in order.  Factors are atoms
-    *as far as the linear strategies can tell*; a single-element result is
-    not a proof of irreducibility.  A miss on one minimal system may be a
-    hit on another, so each no-split verdict is double-checked on a few
-    rebuilt representatives (small dimensions only).  Split factors are
-    minimal (their ranks n1 + n2 = n + 1 add up as for any product) and
-    are searched again as they are.  The result depends on p alone.
+    *as far as the split search can tell*; a single-element result is not
+    a proof of irreducibility.  A miss on a system where the full solve
+    was capped at some position is double-checked on a few rebuilt
+    representatives (small dimensions only); any other miss is final.
+    Split factors are minimal (their ranks n1 + n2 = n + 1 add up as for
+    any product) and are searched again as they are.  The result depends
+    on p alone.
     """
     if p.is_zero or p.is_scalar:
         raise ValueError("factorization needs a non-scalar polynomial")

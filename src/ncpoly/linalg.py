@@ -8,7 +8,8 @@ its denominators (``integer_scaled``, which exact evaluation shares), then
 fraction-free Gauss-Jordan runs on Python ints with first-nonzero pivoting
 (exact arithmetic needs no magnitude pivoting) and keeps every row
 primitive.  Solutions set all free variables to zero, so results are
-deterministic.  These routines back the minimization equations, the
+deterministic; ``solution_space`` adds one kernel vector per free
+variable.  These routines back the minimization equations, the
 family-rank tests, and the factorization solves.
 """
 
@@ -98,6 +99,11 @@ def _solve(rows: list[list[int]], width: int) -> Optional[list[Fraction]]:
     reduced, pivots = _eliminate(rows)
     if width in pivots:
         return None  # a pivot in the constant column: inconsistent
+    return _particular(reduced, pivots, width)
+
+
+def _particular(reduced: list[list[int]], pivots: list[int], width: int) -> list[Fraction]:
+    """The solution of consistent reduced rows whose free variables are zero."""
     solution = [Fraction(0)] * width
     for r, col in enumerate(pivots):
         row = reduced[r]
@@ -108,6 +114,30 @@ def _solve(rows: list[list[int]], width: int) -> Optional[list[Fraction]]:
 def rank(rows: Sequence[Sequence[Fraction]]) -> int:
     """Exact rank of equal-length rows of Fractions or ints (fraction-free)."""
     return len(_eliminate([_integer_row(row) for row in rows])[1])
+
+
+def _augmented(
+    rows: Sequence[Sequence], rhs: Sequence[Fraction], width: int
+) -> Optional[list[list[int]]]:
+    """Checked rows with their right-hand sides appended, as integer rows.
+
+    ``0 = 0`` rows are dropped, and the first ``0 = b`` row with ``b != 0``
+    returns ``None``.  Every row's length is checked first.
+    """
+    if len(rhs) != len(rows):
+        raise ValueError("right-hand side must match the number of rows")
+    if any(len(row) != width for row in rows):
+        raise ValueError(f"rows must have length {width}")
+    augmented = []
+    for row, b in zip(rows, rhs):
+        row = [to_fraction(x) for x in row]
+        if not any(row):
+            if b:
+                return None
+            continue
+        row.append(b)
+        augmented.append(_integer_row(row))
+    return augmented
 
 
 def solve_rows(
@@ -127,17 +157,34 @@ def solve_rows(
         return [] if all(x == 0 for x in rhs) else None
     if not rows:
         return [Fraction(0)] * width
-    if len(rhs) != len(rows):
-        raise ValueError("right-hand side must match the number of rows")
-    if any(len(row) != width for row in rows):
-        raise ValueError(f"rows must have length {width}")
-    augmented = []
-    for row, b in zip(rows, rhs):
-        row = [to_fraction(x) for x in row]
-        if not any(row):
-            if b:
-                return None
-            continue
-        row.append(b)
-        augmented.append(_integer_row(row))
-    return _solve(augmented, width)
+    augmented = _augmented(rows, rhs, width)
+    return None if augmented is None else _solve(augmented, width)
+
+
+def solution_space(
+    rows: Sequence[Sequence], rhs: Sequence, width: int
+) -> Optional[tuple[list[Fraction], list[list[Fraction]]]]:
+    """Every solution of a system given as plain lists, or ``None``.
+
+    Returns ``(x0, kernel)``: ``x0`` is the solution ``solve_rows`` gives
+    (free variables zero), and ``kernel`` holds one vector per free
+    variable, that variable 1 and the other free ones 0, so the solutions
+    are exactly ``x0`` plus the span of ``kernel``, and ``len(kernel)`` is
+    ``width`` minus the rank of the rows.  ``None`` when inconsistent.
+    """
+    augmented = _augmented(rows, [to_fraction(x) for x in rhs], width)
+    if augmented is None:
+        return None
+    reduced, pivots = _eliminate(augmented)
+    if width in pivots:
+        return None
+    kernel = []
+    for free in sorted(set(range(width)) - set(pivots)):
+        vector = [Fraction(0)] * width
+        vector[free] = Fraction(1)
+        for r, col in enumerate(pivots):
+            row = reduced[r]
+            if row[free]:
+                vector[col] = Fraction(-row[free], row[col])
+        kernel.append(vector)
+    return _particular(reduced, pivots, width), kernel

@@ -200,6 +200,11 @@ class TestFactor:
         code, out, _ = run(capsys, "factor", "x*y*z")
         assert code == 0 and out.splitlines()[0] == "atoms: 3"
 
+    def test_difference_of_squares(self, capsys):
+        # (x - 1)(x + 1): reached only by the full solve's quadratic
+        code, out, _ = run(capsys, "factor", "x*x-1")
+        assert code == 0 and out.splitlines()[0] == "atoms: 2"
+
     def test_anticommutator_reports_no_split(self, capsys):
         code, out, _ = run(capsys, "factor", "x*y + y*x")
         assert code == 0

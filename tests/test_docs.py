@@ -1,11 +1,12 @@
 """The README's library tour and every demo script run as written, the
-README names every command and option of the command line, and each module
-imports only from the layers below it."""
+README names every command and option of the command line and each of its
+command lines parses, and each module imports only from the layers below it."""
 
 import argparse
 import ast
 import os
 import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -51,6 +52,20 @@ def test_readme_names_every_command_and_option():
                 if not any(o in readme for o in options or action.option_strings):
                     missing.append(f"{name} {action.option_strings[0]}")
     assert not missing, missing
+
+
+def test_readme_command_lines_parse():
+    readme = (ROOT / "README.md").read_text()
+    block = readme.split("## Command line", 1)[1].split("```")[1]
+    lines = [line.split("#", 1)[0] for line in block.splitlines()]
+    commands = [shlex.split(line)[1:] for line in lines if line.strip()]
+    assert commands
+    parser = cli.build_parser()
+    for argv in commands:
+        try:
+            parser.parse_args(argv)
+        except SystemExit:
+            pytest.fail(f"README command line does not parse: ncpoly {shlex.join(argv)}")
 
 
 # errors < linalg < freepoly < realization < families, minimizer < factorizer

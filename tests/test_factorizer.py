@@ -312,26 +312,37 @@ class TestSplitSearchMatchesFormerLadder:
                     yield poly
 
     def test_same_splits_factors_and_atoms(self):
-        outcomes = set()
+        # equal wherever the ladder hits; where it misses, the full solve may
+        # hit, and such a split must be certified and multiply back
+        outcomes, gained = set(), 0
         for poly in self.corpus():
+            gained_here = False
             pending = [build_als(poly)]
             while pending:
                 als = pending.pop()
                 split = find_split(als)
                 former = former_find_split(als)
                 outcomes.add(split is not None)
-                assert (split is None) == (former is None)
                 if split is None:
+                    assert former is None
                     continue
-                assert split.n1 == former.n1
                 factors = extract_factors(split)
-                assert [f.polynomial() for f in factors] == [
-                    f.polynomial() for f in extract_factors(former)
-                ]
+                if former is None:
+                    gained_here = True
+                    assert apply_transformation(als, split.transformation) == split.transformed
+                else:
+                    assert split.n1 == former.n1
+                    assert [f.polynomial() for f in factors] == [
+                        f.polynomial() for f in extract_factors(former)
+                    ]
                 assert all(is_minimal(f) for f in factors)
                 pending.extend(f for f in factors if f.n >= 3)
-            assert factor_atoms(poly) == former_factor_atoms(poly)
-        assert outcomes == {True, False}
+            atoms, former_atoms = factor_atoms(poly), former_factor_atoms(poly)
+            assert product_of(atoms) == poly and len(atoms) >= len(former_atoms)
+            if not gained_here:
+                assert atoms == former_atoms
+            gained += gained_here
+        assert outcomes == {True, False} and gained
 
     def test_joint_solves_subsume_the_narrow_ones(self):
         solved = {"rows": 0, "cols": 0}
@@ -455,7 +466,7 @@ def retries_searching_repeats(als):
     """The retry loop as it was before repeated systems were skipped."""
     fz = ncpoly.factorizer
     split = fz.find_split(als)
-    if split is not None or als.n > fz._RETRY_LIMIT_DIM:
+    if split is not None or als.n > fz._RETRY_LIMIT_DIM or not fz._capped(als):
         return split
     poly = als.polynomial()
     words = sorted(poly.support())
@@ -469,8 +480,44 @@ def retries_searching_repeats(als):
     return None
 
 
+def retries_after_every_miss(als):
+    """The retry loop as it was before an uncapped miss was taken as final."""
+    fz = ncpoly.factorizer
+    split = fz.find_split(als)
+    if split is not None or als.n > fz._RETRY_LIMIT_DIM:
+        return split
+    poly = als.polynomial()
+    words = sorted(poly.support())
+    local = random.Random(0x5EED)
+    searched = {als}
+    for _ in range(5):
+        local.shuffle(words)
+        candidate = build_als(poly, insertion_order=list(words))
+        if candidate not in searched:
+            searched.add(candidate)
+            split = fz.find_split(candidate)
+            if split is not None:
+                return split
+    return None
+
+
+def seeded_random_products(seed, letters, count, max_terms=4, max_degree=3):
+    """Products of two seeded ``random_polynomial`` factors."""
+    ab = Alphabet(tuple(letters))
+    rng = random.Random(seed)
+    for _ in range(count):
+        p = random_polynomial(rng, ab, max_terms, max_degree)
+        q = random_polynomial(rng, ab, max_terms, max_degree)
+        if not (p * q).is_scalar:
+            yield p * q
+
+
 class TestRetrySearchesEachSystemOnce:
-    """Skipping systems already searched in a retry changes no atom."""
+    """Rebuilds run only after a capped miss, and search each system once.
+
+    Neither skipping the rebuilds after an uncapped miss nor skipping
+    systems already searched in a retry changes an atom.
+    """
 
     def searches(self, monkeypatch, retry, polys):
         """Atoms of each polynomial, and the systems each retry searched."""
@@ -492,8 +539,16 @@ class TestRetrySearchesEachSystemOnce:
             atoms = [factor_atoms(p) for p in polys]
         return atoms, per_retry
 
+    def capped_corpus(self):
+        # products of these factors leave free parameters at some positions
+        return [
+            poly
+            for seed, letters in ((41, "x"), (42, "xy"))
+            for poly in seeded_random_products(seed, letters, 25)
+        ]
+
     def test_same_atoms_and_no_repeated_search(self, monkeypatch):
-        polys = list(seeded_affine_products(150)) + list(seeded_xy_products(40))
+        polys = self.capped_corpus()
         atoms, searched = self.searches(
             monkeypatch, ncpoly.factorizer._split_with_retries, polys
         )
@@ -508,9 +563,148 @@ class TestRetrySearchesEachSystemOnce:
         calls = sum(map(len, searched))
         assert calls + repeats == sum(map(len, reference_searched))
 
+    def test_no_rebuild_after_an_uncapped_miss(self, monkeypatch):
+        polys = list(seeded_affine_products(150)) + list(seeded_xy_products(40))
+        polys += self.capped_corpus()
+        atoms, searched = self.searches(
+            monkeypatch, ncpoly.factorizer._split_with_retries, polys
+        )
+        reference, reference_searched = self.searches(
+            monkeypatch, retries_after_every_miss, polys
+        )
+        assert atoms == reference
+        rebuilt = sum(len(s) - 1 for s in searched)
+        assert 0 < rebuilt < sum(len(s) - 1 for s in reference_searched)
+
+
+def linear_find_split(als):
+    """find_split before the full solve: the joint solves and the passes."""
+    fz = ncpoly.factorizer
+    n = als.n
+    if n < 3:
+        return None
+    comps = range(len(als.alphabet) + 1)
+    for n1 in range(2, n):
+        for rows, cols in ((range(n1 - 1, n - 1), range(1, n1 - 1)), (range(n1, n - 1), range(1, n1))):
+            found = fz._zero_block_ops(als, range(n1 - 1), range(n1, n), comps, rows, cols)
+            if found is not None:
+                trans = AdmissibleTransformation(n, *found)
+                return FactorSplit(apply_transformation(als, trans), n1, n + 1 - n1, trans)
+        partial = fz._partial_passes(als, n1)
+        if partial is not None:
+            return FactorSplit(partial[0], n1, n + 1 - n1, partial[1])
+    return None
+
+
+def linear_factor_atoms(p):
+    """factor_atoms before the full solve, which rebuilt the system after every
+    miss; and whether some rebuild rescued a split."""
+    rescued = []
+
+    def split_with_retries(als):
+        split = linear_find_split(als)
+        if split is not None or als.n > ncpoly.factorizer._RETRY_LIMIT_DIM:
+            return split
+        poly = als.polynomial()
+        words = sorted(poly.support())
+        local = random.Random(0x5EED)
+        searched = {als}
+        for _ in range(5):
+            local.shuffle(words)
+            candidate = build_als(poly, insertion_order=list(words))
+            if candidate not in searched:
+                searched.add(candidate)
+                split = linear_find_split(candidate)
+                if split is not None:
+                    rescued.append(candidate)
+                    return split
+        return None
+
+    def atoms(als):
+        split = split_with_retries(als) if als.n >= 3 else None
+        if split is None:
+            return [als]
+        left, right = extract_factors(split)
+        return atoms(left) + atoms(right)
+
+    return [als.polynomial() for als in atoms(build_als(p))], bool(rescued)
+
+
+class TestFullSolveLosesNoSplit:
+    """Against the search without the full solve, on seeded products: no
+    atom count drops, and equal splits wherever the linear search hits."""
+
+    def corpus(self):
+        yield from seeded_affine_products(60)
+        yield from seeded_xy_products(60)
+        for seed, letters in ((51, "x"), (52, "xy"), (53, "xyz")):
+            yield from seeded_random_products(seed, letters, 40, 3, 2)
+
+    def test_never_fewer_atoms(self):
+        gained = rescued = 0
+        for poly in self.corpus():
+            atoms = factor_atoms(poly)
+            former, former_rescued = linear_factor_atoms(poly)
+            assert product_of(atoms) == poly and len(atoms) >= len(former)
+            if len(atoms) == len(former) and not former_rescued:
+                assert atoms == former
+            gained += len(atoms) > len(former)
+            rescued += former_rescued
+            pending = [build_als(poly)]
+            while pending:
+                als = pending.pop()
+                split = find_split(als)
+                linear = linear_find_split(als)
+                assert linear is None or split == linear
+                if split is not None:
+                    pending.extend(f for f in extract_factors(split) if f.n >= 3)
+        assert gained and rescued
+
+
+class TestFullSolve:
+    """Splits that need the bilinear term: one quadratic in one parameter."""
+
+    @pytest.mark.parametrize(
+        "text, letters",
+        [("(1-2*x)*(-2-3*x)", "x"), ("(1+x+y)*(2+x-y)", "xy"), ("x*x - 1", "x")],
+    )
+    def test_shared_letter_products_split(self, text, letters):
+        p = parse(text, Alphabet(tuple(letters)))
+        als = build_als(p)
+        assert linear_find_split(als) is None
+        atoms = factor_atoms(p)
+        assert len(atoms) == 2 and product_of(atoms) == p
+
+    def test_worked_roots(self):
+        # build_als((1-2x)(-2-3x)) is [[1, -x, 1/3 - x/6], [., 1, -x], [., ., 1]];
+        # P cell (0, 1) = a and Q cell (1, 2) = e zero cell (0, 2) where
+        # a = -e - 1/6 and 6e^2 + e - 2 = 0, so e = 1/2 or e = -2/3
+        ab = Alphabet(("x",))
+        als = build_als(parse("(1-2*x)*(-2-3*x)", ab))
+        roots = (Fraction(1, 2), Fraction(-2, 3))
+        transformations = [
+            AdmissibleTransformation(3, {(0, 1): -e - Fraction(1, 6)}, {(1, 2): e})
+            for e in roots
+        ]
+        for trans in transformations:
+            FactorSplit(apply_transformation(als, trans), 2, 2, trans)
+        split = find_split(als)
+        assert dict(split.transformation.q)[1, 2] in roots
+        assert split.transformation in transformations
+
+    def test_two_parameters_are_capped(self):
+        # (x-1)(x-2)(x-3): the letter equations leave two or more free
+        # parameters at every position, so only the rebuilds are tried
+        fz = ncpoly.factorizer
+        p = parse("(x-1)*(x-2)*(x-3)", Alphabet(("x",)))
+        als = build_als(p)
+        assert [fz._full_split_ops(als, n1) for n1 in (2, 3)] == [(None, True)] * 2
+        assert fz._capped(als) and find_split(als) is None
+        assert factor_atoms(p) == [p]
+
 
 # sha256 of the atoms below, recorded when they were last changed
-PINNED_ATOMS = "e85b8a20ee5208c4ecdfb0e037bc36a426fee5fbefe2107f9d8fb2dbaebde362"
+PINNED_ATOMS = "3cc2287325b16fc28ef24b74e906c44686f4ff8ebaa5cfe4d0b7389a58f8d971"
 
 
 def test_factor_atoms_are_pinned():

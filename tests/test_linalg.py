@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ncpoly.linalg import _eliminate, _integer_row, rank, solve_rows
+from ncpoly.linalg import _eliminate, _integer_row, rank, solution_space, solve_rows
 
 from conftest import matmul, reference_eliminate, reference_rank
 
@@ -265,3 +265,47 @@ class TestIntegerKernelMatchesRationalReference:
         _assert_same_as_reference(rows, rhs, width)
         _assert_same_as_reference([base[2]], [Fraction(1, 9)], width)
         assert rank(rows) == rank(base) == reference_rank(base)
+
+
+class TestSolutionSpace:
+    """``solution_space``: solve_rows' solution plus a kernel basis."""
+
+    def test_random_systems_against_the_reference(self):
+        rng = random.Random(9)
+        sizes = set()
+        for trial in range(300):
+            width = trial % 8
+            rows = _random_system(rng, rng.randint(0, 7), width, rng.choice((1, 2, 6)))
+            if rng.random() < 0.6:
+                rhs = _consistent_rhs(rng, rows, width)
+            else:
+                rhs = [_random_entry(rng, 2) for _ in rows]
+            space = solution_space(rows, rhs, width)
+            want = _reference_solve_rows(rows, rhs, width)
+            assert (space is None) == (want is None) == (solve_rows(rows, rhs, width) is None)
+            if space is None:
+                continue
+            x0, kernel = space
+            assert x0 == want and satisfies(rows, rhs, x0)
+            assert all(type(x) is Fraction for x in x0)
+            rank_ = reference_rank(rows) if rows and width else 0
+            assert len(kernel) == width - rank_
+            zeros = [Fraction(0)] * len(rows)
+            for vector in kernel:
+                assert len(vector) == width and satisfies(rows, zeros, vector)
+            if kernel:
+                assert reference_rank(kernel) == len(kernel)
+                shifted = [x + 3 * v - w for x, v, w in zip(x0, kernel[0], kernel[-1])]
+                assert satisfies(rows, rhs, shifted)
+            sizes.add(len(kernel))
+        assert {0, 1, 2} <= sizes
+
+    def test_small_cases(self):
+        assert solution_space([[1, 1]], [5], 2) == ([5, 0], [[-1, 1]])
+        assert solution_space([[1, 1], [2, 2]], [1, 3], 2) is None
+        assert solution_space([[0, 0]], [1], 2) is None
+        assert solution_space([], [], 2) == ([0, 0], [[1, 0], [0, 1]])
+        assert solution_space([[], []], [0, 0], 0) == ([], [])
+        assert solution_space([[]], [1], 0) is None
+        with pytest.raises(ValueError):
+            solution_space([[1, 2], [3]], [1, 1], 2)

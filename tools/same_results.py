@@ -3,6 +3,7 @@
 Usage, from anywhere:
 
     python3 tools/same_results.py CHECKOUT
+    python3 tools/same_results.py --list CHECKOUT
 
 imports ``ncpoly`` from ``CHECKOUT/src`` and the workload definitions from
 ``CHECKOUT/bench/workloads.py`` (read only), runs every op of the four
@@ -14,7 +15,10 @@ workloads once at seeds 1 and 101, and prints one sha256 over:
   float64 results as their bytes).
 
 Two checkouts whose hashes are equal return byte-identical systems, atoms
-and values on the benchmark's inputs.  Ops are not timed and their oracle
+and values on the benchmark's inputs.  With ``--list`` it prints instead
+one line per op, ``workload seed label sha256-prefix`` (the hash of that
+op's result text), so the lists of two checkouts can be diffed to see
+which ops changed.  Ops are not timed and their oracle
 checks are not run.  Standard library plus the checkout's own code.
 """
 
@@ -44,7 +48,8 @@ def _describe(api, workload: str, result) -> str:
     return f"products {result.mult_count} shape {values.shape} {body}"
 
 
-def results_digest(root: Path) -> str:
+def op_results(root: Path):
+    """(workload, seed, label, result text) for every op, in a fixed order."""
     # One BLAS thread, as the benchmark runs, so float sums keep one order.
     for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
         os.environ[var] = "1"
@@ -55,21 +60,27 @@ def results_digest(root: Path) -> str:
 
     if Path(api.__file__).resolve().parents[1] != (root / "src").resolve():
         raise SystemExit(f"imported ncpoly from {api.__file__}, not {root / 'src'}")
-    digest = hashlib.sha256()
     for seed in SEEDS:
         for workload in WORKLOADS:
             prepared = workloads.SETUPS[workload](api, seed)
             for op in prepared.ops:
-                text = _describe(api, workload, op.run())
-                digest.update(f"{workload} {seed} {op.label}\n{text}\n".encode())
-    return digest.hexdigest()
+                yield workload, seed, op.label, _describe(api, workload, op.run())
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("checkout", type=Path, help="root of a source checkout")
+    parser.add_argument("--list", action="store_true",
+                        help="print one line per op instead of one hash")
     args = parser.parse_args(argv)
-    print(results_digest(args.checkout.resolve()))
+    digest = hashlib.sha256()
+    for workload, seed, label, text in op_results(args.checkout.resolve()):
+        if args.list:
+            op_hash = hashlib.sha256(text.encode()).hexdigest()[:16]
+            print(f"{workload} {seed} {label} {op_hash}")
+        digest.update(f"{workload} {seed} {label}\n{text}\n".encode())
+    if not args.list:
+        print(digest.hexdigest())
     return 0
 
 
