@@ -329,7 +329,8 @@ class TestSplitSearchMatchesFormerLadder:
                 factors = extract_factors(split)
                 if former is None:
                     gained_here = True
-                    assert apply_transformation(als, split.transformation) == split.transformed
+                    transformed = apply_transformation(als, split.transformation)
+                    assert transformed == split.transformed
                 else:
                     assert split.n1 == former.n1
                     assert [f.polynomial() for f in factors] == [
@@ -585,7 +586,10 @@ def linear_find_split(als):
         return None
     comps = range(len(als.alphabet) + 1)
     for n1 in range(2, n):
-        for rows, cols in ((range(n1 - 1, n - 1), range(1, n1 - 1)), (range(n1, n - 1), range(1, n1))):
+        for rows, cols in (
+            (range(n1 - 1, n - 1), range(1, n1 - 1)),
+            (range(n1, n - 1), range(1, n1)),
+        ):
             found = fz._zero_block_ops(als, range(n1 - 1), range(n1, n), comps, rows, cols)
             if found is not None:
                 trans = AdmissibleTransformation(n, *found)

@@ -282,7 +282,8 @@ class TestSolutionSpace:
                 rhs = [_random_entry(rng, 2) for _ in rows]
             space = solution_space(rows, rhs, width)
             want = _reference_solve_rows(rows, rhs, width)
-            assert (space is None) == (want is None) == (solve_rows(rows, rhs, width) is None)
+            assert (space is None) == (want is None)
+            assert (space is None) == (solve_rows(rows, rhs, width) is None)
             if space is None:
                 continue
             x0, kernel = space
