@@ -18,8 +18,8 @@ Two checkouts whose hashes are equal return byte-identical systems, atoms
 and values on the benchmark's inputs.  With ``--list`` it prints instead
 one line per op, ``workload seed label sha256-prefix`` (the hash of that
 op's result text), so the lists of two checkouts can be diffed to see
-which ops changed.  Ops are not timed and their oracle
-checks are not run.  Standard library plus the checkout's own code.
+which ops changed.  Ops are not timed and their oracle checks are not
+run.  Standard library plus the checkout's own code.
 """
 
 from __future__ import annotations
