@@ -1,20 +1,29 @@
 """Evaluation of linear systems on matrix tuples, with multiplication counts.
 
-Evaluating a polynomial ALS never inverts anything.  One substitution loop
-serves every evaluator: it keeps a list of tracked values, and each step
-appends ``-sum_j a_ij s_j`` (left family: entry on the left, bottom-up from
-``s_n = lam*I`` to ``s_1 = p``) or ``-sum_i t_i a_ij`` (right family: entry
-on the right, top-down from ``t_1 = I``).  A block factorization is the
-right family of its block system, walked one factor at a time; a product of
-systems folds the left-evaluated factors with the same counted product.
-Each pencil entry ``c0*I + c1*X1 + ... + cd*Xd`` is formed just before its
-product (additions and scalings only) and dropped after it; an entry that
-is one letter with coefficient 1 is that letter's matrix itself, read and
-never written.  Entries and step totals accumulate in place, and an entry's
-constant or a step's scalar is added on the diagonal, so no identity matrix
-is built.  An exact product scales each operand to Python ints by the lcm
-of its denominators, multiplies the ints once and divides by the product
-of the two lcms, instead of reducing a ``Fraction`` at every scalar step.
+Evaluating a polynomial ALS never inverts anything.  Every evaluator walks
+a plan through one loop.  A plan is compiled once per system, side and
+arithmetic and kept with the system, which never changes.  Each step
+appends a tracked value: ``-sum_j a_ij s_j`` for the left family (entry on
+the left, bottom-up from ``s_n = lam*I`` to ``s_1 = p``) or
+``-sum_i t_i a_ij`` for the right family (entry on the right, top-down from
+``t_1 = I``, with ``lam`` folded into the last step).  A block
+factorization is the right family of its block system, walked one factor
+at a time; a product of systems folds the left-evaluated factors with
+one-step plans whose operand is the factor.
+
+A plan step lists its nonzero entries ``c0*I + c*L`` with the step's sign
+already folded into ``c0`` and ``c``.  ``L`` is one letter's matrix of the
+tuple, read and never written, when the entry has one letter, whatever
+its coefficient (``x``, ``-x``, ``2x + 3``).  Otherwise it is a letter
+combination normalized to leading coefficient 1, so ``x + y`` and
+``-2x - 2y`` share one; an evaluation forms each combination once, on
+first use, and drops it after its last step.  A step's first product owns
+its storage and is scaled in place; later products and the constant
+multiples ``c0 * v`` are added into it, and a step's scalar is added on
+its diagonal, so no identity matrix is built.  An exact product scales
+each operand to Python ints by the lcm of its denominators, multiplies the
+ints once and divides by the product of the two lcms, instead of reducing
+a ``Fraction`` at every scalar step.
 
 A tracked value is a plain scalar, standing for that multiple of the
 identity, or a full matrix.  Only matrix-times-matrix products are counted;
@@ -23,14 +32,14 @@ exactly why the static counts N_s / N_t exclude the last column
 respectively the first row.
 
 Exact and float evaluation run the same code: only ``MatrixTuple`` knows its
-mode, through ``coeff`` (a rational in the tuple's arithmetic) and
-``identity``, and its arrays carry it as their dtype (``Fraction`` objects
-or float64), which is all the product looks at.
+mode, through ``coeff`` (a rational in the tuple's arithmetic, which
+converts a plan's coefficients), ``identity`` and ``is_exact`` (which
+picks the product), and its arrays carry it as their dtype (``Fraction``
+objects or float64).
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -41,7 +50,7 @@ from .errors import FormatError
 from .factorizer import BlockFactorization
 from .freepoly import identity_matrix
 from .linalg import integer_scaled, to_fraction
-from .realization import Als, LinearEntry, _frac_str, _parse_frac
+from .realization import Als, _frac_str, _parse_frac
 
 RAT = "rat"
 F64 = "f64"
@@ -53,8 +62,10 @@ class MatrixTuple:
 
     The constructor stores its own copies in the mode's arithmetic: every
     exact entry becomes a ``Fraction`` (``linalg.to_fraction``) in an object
-    array, every f64 matrix a float64 array.  Equal tuples have the same
-    mode and equal matrices; like the arrays, a tuple is unhashable.
+    array, every f64 matrix a float64 array.  It raises ``ValueError`` for
+    no matrices, matrices that are not square, of different sizes or 0 x 0,
+    and non-finite float64 entries.  Equal tuples have the same mode and
+    equal matrices; like the arrays, a tuple is unhashable.
     """
 
     mats: tuple[np.ndarray, ...]
@@ -71,6 +82,10 @@ class MatrixTuple:
         for mat in mats:
             if mat.shape != (m, m):
                 raise ValueError("matrices must all be square of the same size")
+        if m < 1:
+            raise ValueError("matrices must be at least 1 x 1")
+        if self.mode == F64 and not all(np.isfinite(mat).all() for mat in mats):
+            raise ValueError("float64 entries must be finite")
         if self.mode == RAT:
             mats = tuple(
                 np.array([to_fraction(x) for x in mat.ravel().tolist()],
@@ -123,11 +138,16 @@ class MatrixTuple:
 
 @dataclass(frozen=True)
 class EvalReport:
-    """Evaluation result plus the number of matrix products actually done."""
+    """Evaluation result plus the number of matrix products actually done.
+
+    ``formed`` counts the letter combinations the evaluation built as
+    m x m matrices (entries of one letter use the tuple's own matrix).
+    """
 
     result: np.ndarray
     mult_count: int
     side: str  # "left" or "right"
+    formed: int
 
 
 def random_rational_tuple(
@@ -147,11 +167,117 @@ def random_rational_tuple(
     return MatrixTuple.exact(mats)
 
 
-# -- the substitution loop ------------------------------------------------------
+# -- evaluation plans -------------------------------------------------------------
 #
 # A tracked value is a plain scalar, standing for that multiple of the
 # identity, or an ndarray.  Every ndarray the loop creates is its own and
 # may be written in place; a letter matrix of the tuple is only read.
+
+
+@dataclass(frozen=True)
+class _Plan:
+    """One walk of a system, compiled once per side and arithmetic.
+
+    The walk starts from the tracked value ``start`` and appends one value
+    per step ``(terms, finished, dropped)``.  A term ``(src, constant,
+    letter, factor)`` adds ``constant * v + factor * (L @ v)`` with
+    ``v = values[src]`` (``v @ L`` when the entry is on the right), the
+    step's sign and scale already folded into ``constant`` and ``factor``.
+    ``L`` is the tuple's own matrix ``letter`` for ``letter < d`` and
+    combination ``letter - d`` otherwise; a scalar entry has no letter.
+    After the step, the ``finished`` combinations are dropped, and so are
+    the first ``dropped`` values.
+    """
+
+    start: object
+    entry_left: bool
+    combos: tuple  # per combination ((letter, coefficient), ...), the first 1
+    steps: tuple
+
+
+def _compile(d: int, start, entry_left: bool, steps, coeff) -> _Plan:
+    """The plan of ``steps``, each ``(scale, [(src, entry), ...], dropped)``.
+
+    Zero entries are left out and every coefficient is converted once with
+    ``coeff``.  An entry of two or more letters is its first nonzero
+    letter coefficient times a combination that starts with coefficient 1,
+    so ``x + y`` and ``-2x - 2y`` share one.
+    """
+    combos: dict = {}
+    last_step = {}
+    compiled = []
+    for index, (scale, terms, dropped) in enumerate(steps):
+        plan_terms = []
+        for src, entry in terms:
+            if entry.is_zero:
+                continue
+            constant = coeff(scale * entry.constant)
+            letters = [(k, c) for k, c in enumerate(entry.coeffs[1:]) if c]
+            if not letters:
+                plan_terms.append((src, constant, None, 0))
+                continue
+            letter, lead = letters[0]
+            if len(letters) > 1:
+                key = tuple((k, c / lead) for k, c in letters)
+                letter = combos.setdefault(key, d + len(combos))
+                last_step[letter] = index
+            plan_terms.append((src, constant, letter, coeff(scale * lead)))
+        compiled.append((tuple(plan_terms), dropped))
+    finished: dict = {}
+    for letter, index in last_step.items():
+        finished.setdefault(index, []).append(letter)
+    return _Plan(
+        coeff(start),
+        entry_left,
+        tuple(tuple((k, coeff(c)) for k, c in key) for key in combos),
+        tuple(
+            (terms, tuple(finished.get(index, ())), dropped)
+            for index, (terms, dropped) in enumerate(compiled)
+        ),
+    )
+
+
+def _walk_steps(system, side: str):
+    """(start, steps) of a system's walk on one side, as ``_compile`` takes."""
+    if isinstance(system, BlockFactorization):
+        # Right family of the block system: a factor's columns need only
+        # its rows, so those are dropped once its last column is done.
+        steps = []
+        for grid in system.factors:
+            columns = list(zip(*grid))
+            for j, column in enumerate(columns):
+                last = j == len(columns) - 1
+                steps.append((1, list(enumerate(column)), len(grid) if last else 0))
+        return Fraction(1), steps
+    n, rows = system.n, system.rows
+    if n == 0:
+        return Fraction(0), []
+    lam = system.lam
+    if side == "left":  # values[k] holds s_{n-k} (1-based s), from s_n = lam
+        return lam, [
+            (-1, [(n - 1 - j, rows[i][j]) for j in range(i + 1, n)], 0)
+            for i in range(n - 2, -1, -1)
+        ]
+    # values[j] holds t_{j+1}, from t_1 = 1; lam scales the last step
+    return lam if n == 1 else Fraction(1), [
+        (-lam if j == n - 1 else -1, [(i, rows[i][j]) for i in range(j)], 0)
+        for j in range(1, n)
+    ]
+
+
+def _plan(system, side: str, tup: MatrixTuple) -> _Plan:
+    """The system's plan for this side and the tuple's arithmetic.
+
+    It is compiled on first use and kept in the system's ``_plans`` slot:
+    systems never change, so a plan never goes stale.
+    """
+    key = (side, tup.mode)
+    plan = system._plans.get(key)
+    if plan is None:
+        start, steps = _walk_steps(system, side)
+        plan = _compile(len(system.alphabet), start, side == "left", steps, tup.coeff)
+        system._plans[key] = plan
+    return plan
 
 
 def _exact_matmul(left: np.ndarray, right: np.ndarray) -> np.ndarray:
@@ -172,19 +298,36 @@ def _exact_matmul(left: np.ndarray, right: np.ndarray) -> np.ndarray:
     return np.array(entries, dtype=object).reshape(product.shape)
 
 
-def _product(left, right):
-    """left * right on tracked values, and 1 if it was a matrix product.
+def _accumulate(total, mat: np.ndarray, factor, owned: bool = False):
+    """``total + factor * mat``, written into ``total`` when there is one.
 
-    An ndarray result is always a new array.  A scalar-zero operand gives
-    scalar zero, so a zero factor keeps the rest of a fold scalar and free.
+    With no total the result is ``mat`` itself, scaled in place, when the
+    caller owns it (a fresh product), and a new array otherwise.
     """
-    if isinstance(left, np.ndarray):
-        if isinstance(right, np.ndarray):
-            if left.dtype == object:
-                return _exact_matmul(left, right), 1
-            return left @ right, 1
-        return (left * right if right else right), 0
-    return (left * right if left else left), 0
+    if total is None:
+        if not owned:
+            return mat.copy() if factor == 1 else factor * mat
+        if factor == -1:
+            return np.negative(mat, out=mat)
+        if factor != 1:
+            mat *= factor
+        return mat
+    if factor == 1:
+        total += mat
+    elif factor == -1:
+        total -= mat
+    else:
+        total += factor * mat
+    return total
+
+
+def _combination(letters, mats) -> np.ndarray:
+    """``sum c_k * mats[k]`` over ``letters``, whose first coefficient is 1."""
+    (first, _), *rest = letters
+    total = mats[first].copy()
+    for k, coeff in rest:
+        _accumulate(total, mats[k], coeff)
+    return total
 
 
 def _add_to_diagonal(mat: np.ndarray, scalar) -> None:
@@ -193,73 +336,72 @@ def _add_to_diagonal(mat: np.ndarray, scalar) -> None:
     mat[diagonal, diagonal] += scalar
 
 
-def _entry_value(entry: LinearEntry, tup: MatrixTuple):
-    """A pencil entry's value; additions and scalings only, no products.
+def _run(plan: _Plan, tup: MatrixTuple, values: list, operands: list):
+    """Walk ``plan`` on ``values``; return the products done and combinations formed.
 
-    A single letter with coefficient 1 is ``tup.mats[k]`` itself, which
-    the caller must not write; any other matrix entry is a new array.
+    ``operands`` holds the tuple's matrices and ``None`` for each of the
+    plan's combinations, which is formed on first use.  Terms whose value
+    is scalar zero are skipped.  A term's constant scales its value, or
+    goes on the step's scalar track when the value is scalar; the scalar
+    ends on the diagonal of the step's total.
     """
-    if entry.is_scalar:
-        return tup.coeff(entry.constant)
-    letters = [(k, c) for k, c in enumerate(entry.coeffs[1:]) if c]
-    if len(letters) == 1 and letters[0][1] == 1 and not entry.constant:
-        return tup.mats[letters[0][0]]
-    acc = None
-    for k, coeff in letters:
-        mat = tup.mats[k]
-        if acc is None:
-            acc = mat.copy() if coeff == 1 else tup.coeff(coeff) * mat
-        elif coeff == 1:
-            acc += mat
-        elif coeff == -1:
-            acc -= mat
-        else:
-            acc += tup.coeff(coeff) * mat
-    if entry.constant:
-        _add_to_diagonal(acc, tup.coeff(entry.constant))
-    return acc
+    matmul = _exact_matmul if tup.is_exact else np.matmul
+    zero = tup.coeff(Fraction(0))
+    count = formed = 0
 
+    def operand(letter):
+        nonlocal formed
+        mat = operands[letter]
+        if mat is None:
+            mat = _combination(plan.combos[letter - tup.d], tup.mats)
+            operands[letter] = mat
+            formed += 1
+        return mat
 
-def _substitute(tup: MatrixTuple, values: list, steps, entry_left: bool) -> int:
-    """Append one tracked value per step; return the matrix products done.
-
-    A step is ``(negate, terms)`` with ``terms`` pairs ``(src, entry)``; it
-    appends ``-/+ sum of values[src] * entry``, the entry on the left (left
-    family) or on the right (right family).  Zero entries and scalar-zero
-    values are skipped; each entry is formed just before its product.  The
-    step's matrix total is the first term's new array, summed into in place.
-    """
-    count = 0
-    for negate, terms in steps:
-        scalar, total = tup.coeff(Fraction(0)), None
-        for src, entry in terms:
+    for terms, finished, dropped in plan.steps:
+        scalar, total = zero, None
+        for src, constant, letter, factor in terms:
             value = values[src]
-            if entry.is_zero or (not isinstance(value, np.ndarray) and value == 0):
-                continue
-            if entry_left:
-                term, counted = _product(_entry_value(entry, tup), value)
-            else:
-                term, counted = _product(value, _entry_value(entry, tup))
-            count += counted
-            if not isinstance(term, np.ndarray):
-                scalar = scalar - term if negate else scalar + term
-            elif total is None:
-                total = np.negative(term, out=term) if negate else term
-            elif negate:
-                total -= term
-            else:
-                total += term
-            del term  # free it before the next entry is formed
+            if isinstance(value, np.ndarray):
+                if letter is not None:
+                    mat = operand(letter)
+                    if plan.entry_left:
+                        product = matmul(mat, value)
+                    else:
+                        product = matmul(value, mat)
+                    count += 1
+                    total = _accumulate(total, product, factor, owned=True)
+                    del product  # free it before the next product is made
+                if constant:
+                    total = _accumulate(total, value, constant)
+            elif value:
+                if constant:
+                    scalar += constant * value
+                if letter is not None:
+                    total = _accumulate(total, operand(letter), factor * value)
+        for letter in finished:
+            operands[letter] = None
         if total is not None and scalar:
             _add_to_diagonal(total, scalar)
         values.append(scalar if total is None else total)
-    return count
+        del values[:dropped]
+    return count, formed
 
 
-def _report(tup: MatrixTuple, value, count: int, side: str) -> EvalReport:
+def _walk(system, side: str, tup: MatrixTuple):
+    """Tracked value of the system's walk, products done, combinations formed."""
+    _check_compatible(system.alphabet, tup)
+    plan = _plan(system, side, tup)
+    values = [plan.start]
+    operands = [*tup.mats, *[None] * len(plan.combos)]
+    count, formed = _run(plan, tup, values, operands)
+    return values[-1], count, formed
+
+
+def _report(tup: MatrixTuple, value, count: int, formed: int, side: str) -> EvalReport:
     if not isinstance(value, np.ndarray):
         value = value * tup.identity()
-    return EvalReport(value, count, side)
+    return EvalReport(value, count, side, formed)
 
 
 def _check_compatible(alphabet, tup: MatrixTuple) -> None:
@@ -269,38 +411,14 @@ def _check_compatible(alphabet, tup: MatrixTuple) -> None:
         )
 
 
-def _left_value(als: Als, tup: MatrixTuple):
-    """Tracked value of s_1 and the matrix products spent on it."""
-    _check_compatible(als.alphabet, tup)
-    if als.is_empty:
-        return tup.coeff(Fraction(0)), 0
-    n = als.n
-    values = [tup.coeff(als.lam)]  # values[k] holds s_{n-k} (1-based s)
-    steps = (
-        (True, [(n - 1 - j, als.rows[i][j]) for j in range(i + 1, n)])
-        for i in range(n - 2, -1, -1)
-    )
-    count = _substitute(tup, values, steps, entry_left=True)
-    return values[-1], count
-
-
 def evaluate_left(als: Als, tup: MatrixTuple) -> EvalReport:
     """Back substitution s_n = lam*I, s_i = -sum_{j>i} a_ij s_j; result s_1."""
-    return _report(tup, *_left_value(als, tup), "left")
+    return _report(tup, *_walk(als, "left", tup), "left")
 
 
 def evaluate_right(als: Als, tup: MatrixTuple) -> EvalReport:
     """Forward substitution t_1 = I, t_j = -sum_{i<j} t_i a_ij; result lam*t_n."""
-    _check_compatible(als.alphabet, tup)
-    if als.is_empty:
-        return _report(tup, tup.coeff(Fraction(0)), 0, "right")
-    lam = tup.coeff(als.lam)
-    values = [tup.coeff(Fraction(1))]
-    steps = (
-        (True, [(i, als.rows[i][j]) for i in range(j)]) for j in range(1, als.n)
-    )
-    count = _substitute(tup, values, steps, entry_left=False)
-    return _report(tup, lam * values[-1], count, "right")
+    return _report(tup, *_walk(als, "right", tup), "right")
 
 
 # -- static multiplication counts ---------------------------------------------
@@ -359,34 +477,33 @@ def evaluate_block_factorization(
     depend only on those of its rows, so two blocks of values are alive at
     once.
     """
-    _check_compatible(bf.alphabet, tup)
-    row = [tup.coeff(Fraction(1))]
-    count = 0
-    for grid in bf.factors:
-        steps = ((False, list(enumerate(column))) for column in zip(*grid))
-        count += _substitute(tup, row, steps, entry_left=False)
-        row = row[len(grid):]
-    return _report(tup, row[0], count, "right")
+    return _report(tup, *_walk(bf, "right", tup), "right")
 
 
 def evaluate_product(systems: Sequence[Als], tup: MatrixTuple) -> EvalReport:
     """Evaluate a product of polynomials, each given by a polynomial ALS.
 
-    Every factor is evaluated through its own system (left side), then the
-    results are chained left to right with the same counted product, so
-    scalar factors never cost a product, and after a zero factor no later
-    factor does either.
+    Every factor is evaluated through its own system (left side), then
+    folded into the product left to right by a one-step plan with the
+    factor as its operand, so scalar factors never cost a product, and
+    after a zero factor no later factor does either.
     """
     if not systems:
         raise ValueError("need at least one factor")
     if any(als.alphabet != systems[0].alphabet for als in systems):
         raise ValueError("operands use different alphabets")
-    value, count = tup.coeff(Fraction(1)), 0
+    values, count, formed = [tup.coeff(Fraction(1))], 0, 0
     for als in systems:
-        factor, factor_count = _left_value(als, tup)
-        value, counted = _product(value, factor)
+        factor, factor_count, factor_formed = _walk(als, "left", tup)
+        if isinstance(factor, np.ndarray):
+            term = (0, tup.coeff(Fraction(0)), 0, tup.coeff(Fraction(1)))
+        else:
+            term = (0, factor, None, 0)
+        fold = _Plan(None, False, (), (((term,), (), 1),))
+        counted, _ = _run(fold, tup, values, [factor])
         count += factor_count + counted
-    return _report(tup, value, count, "left")
+        formed += factor_formed
+    return _report(tup, values[0], count, formed, "left")
 
 
 # -- matrix tuple files ---------------------------------------------------------
@@ -400,12 +517,9 @@ def _matrix_lines(mat: np.ndarray, exact: bool) -> list[str]:
 
 def _parse_float(token: str) -> float:
     try:
-        value = float(token)
+        return float(token)
     except ValueError as exc:
         raise FormatError(f"bad float {token!r}") from exc
-    if not math.isfinite(value):
-        raise FormatError(f"float must be finite, got {token!r}")
-    return value
 
 
 def dump_matrix_tuple(tup: MatrixTuple) -> str:
@@ -426,8 +540,6 @@ def load_matrix_tuple(text: str) -> MatrixTuple:
         m, d = int(header[0]), int(header[1])
     except ValueError as exc:
         raise FormatError("matrix header must be 'm d mode'") from exc
-    if m < 1 or d < 1:
-        raise FormatError("matrix size m and count d must be positive")
     if len(lines) != 1 + m * d:
         raise FormatError(f"expected {m * d} matrix rows, found {len(lines) - 1}")
     parse_token = _parse_frac if header[2] == RAT else _parse_float
@@ -437,4 +549,7 @@ def load_matrix_tuple(text: str) -> MatrixTuple:
         if len(tokens) != m:
             raise FormatError(f"expected {m} entries per row")
         rows.append([parse_token(tok) for tok in tokens])
-    return MatrixTuple(tuple(rows[k * m:(k + 1) * m] for k in range(d)), header[2])
+    try:
+        return MatrixTuple(tuple(rows[k * m:(k + 1) * m] for k in range(d)), header[2])
+    except ValueError as exc:  # the constructor's checks: sizes, finite floats
+        raise FormatError(str(exc)) from exc

@@ -105,7 +105,8 @@ def block_diag(*grids: Grid) -> Grid:
 class BlockFactorization:
     """Chain of pencil matrices (1 x k1)(k1 x k2)...(k_r x 1)."""
 
-    __slots__ = ("alphabet", "factors")
+    # ``_plans``: the evaluator's compiled plan, filled on first use.
+    __slots__ = ("alphabet", "factors", "_plans")
 
     def __init__(self, alphabet: Alphabet, factors: Sequence[Grid]):
         factors = tuple(factors)
@@ -126,6 +127,7 @@ class BlockFactorization:
                         raise ValueError("entry width does not match the alphabet")
         self.alphabet = alphabet
         self.factors = factors
+        self._plans = {}
 
     @classmethod
     def from_cells(

@@ -140,7 +140,8 @@ def _coerce_cell(cell: CellLike, alphabet: Alphabet) -> LinearEntry:
 class Als:
     """Upper unitriangular admissible linear system (u is implicitly e1)."""
 
-    __slots__ = ("alphabet", "rows", "rhs")
+    # ``_plans``: the evaluator's compiled plans, filled on first use.
+    __slots__ = ("alphabet", "rows", "rhs", "_plans")
 
     def __init__(
         self,
@@ -170,6 +171,7 @@ class Als:
         self.alphabet = alphabet
         self.rows = rows
         self.rhs = rhs
+        self._plans = {}
 
     @classmethod
     def empty(cls, alphabet: Alphabet) -> "Als":

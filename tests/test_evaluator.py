@@ -24,17 +24,18 @@ from ncpoly import (
     factor_atoms,
     load_matrix_tuple,
     minimal_monomial,
+    minimize,
     naive_evaluate,
     parse,
     random_rational_tuple,
     right_companion,
     verify_block_factorization,
 )
+from ncpoly import evaluator
 from ncpoly.errors import FormatError
-from ncpoly.evaluator import _entry_value, _product
-from ncpoly.families import power_polynomial, power_system
+from ncpoly.evaluator import _combination, _plan
+from ncpoly.families import convolution_system, power_polynomial, power_system
 from ncpoly.freepoly import identity_matrix
-from ncpoly.realization import LinearEntry
 
 from conftest import assert_bitwise_equal, random_polynomial
 
@@ -350,24 +351,53 @@ class TestExactProduct:
             yield identity_matrix(m), self.random_matrix(rng, m, 3, 10**12)
 
     def test_matches_fraction_matmul(self):
+        # The chain x | y does one product: the plan loop's x @ y.
+        xy = BlockFactorization.from_cells(Alphabet(("x", "y")), [[["x"]], [["y"]]])
         for a, b in self.pairs():
-            product, counted = _product(a, b)
-            assert counted == 1
+            report = evaluate_block_factorization(xy, MatrixTuple.exact([a, b]))
+            product = report.result
+            assert report.mult_count == 1
             assert product.dtype == object and product.shape == a.shape
             assert all(type(x) is Fraction for x in product.ravel())
             assert np.array_equal(product, fraction_matmul(a, b))
 
 
 class TestBorrowedLetters:
-    """A coefficient-1 letter entry is the tuple's own matrix, never written."""
+    """An entry of one letter, whatever its coefficients, reads the tuple's
+    own matrix and never writes it; other entries read a formed combination."""
 
-    def test_single_letter_entry_is_the_tuple_matrix(self):
+    CELLS = ["y", "-y", "2y", "y + 3", "x + y", "-2x - 2y", "3"]
+
+    def chain(self, ab):
+        cells = self.CELLS
+        return BlockFactorization.from_cells(ab, [[["x"]], [cells], [[1]] * len(cells)])
+
+    def test_single_letter_entry_is_the_tuple_matrix(self, ab_xy, monkeypatch):
+        bf = self.chain(ab_xy)
         tup = random_rational_tuple(random.Random(21), 2, 3)
         for mats in (tup, tup.to_float()):
-            assert _entry_value(LinearEntry.letter(1, 2), mats) is mats.mats[1]
-            for entry in (LinearEntry.letter(1, 2, 2),
-                          LinearEntry((1, 0, 1)), LinearEntry((0, 1, 1))):
-                assert not np.shares_memory(_entry_value(entry, mats), mats.mats[1])
+            plan = _plan(bf, "right", mats)
+            terms = [terms for terms, _, _ in plan.steps[1:1 + len(self.CELLS)]]
+            # (src, constant, letter, factor); letter 2 is the combination x + y
+            assert [term for (term,) in terms] == [
+                (0, 0, 1, 1), (0, 0, 1, -1), (0, 0, 1, 2), (0, 3, 1, 1),
+                (0, 0, 2, 1), (0, 0, 2, -2), (0, 3, None, 0),
+            ]
+            assert plan.combos == (((0, 1), (1, 1)),)
+            combination = _combination(plan.combos[0], mats.mats)
+            assert not any(np.shares_memory(combination, mat) for mat in mats.mats)
+        read = []
+        exact_matmul = evaluator._exact_matmul
+
+        def spy(left, right):
+            read.append(right)
+            return exact_matmul(left, right)
+
+        monkeypatch.setattr(evaluator, "_exact_matmul", spy)
+        assert evaluate_block_factorization(bf, tup).formed == 1
+        assert [mat is tup.mats[1] for mat in read] == [True] * 4 + [False] * 2
+        assert read[4] is read[5]
+        assert not any(np.shares_memory(read[4], mat) for mat in tup.mats)
 
     def evaluations(self, tup, systems, chains):
         for als in systems:
@@ -381,10 +411,16 @@ class TestBorrowedLetters:
         self, ab_xy, intro_als, bench19_chain, bench19_poly
     ):
         rng = random.Random(22)
+        scaled = Als.from_cells(ab_xy, [["1", "x", "-2y", "x + 3"],
+                                        ["0", "1", "x + y", "-x - y"],
+                                        ["0", "0", "1", "2y - 1"],
+                                        ["0", "0", "0", "1"]], [0, 0, 0, 3])
         xy_systems = [intro_als, build_als(parse("x + y", ab_xy)),
-                      minimal_monomial(ab_xy, (0,)), minimal_monomial(ab_xy, (1, 0))]
+                      minimal_monomial(ab_xy, (0,)), minimal_monomial(ab_xy, (1, 0)),
+                      scaled]
         xy_chains = [BlockFactorization.from_cells(ab_xy, [[["x", "y"]], [["y"], ["x"]]]),
-                     BlockFactorization.from_cells(ab_xy, [[["x"]]])]
+                     BlockFactorization.from_cells(ab_xy, [[["x"]]]),
+                     self.chain(ab_xy)]
         cases = [(2, xy_systems, xy_chains),
                  (5, [bench19_chain.to_block_als(), build_als(bench19_poly)],
                   [bench19_chain])]
@@ -401,6 +437,34 @@ class TestBorrowedLetters:
                         assert np.array_equal(mat, old)
                     else:
                         assert mat.tobytes() == old_raw
+
+
+class TestFormedCombinations:
+    """``EvalReport.formed``: letter combinations built as m x m matrices."""
+
+    def test_pinned_counts_on_both_sides(
+        self, bench19_poly, six_dim_remark, seven_dim_remark
+    ):
+        rng = random.Random(23)
+        companions = [
+            right_companion(Alphabet(("x",)), ["x"] * k,
+                            [Fraction(rng.choice((-2, 3))) for _ in range(k)])
+            for k in (9, 16)
+        ]
+        cases = [(minimize(convolution_system(5)), 5), (minimize(power_system(6)), 1),
+                 (build_als(bench19_poly), 2), (six_dim_remark, 1),
+                 (seven_dim_remark, 0)] + [(als, 0) for als in companions]
+        for als, formed in cases:
+            tup = random_rational_tuple(rng, len(als.alphabet), 2)
+            for mats in (tup, tup.to_float()):
+                assert evaluate_left(als, mats).formed == formed
+                assert evaluate_right(als, mats).formed == formed
+
+    def test_product_adds_up_its_factors(self, ab_xy):
+        systems = [build_als(parse(text, ab_xy)) for text in ("x + y", "2x - 2y + 1")]
+        tup = random_rational_tuple(random.Random(24), 2, 2)
+        assert [evaluate_left(als, tup).formed for als in systems] == [1, 1]
+        assert evaluate_product(systems, tup).formed == 2
 
 
 class TestMatrixTupleBoundary:
@@ -444,6 +508,16 @@ class TestMatrixTupleBoundary:
         assert tup != "rat"
         with pytest.raises(TypeError):
             hash(tup)
+
+    def test_rejects_empty_and_non_finite_matrices(self):
+        for mode in ("rat", "f64"):
+            with pytest.raises(ValueError, match="at least 1 x 1"):
+                MatrixTuple((np.zeros((0, 0)),) * 2, mode)
+        for value in (np.nan, np.inf, -np.inf):
+            mat = np.eye(2)
+            mat[1, 0] = value
+            with pytest.raises(ValueError, match="finite"):
+                MatrixTuple.floating([np.eye(2), mat])
 
     def test_rejects_non_square_input(self):
         for mats in ([[1, 2], [3]], [1, 2], 5, [[[1]]]):
