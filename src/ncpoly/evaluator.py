@@ -17,13 +17,18 @@ tuple, read and never written, when the entry has one letter, whatever
 its coefficient (``x``, ``-x``, ``2x + 3``).  Otherwise it is a letter
 combination normalized to leading coefficient 1, so ``x + y`` and
 ``-2x - 2y`` share one; an evaluation forms each combination once, on
-first use, and drops it after its last step.  A step's first product owns
-its storage and is scaled in place; later products and the constant
-multiples ``c0 * v`` are added into it, and a step's scalar is added on
-its diagonal, so no identity matrix is built.  An exact product scales
-each operand to Python ints by the lcm of its denominators, multiplies the
-ints once and divides by the product of the two lcms, instead of reducing
-a ``Fraction`` at every scalar step.
+first use, and drops it after its last step.  The loop collects a step's
+parts (its products, the constant multiples ``c0 * v`` of matrix values
+and the scaled letters of scalar values) and its scalar, and hands them
+to the step function of the tuple's arithmetic.  In float64 the step's
+first product owns its storage and is scaled in place, later parts are
+added into it, and the scalar is added on its diagonal, so no identity
+matrix is built.  An exact step reads every matrix as Python ints over
+the lcm of its denominators, scaled once per evaluation and released
+when the walk drops the matrix; it multiplies and sums its parts on ints
+over one common denominator, puts the scalar on the diagonal as an int
+and builds the step's ``Fraction`` entries once, instead of reducing a
+``Fraction`` at every scalar step.
 
 A tracked value is a plain scalar, standing for that multiple of the
 identity, or a full matrix.  Only matrix-times-matrix products are counted;
@@ -34,14 +39,16 @@ respectively the first row.
 Exact and float evaluation run the same code: only ``MatrixTuple`` knows its
 mode, through ``coeff`` (a rational in the tuple's arithmetic, which
 converts a plan's coefficients), ``identity`` and ``is_exact`` (which
-picks the product), and its arrays carry it as their dtype (``Fraction``
-objects or float64).
+picks the step function), and its arrays carry it as their dtype
+(``Fraction`` objects or float64).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
+from math import lcm
 from typing import Sequence
 
 import numpy as np
@@ -280,24 +287,6 @@ def _plan(system, side: str, tup: MatrixTuple) -> _Plan:
     return plan
 
 
-def _exact_matmul(left: np.ndarray, right: np.ndarray) -> np.ndarray:
-    """``left @ right`` on ``Fraction`` arrays, as one product of Python ints.
-
-    Each operand is scaled to ints by the lcm of its denominators, so the
-    inner products add ints and only the m^2 results are reduced, each as
-    ``Fraction(c, la * lb)``.
-    """
-    ints_a, la = integer_scaled(left.ravel().tolist())
-    ints_b, lb = integer_scaled(right.ravel().tolist())
-    product = (
-        np.array(ints_a, dtype=object).reshape(left.shape)
-        @ np.array(ints_b, dtype=object).reshape(right.shape)
-    )
-    den = la * lb
-    entries = [Fraction(c, den) for c in product.ravel().tolist()]
-    return np.array(entries, dtype=object).reshape(product.shape)
-
-
 def _accumulate(total, mat: np.ndarray, factor, owned: bool = False):
     """``total + factor * mat``, written into ``total`` when there is one.
 
@@ -336,16 +325,94 @@ def _add_to_diagonal(mat: np.ndarray, scalar) -> None:
     mat[diagonal, diagonal] += scalar
 
 
+def _float_step(parts, scalar):
+    """One float64 step: ``sum coef * (left @ right)`` plus ``scalar * I``.
+
+    A part ``(coef, left, right)`` with no ``right`` is ``coef * left``.  The
+    first product owns its storage and is scaled in place, later parts are
+    added into it, and each product is freed before the next is made.
+    """
+    total = None
+    for coef, left, right in parts:
+        if right is None:
+            total = _accumulate(total, left, coef)
+        else:
+            product = left @ right
+            total = _accumulate(total, product, coef, owned=True)
+            del product
+    if total is None:
+        return scalar
+    if scalar:
+        _add_to_diagonal(total, scalar)
+    return total
+
+
+def _integer_form(mat: np.ndarray) -> tuple[np.ndarray, int]:
+    """``(ints, l)`` with ``mat == ints / l``, ``l`` the lcm of its denominators."""
+    ints, den = integer_scaled(mat.ravel().tolist())
+    return np.array(ints, dtype=object).reshape(mat.shape), den
+
+
+def _exact_step(forms: dict, parts, scalar):
+    """The step of ``_float_step`` on ``Fraction`` arrays, summed on Python ints.
+
+    Every matrix is read through its integer form, made on first read and
+    kept in ``forms`` (by ``id``, beside the matrix, until the walk drops
+    it).  The parts are multiplied and summed on ints over one common
+    denominator, the scalar goes on the diagonal as an int, and the step's
+    ``Fraction`` entries are built once, at the end.
+    """
+    if not parts:
+        return scalar
+
+    def form(mat):
+        entry = forms.get(id(mat))
+        if entry is None:
+            entry = forms[id(mat)] = (mat, *_integer_form(mat))
+        return entry[1:]
+
+    scaled, den = [], scalar.denominator
+    for coef, left, right in parts:
+        a, part_den = form(left)
+        b = None
+        if right is not None:
+            b, right_den = form(right)
+            part_den *= right_den
+        part_den *= coef.denominator
+        den = lcm(den, part_den)
+        scaled.append((coef.numerator, part_den, a, b))
+    total = None
+    for num, part_den, a, b in scaled:
+        k = num * (den // part_den)
+        if b is None:
+            term = k * a
+        else:
+            term = a @ b
+            if k != 1:
+                term *= k
+        if total is None:
+            total = term
+        else:
+            total += term
+    if scalar:
+        _add_to_diagonal(total, scalar.numerator * (den // scalar.denominator))
+    entries = [Fraction(c, den) for c in total.ravel().tolist()]
+    return np.array(entries, dtype=object).reshape(total.shape)
+
+
 def _run(plan: _Plan, tup: MatrixTuple, values: list, operands: list):
     """Walk ``plan`` on ``values``; return the products done and combinations formed.
 
     ``operands`` holds the tuple's matrices and ``None`` for each of the
     plan's combinations, which is formed on first use.  Terms whose value
-    is scalar zero are skipped.  A term's constant scales its value, or
-    goes on the step's scalar track when the value is scalar; the scalar
-    ends on the diagonal of the step's total.
+    is scalar zero are skipped.  Each step's parts, the products
+    ``factor * (L @ v)`` (``v @ L`` on the right), the scaled values
+    ``constant * v`` and the scaled operands ``(factor * s) * L`` of a
+    scalar value ``s``, go with the step's scalar to the step function of
+    the tuple's arithmetic.
     """
-    matmul = _exact_matmul if tup.is_exact else np.matmul
+    forms = {}  # integer forms of the matrices the exact step has read
+    step = partial(_exact_step, forms) if tup.is_exact else _float_step
     zero = tup.coeff(Fraction(0))
     count = formed = 0
 
@@ -358,32 +425,32 @@ def _run(plan: _Plan, tup: MatrixTuple, values: list, operands: list):
             formed += 1
         return mat
 
+    def release(mat):
+        forms.pop(id(mat), None)
+
     for terms, finished, dropped in plan.steps:
-        scalar, total = zero, None
+        scalar, parts = zero, []
         for src, constant, letter, factor in terms:
             value = values[src]
             if isinstance(value, np.ndarray):
                 if letter is not None:
                     mat = operand(letter)
-                    if plan.entry_left:
-                        product = matmul(mat, value)
-                    else:
-                        product = matmul(value, mat)
+                    parts.append((factor, mat, value) if plan.entry_left
+                                 else (factor, value, mat))
                     count += 1
-                    total = _accumulate(total, product, factor, owned=True)
-                    del product  # free it before the next product is made
                 if constant:
-                    total = _accumulate(total, value, constant)
+                    parts.append((constant, value, None))
             elif value:
                 if constant:
                     scalar += constant * value
                 if letter is not None:
-                    total = _accumulate(total, operand(letter), factor * value)
+                    parts.append((factor * value, operand(letter), None))
+        values.append(step(parts, scalar))
         for letter in finished:
+            release(operands[letter])
             operands[letter] = None
-        if total is not None and scalar:
-            _add_to_diagonal(total, scalar)
-        values.append(scalar if total is None else total)
+        for value in values[:dropped]:
+            release(value)
         del values[:dropped]
     return count, formed
 
@@ -404,6 +471,13 @@ def _report(tup: MatrixTuple, value, count: int, formed: int, side: str) -> Eval
     return EvalReport(value, count, side, formed)
 
 
+def _require_als(system) -> None:
+    # A BlockFactorization has a walk too, but of its block system's right
+    # family: evaluating it through the left-family plan would be wrong.
+    if not isinstance(system, Als):
+        raise TypeError(f"expected an Als, got {type(system).__name__}")
+
+
 def _check_compatible(alphabet, tup: MatrixTuple) -> None:
     if tup.d != len(alphabet):
         raise ValueError(
@@ -412,12 +486,20 @@ def _check_compatible(alphabet, tup: MatrixTuple) -> None:
 
 
 def evaluate_left(als: Als, tup: MatrixTuple) -> EvalReport:
-    """Back substitution s_n = lam*I, s_i = -sum_{j>i} a_ij s_j; result s_1."""
+    """Back substitution s_n = lam*I, s_i = -sum_{j>i} a_ij s_j; result s_1.
+
+    Raises ``TypeError`` for anything but an ``Als``.
+    """
+    _require_als(als)
     return _report(tup, *_walk(als, "left", tup), "left")
 
 
 def evaluate_right(als: Als, tup: MatrixTuple) -> EvalReport:
-    """Forward substitution t_1 = I, t_j = -sum_{i<j} t_i a_ij; result lam*t_n."""
+    """Forward substitution t_1 = I, t_j = -sum_{i<j} t_i a_ij; result lam*t_n.
+
+    Raises ``TypeError`` for anything but an ``Als``.
+    """
+    _require_als(als)
     return _report(tup, *_walk(als, "right", tup), "right")
 
 
@@ -486,10 +568,13 @@ def evaluate_product(systems: Sequence[Als], tup: MatrixTuple) -> EvalReport:
     Every factor is evaluated through its own system (left side), then
     folded into the product left to right by a one-step plan with the
     factor as its operand, so scalar factors never cost a product, and
-    after a zero factor no later factor does either.
+    after a zero factor no later factor does either.  Raises ``TypeError``
+    for a factor that is not an ``Als``.
     """
     if not systems:
         raise ValueError("need at least one factor")
+    for als in systems:
+        _require_als(als)
     if any(als.alphabet != systems[0].alphabet for als in systems):
         raise ValueError("operands use different alphabets")
     values, count, formed = [tup.coeff(Fraction(1))], 0, 0

@@ -29,7 +29,7 @@ def integer_scaled(values: Sequence[Fraction]) -> tuple[list[int], int]:
     """The values times the lcm ``l`` of their denominators, and ``l``.
 
     ``values[i] == ints[i] / l`` with Python ints.  This is the package's one
-    Fraction-to-integer step: elimination rows and exact products use it.
+    Fraction-to-integer step: elimination rows and exact evaluation use it.
     """
     den = 1
     for x in values:

@@ -185,6 +185,24 @@ class TestBlockFactorization:
                 ab_xy, [[["x", "y"]], [["x", "y"]]]  # 1x2 then 1x2: no chain
             )
 
+    def test_als_evaluators_reject_a_chain(self, ab_xy):
+        # [[x, 1]] [[y], [1]] is 1 + x*y; a left-family walk of its right
+        # family would give y*x + 1, so only its own evaluator takes it.
+        bf = BlockFactorization.from_cells(ab_xy, [[["x", "1"]], [["y"], ["1"]]])
+        tup = random_rational_tuple(random.Random(23), 2, 3)
+        want = naive_evaluate(parse("1 + x*y", ab_xy), tup.mats)
+        assert np.array_equal(evaluate_block_factorization(bf, tup).result, want)
+        xy = build_als(parse("x*y", ab_xy))
+        calls = (
+            lambda: evaluate_left(bf, tup),
+            lambda: evaluate_right(bf, tup),
+            lambda: evaluate_product([bf], tup),
+            lambda: evaluate_product([xy, bf], tup),
+        )
+        for call in calls:
+            with pytest.raises(TypeError, match="BlockFactorization"):
+                call()
+
     def test_block_als_represents_the_product(self, bench19_chain, bench19_poly):
         block_als = bench19_chain.to_block_als()
         assert block_als.n == 18
@@ -386,18 +404,28 @@ class TestBorrowedLetters:
             assert plan.combos == (((0, 1), (1, 1)),)
             combination = _combination(plan.combos[0], mats.mats)
             assert not any(np.shares_memory(combination, mat) for mat in mats.mats)
-        read = []
-        exact_matmul = evaluator._exact_matmul
+        read, scaled = [], []
+        exact_step, integer_form = evaluator._exact_step, evaluator._integer_form
 
-        def spy(left, right):
-            read.append(right)
-            return exact_matmul(left, right)
+        def step_spy(forms, parts, scalar):
+            read.extend(right for _, _, right in parts if right is not None)
+            return exact_step(forms, parts, scalar)
 
-        monkeypatch.setattr(evaluator, "_exact_matmul", spy)
+        def form_spy(mat):
+            scaled.append(mat)
+            return integer_form(mat)
+
+        monkeypatch.setattr(evaluator, "_exact_step", step_spy)
+        monkeypatch.setattr(evaluator, "_integer_form", form_spy)
         assert evaluate_block_factorization(bf, tup).formed == 1
         assert [mat is tup.mats[1] for mat in read] == [True] * 4 + [False] * 2
         assert read[4] is read[5]
         assert not any(np.shares_memory(read[4], mat) for mat in tup.mats)
+        # Each matrix is scaled to ints once per evaluation: x, y, the
+        # combination and the eight tracked values that later steps read.
+        assert len({id(mat) for mat in scaled}) == len(scaled) == 11
+        assert sum(mat is tup.mats[1] for mat in scaled) == 1
+        assert any(mat is read[4] for mat in scaled)
 
     def evaluations(self, tup, systems, chains):
         for als in systems:
