@@ -7,14 +7,13 @@ the upper right corner of the system matrix.  Finding such (P, Q) is a
 non-linear problem in general.  This module first tries its linear part:
 two joint solves whose row sources all lie below their column sources (so
 each bilinear term multiplies a zero cell below the diagonal, and a
-solution zeroes the block exactly), and a bounded alternation of partial
-row/column passes.  Then it solves the full equations over the union of
-the joint solves' unknowns: their one bilinear term per cell passes
-through the split row's diagonal 1, so the letter equations stay linear,
-and when they leave at most one free parameter the constant equations
-become quadratics in it whose rational roots are tried.  More parameters
-are not searched (the cap), so a ``None`` result means "no split found",
-never "irreducible".
+solution zeroes the block exactly).  Then it solves the full equations
+over the union of the joint solves' unknowns: their one bilinear term per
+cell passes through the split row's diagonal 1, so the letter equations
+stay linear, and when they leave at most one free parameter the constant
+equations become quadratics in it whose rational roots are tried.  More
+parameters are not searched (the cap), so a ``None`` result means "no
+split found", never "irreducible".
 
 Block factorizations (chains of rectangular pencil matrices whose product
 is a polynomial) are verified symbolically in the free algebra and can be
@@ -38,7 +37,6 @@ from .realization import (
     CellLike,
     LinearEntry,
     _Target,
-    _Work,
     _coerce_cell,
     _entry_row_str,
     _parse_entry_row,
@@ -49,7 +47,6 @@ from .realization import (
 
 Grid = tuple[tuple[LinearEntry, ...], ...]
 _Ops = dict[tuple[int, int], Fraction]  # off-diagonal cells of P or Q
-_MAX_PASSES = 3  # alternations of row and column passes per split position
 # Free parameters the full split solve handles: with one, each constant
 # equation is a quadratic in it.  A position whose letter equations leave
 # more is "capped": it is not searched, and a miss there is retried on
@@ -243,22 +240,21 @@ def _zero_block_ops(
     als: Als,
     target_rows: Sequence[int],
     target_cols: Sequence[int],
-    comps: Sequence[int],
     row_sources: Sequence[int],
     col_sources: Sequence[int],
 ) -> Optional[tuple[_Ops, _Ops]]:
     """One exact linear solve for row/column ops zeroing the target cells.
 
-    The unknowns are those of ``_block_unknowns``; only the given pencil
-    components of the target cells are zeroed.  Sources are 0-based; every
-    row source must exceed every column source, which kills the bilinear
-    alpha*A*beta terms and makes the equations exactly linear.  Returns
-    the nonzero (alpha, beta), or ``None`` when inconsistent.
+    The unknowns are those of ``_block_unknowns``; every pencil component
+    of the target cells is zeroed.  Sources are 0-based; every row source
+    must exceed every column source, which kills the bilinear alpha*A*beta
+    terms and makes the equations exactly linear.  Returns the nonzero
+    (alpha, beta), or ``None`` when inconsistent.
     """
     variables, targets = _block_unknowns(
         als, target_rows, target_cols, row_sources, col_sources
     )
-    eqs = _zero_cell_rows(targets, comps, len(variables))
+    eqs = _zero_cell_rows(targets, range(len(als.alphabet) + 1), len(variables))
     solution = None if eqs is None else linalg.solve_rows(*eqs, len(variables))
     if solution is None:
         return None
@@ -331,100 +327,18 @@ def _full_split_ops(als: Als, n1: int) -> tuple[Optional[tuple[_Ops, _Ops]], boo
     return None, False
 
 
-def _single_pass_ops(
-    als: Als,
-    target_rows: Sequence[int],
-    target_cols: Sequence[int],
-    row_sources: Sequence[int],
-    col_sources: Sequence[int],
-) -> Optional[_Ops]:
-    """Nonzero ops of one row's (or one column's) pass, else ``None``.
-
-    Only one kind of source is given, so only one kind of op comes back.
-    All pencil components are tried first, then the letter components
-    alone, which leaves a scalar residue for the other side.
-    """
-    d = len(als.alphabet)
-    for comps in (range(d + 1), range(1, d + 1)):
-        found = _zero_block_ops(
-            als, target_rows, target_cols, comps, row_sources, col_sources
-        )
-        ops = found[0] or found[1] if found else None
-        if ops:
-            return ops
-    return None
-
-
-def _add_rows(cells: _Ops, i: int, ops: _Ops) -> None:
-    """Row i of I + cells gains x times row r for each op (i, r) -> x, in place.
-
-    Composes a row op with an accumulated unitriangular matrix held as its
-    off-diagonal cells; a column op composes as a row op on the transpose.
-    No op reads row i itself, so every source row is read before row i is
-    written.
-    """
-    added = [(r, x) for (_, r), x in ops.items()]
-    added += [(k, x * y) for r, x in added for (s, k), y in cells.items() if s == r]
-    for k, x in added:
-        cells[i, k] = cells.get((i, k), 0) + x
-
-
-def _partial_passes(
-    als: Als, n1: int
-) -> Optional[tuple[Als, AdmissibleTransformation]]:
-    """Alternating per-row / per-column cleanup passes.
-
-    Each pass zeroes whatever single rows or columns of the target block
-    are individually reachable on the current matrix; when a row or column
-    cannot be zeroed completely, its letter components alone are tried,
-    leaving a scalar residue for the other side of the alternation.  Later
-    passes see the transformed system, so sequentially applied row and
-    column ops compose exactly even where a one-shot joint solve would be
-    bilinear.  Bounded, so possibly incomplete by design.  Each op is one
-    sparse unitriangular row or column op, mixed into one working system in
-    place (validated once, when frozen) and composed into the cells of P
-    and of Q's transpose.
-    """
-    n = als.n
-    work = _Work.thaw(als)
-    p_cells: _Ops = {}
-    qt_cells: _Ops = {}  # Q transposed: column ops compose as row ops
-    for _ in range(_MAX_PASSES):
-        changed = False
-        for i in range(n1 - 1):
-            alpha = _single_pass_ops(work, [i], range(n1, n), range(1, n - 1), ())
-            if alpha is None:
-                continue
-            work.mix(alpha, {})
-            _add_rows(p_cells, i, alpha)
-            changed = True
-        for j in range(n1, n):
-            beta = _single_pass_ops(work, range(n1 - 1), [j], (), range(1, j))
-            if beta is None:
-                continue
-            work.mix({}, beta)
-            _add_rows(qt_cells, j, {(j, c): x for (c, _), x in beta.items()})
-            changed = True
-        if _block_is_zero(work, n1):
-            q_cells = {(c, j): x for (j, c), x in qt_cells.items()}
-            return work.freeze(), AdmissibleTransformation(n, p_cells, q_cells)
-        if not changed:
-            return None
-    return None
-
-
 def find_split(als: Als) -> Optional[FactorSplit]:
     """Search split positions n1 = 2..n-1, in order, for a certified zero block.
 
-    First, per position in order: the two joint solves (split row n1 - 1
+    First, per position in order, the two joint solves (split row n1 - 1
     as a row source, then as a column source), which subsume the
-    rows-only and columns-only solves, then bounded alternating passes.
-    Only when all of these miss everywhere does the full solve, bilinear
-    term included (``_full_split_ops``), run at n1 = 2..n-1.  Equal systems
-    give equal results.  The input must be minimal (the factorization
-    criterion presupposes it): a system on which some minimization
-    equation is solvable raises ``ValueError``.  ``None`` means "no split
-    found": the full solve is capped at one free parameter.
+    rows-only and columns-only solves.  Only when both miss everywhere
+    does the full solve, bilinear term included (``_full_split_ops``), run
+    at n1 = 2..n-1.  Equal systems give equal results.  The input must be
+    minimal (the factorization criterion presupposes it): a system on
+    which some minimization equation is solvable raises ``ValueError``.
+    ``None`` means "no split found": the full solve is capped at one free
+    parameter.
     """
     n = als.n
     if n < 3:
@@ -433,21 +347,16 @@ def find_split(als: Als) -> Optional[FactorSplit]:
         raise ValueError("split search needs a polynomial ALS")
     if not minimizer._is_reduced(als):
         raise ValueError("split search needs a minimal system; minimize first")
-    comps = range(len(als.alphabet) + 1)
     for n1 in range(2, n):
         for row_sources, col_sources in (
             (range(n1 - 1, n - 1), range(1, n1 - 1)),  # split row as a row source
             (range(n1, n - 1), range(1, n1)),  # split row as a column source
         ):
             found = _zero_block_ops(
-                als, range(n1 - 1), range(n1, n), comps, row_sources, col_sources
+                als, range(n1 - 1), range(n1, n), row_sources, col_sources
             )
             if found is not None:
                 return _certified(als, n1, found)
-        partial = _partial_passes(als, n1)
-        if partial is not None:
-            transformed, trans = partial
-            return FactorSplit(transformed, n1, n + 1 - n1, trans)
     for n1 in range(2, n):
         found = _full_split_ops(als, n1)[0]
         if found is not None:

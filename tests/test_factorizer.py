@@ -34,9 +34,10 @@ from ncpoly import (
 )
 from ncpoly.errors import FormatError
 from ncpoly.factorizer import FactorSplit
-from ncpoly.realization import _transform
+from ncpoly.linalg import solve_rows
+from ncpoly.realization import _transform, _zero_cell_rows
 
-from conftest import assert_bitwise_equal, dense_unitriangular, matmul, random_polynomial
+from conftest import assert_bitwise_equal, random_polynomial
 
 
 def product_of(polys):
@@ -119,47 +120,25 @@ class TestSplitTransformation:
         intro = build_als(parse("x - x*y*x", ab_xy))
         self.assert_certified(intro, find_split(intro))
 
-    def test_partial_passes(self, ab_xy):
-        # no one-shot strategy reaches the zero block here; the alternating
-        # per-row/per-column passes compose several transformations
+    def test_split_needs_the_full_solve(self, ab_xy):
+        # neither joint solve reaches the zero block at any position; the
+        # full solve does at n1 = 2
         als = build_als(parse("6 - 4*x + 9*y^2 - 6*x*y^2", ab_xy))
         split = find_split(als)
         self.assert_certified(als, split)
-        partial = ncpoly.factorizer._partial_passes(als, split.n1)
-        assert partial == (split.transformed, split.transformation)
-
-    def test_ops_compose_like_dense_products(self):
-        # _partial_passes composes each row op into P's cells, and each
-        # column op into the cells of Q's transpose, as (I + op) @ matrix
-        rng = random.Random(12)
-        for n in range(2, 8):
-            for lower in (False, True):  # P's cells, or those of Q transposed
-                pairs = [
-                    (i, j) for i in range(n) for j in range(n) if i != j and (i > j) == lower
-                ]
-                cells = {
-                    cell: Fraction(rng.randint(-3, 3), rng.randint(1, 3))
-                    for cell in pairs
-                    if rng.random() < 0.5
-                }
-                dense = dense_unitriangular(n, cells.items())
-                for _ in range(3):
-                    i = rng.randrange(n)
-                    ops = {
-                        (i, r): Fraction(rng.randint(1, 4))
-                        for a, r in pairs
-                        if a == i and rng.random() < 0.7
-                    }
-                    ncpoly.factorizer._add_rows(cells, i, ops)
-                    dense = matmul(dense_unitriangular(n, ops.items()), dense)
-                    assert dense_unitriangular(n, cells.items()) == dense
+        assert split.n1 == 2
+        left, right = extract_factors(split)
+        assert (str(left.polynomial()), str(right.polynomial())) == (
+            "-3/2 + x",
+            "-4 - 6*y^2",
+        )
 
     def test_seeded_products(self, monkeypatch, ab_xy):
-        # factor seeded products p*q; a few of their splits are reached only
-        # by the alternating passes, whose (P, Q) are composed op by op
+        # factor seeded products p*q; some of their splits are reached only
+        # by the full solve, bilinear term included
         find = ncpoly.factorizer.find_split
-        passes = ncpoly.factorizer._partial_passes
-        splits, from_passes = [], []
+        full = ncpoly.factorizer._full_split_ops
+        splits, from_full_solve = [], []
 
         def recording_find(als):
             split = find(als)
@@ -167,14 +146,14 @@ class TestSplitTransformation:
                 splits.append((als, split))
             return split
 
-        def recording_passes(als, n1):
-            found = passes(als, n1)
-            if found is not None:
-                from_passes.append(found)
+        def recording_full(als, n1):
+            found = full(als, n1)
+            if found[0] is not None:
+                from_full_solve.append((als, n1))
             return found
 
         monkeypatch.setattr(ncpoly.factorizer, "find_split", recording_find)
-        monkeypatch.setattr(ncpoly.factorizer, "_partial_passes", recording_passes)
+        monkeypatch.setattr(ncpoly.factorizer, "_full_split_ops", recording_full)
         rng = random.Random(3)
         for _ in range(150):
             p = random_polynomial(rng, ab_xy, max_terms=3, max_degree=2)
@@ -183,7 +162,8 @@ class TestSplitTransformation:
                 factor_atoms(p * q)
         for als, split in splits:
             self.assert_certified(als, split)
-        assert from_passes
+        hits = [(als, split.n1) for als, split in splits]
+        assert from_full_solve and all(hit in hits for hit in from_full_solve)
 
     def test_criterion_5_splits(self, monkeypatch):
         find = ncpoly.factorizer.find_split
@@ -220,29 +200,73 @@ def former_strategies(n, n1):
     )
 
 
-def former_partial_passes(als, n1, max_passes=3):
-    """The former passes: one validated ``Als`` per row or column op."""
+def zero_block_ops_on(als, target_rows, target_cols, comps, row_sources, col_sources):
+    """``_zero_block_ops`` zeroing only the given pencil components."""
     fz = ncpoly.factorizer
+    variables, targets = fz._block_unknowns(
+        als, target_rows, target_cols, row_sources, col_sources
+    )
+    eqs = _zero_cell_rows(targets, comps, len(variables))
+    solution = None if eqs is None else solve_rows(*eqs, len(variables))
+    return None if solution is None else fz._ops_of(variables, solution)
+
+
+def single_pass_ops(als, target_rows, target_cols, row_sources, col_sources):
+    """Nonzero ops of one row's (or one column's) former pass, else ``None``.
+
+    All pencil components are tried first, then the letter components
+    alone, which leaves a scalar residue for the other side.
+    """
+    d = len(als.alphabet)
+    for comps in (range(d + 1), range(1, d + 1)):
+        found = zero_block_ops_on(
+            als, target_rows, target_cols, comps, row_sources, col_sources
+        )
+        ops = found[0] or found[1] if found else None
+        if ops:
+            return ops
+    return None
+
+
+def add_rows(cells, i, ops):
+    """Row i of I + cells gains x times row r for each op (i, r) -> x, in place.
+
+    A column op composes as a row op on the transpose.  No op reads row i
+    itself, so every source row is read before row i is written.
+    """
+    added = [(r, x) for (_, r), x in ops.items()]
+    added += [(k, x * y) for r, x in added for (s, k), y in cells.items() if s == r]
+    for k, x in added:
+        cells[i, k] = cells.get((i, k), 0) + x
+
+
+def former_partial_passes(als, n1, max_passes=3):
+    """The former alternating per-row and per-column passes at position n1.
+
+    Each pass zeroes the single rows, then the single columns, of the
+    target block that are reachable on the current system, one validated
+    ``Als`` per op; (P, Q) are composed op by op.
+    """
     n = als.n
     current = als
     p_cells, qt_cells = {}, {}
     for _ in range(max_passes):
         changed = False
         for i in range(n1 - 1):
-            alpha = fz._single_pass_ops(current, [i], range(n1, n), range(1, n - 1), ())
+            alpha = single_pass_ops(current, [i], range(n1, n), range(1, n - 1), ())
             if alpha is None:
                 continue
             current = _transform(current, alpha, {})
-            fz._add_rows(p_cells, i, alpha)
+            add_rows(p_cells, i, alpha)
             changed = True
         for j in range(n1, n):
-            beta = fz._single_pass_ops(current, range(n1 - 1), [j], (), range(1, j))
+            beta = single_pass_ops(current, range(n1 - 1), [j], (), range(1, j))
             if beta is None:
                 continue
             current = _transform(current, {}, beta)
-            fz._add_rows(qt_cells, j, {(j, c): x for (c, _), x in beta.items()})
+            add_rows(qt_cells, j, {(j, c): x for (c, _), x in beta.items()})
             changed = True
-        if fz._block_is_zero(current, n1):
+        if ncpoly.factorizer._block_is_zero(current, n1):
             q_cells = {(c, j): x for (j, c), x in qt_cells.items()}
             return current, AdmissibleTransformation(n, p_cells, q_cells)
         if not changed:
@@ -255,11 +279,10 @@ def former_find_split(als):
     n = als.n
     if n < 3:
         return None
-    comps = range(len(als.alphabet) + 1)
     for n1 in range(2, n):
         for row_sources, col_sources in former_strategies(n, n1):
             found = ncpoly.factorizer._zero_block_ops(
-                als, range(n1 - 1), range(n1, n), comps, row_sources, col_sources
+                als, range(n1 - 1), range(n1, n), row_sources, col_sources
             )
             if found is None:
                 continue
@@ -298,7 +321,7 @@ def former_factor_atoms(p):
 
 
 class TestSplitSearchMatchesFormerLadder:
-    """The two joint solves and the passes find what the four-strategy ladder found."""
+    """The search finds what the four-strategy ladder and the passes found."""
 
     def corpus(self):
         for seed, letters in ((7, "xy"), (8, "xyz")):
@@ -350,11 +373,10 @@ class TestSplitSearchMatchesFormerLadder:
         for poly in self.corpus():
             als = build_als(poly)
             n = als.n
-            comps = range(len(als.alphabet) + 1)
             for n1 in range(2, n):
                 hits = [
                     ncpoly.factorizer._zero_block_ops(
-                        als, range(n1 - 1), range(n1, n), comps, rows, cols
+                        als, range(n1 - 1), range(n1, n), rows, cols
                     )
                     is not None
                     for rows, cols in former_strategies(n, n1)
@@ -578,26 +600,39 @@ class TestRetrySearchesEachSystemOnce:
         assert 0 < rebuilt < sum(len(s) - 1 for s in reference_searched)
 
 
-def linear_find_split(als):
-    """find_split before the full solve: the joint solves and the passes."""
-    fz = ncpoly.factorizer
+def linear_search(als):
+    """find_split before the full solve: the joint solves, then the former
+    passes; and the stage that hit ("joint" or "passes"), else ``None``."""
     n = als.n
     if n < 3:
-        return None
-    comps = range(len(als.alphabet) + 1)
+        return None, None
     for n1 in range(2, n):
         for rows, cols in (
             (range(n1 - 1, n - 1), range(1, n1 - 1)),
             (range(n1, n - 1), range(1, n1)),
         ):
-            found = fz._zero_block_ops(als, range(n1 - 1), range(n1, n), comps, rows, cols)
+            found = ncpoly.factorizer._zero_block_ops(
+                als, range(n1 - 1), range(n1, n), rows, cols
+            )
             if found is not None:
-                trans = AdmissibleTransformation(n, *found)
-                return FactorSplit(apply_transformation(als, trans), n1, n + 1 - n1, trans)
-        partial = fz._partial_passes(als, n1)
+                return ncpoly.factorizer._certified(als, n1, found), "joint"
+        partial = former_partial_passes(als, n1)
         if partial is not None:
-            return FactorSplit(partial[0], n1, n + 1 - n1, partial[1])
-    return None
+            return FactorSplit(partial[0], n1, n + 1 - n1, partial[1]), "passes"
+    return None, None
+
+
+def passes_find_split(als):
+    """find_split with the former passes: the linear search, then the full
+    solve at every position; and the stage that hit."""
+    split, stage = linear_search(als)
+    if split is not None:
+        return split, stage
+    for n1 in range(2, als.n):
+        found = ncpoly.factorizer._full_split_ops(als, n1)[0]
+        if found is not None:
+            return ncpoly.factorizer._certified(als, n1, found), "full"
+    return None, None
 
 
 def linear_factor_atoms(p):
@@ -606,7 +641,7 @@ def linear_factor_atoms(p):
     rescued = []
 
     def split_with_retries(als):
-        split = linear_find_split(als)
+        split = linear_search(als)[0]
         if split is not None or als.n > ncpoly.factorizer._RETRY_LIMIT_DIM:
             return split
         poly = als.polynomial()
@@ -618,7 +653,7 @@ def linear_factor_atoms(p):
             candidate = build_als(poly, insertion_order=list(words))
             if candidate not in searched:
                 searched.add(candidate)
-                split = linear_find_split(candidate)
+                split = linear_search(candidate)[0]
                 if split is not None:
                     rescued.append(candidate)
                     return split
@@ -636,7 +671,9 @@ def linear_factor_atoms(p):
 
 class TestFullSolveLosesNoSplit:
     """Against the search without the full solve, on seeded products: no
-    atom count drops, and equal splits wherever the linear search hits."""
+    atom count drops.  Against the search with the former passes: equal
+    splits wherever it hits through a joint solve or the full solve, and
+    the same position and factors wherever it hits through the passes."""
 
     def corpus(self):
         yield from seeded_affine_products(60)
@@ -645,7 +682,7 @@ class TestFullSolveLosesNoSplit:
             yield from seeded_random_products(seed, letters, 40, 3, 2)
 
     def test_never_fewer_atoms(self):
-        gained = rescued = 0
+        gained = rescued = from_passes = 0
         for poly in self.corpus():
             atoms = factor_atoms(poly)
             former, former_rescued = linear_factor_atoms(poly)
@@ -658,11 +695,18 @@ class TestFullSolveLosesNoSplit:
             while pending:
                 als = pending.pop()
                 split = find_split(als)
-                linear = linear_find_split(als)
-                assert linear is None or split == linear
+                reference, stage = passes_find_split(als)
+                if stage == "passes":
+                    from_passes += 1
+                    assert split is not None and split.n1 == reference.n1
+                    assert [f.polynomial() for f in extract_factors(split)] == [
+                        f.polynomial() for f in extract_factors(reference)
+                    ]
+                else:
+                    assert split == reference
                 if split is not None:
                     pending.extend(f for f in extract_factors(split) if f.n >= 3)
-        assert gained and rescued
+        assert gained and rescued and from_passes
 
 
 class TestFullSolve:
@@ -675,7 +719,7 @@ class TestFullSolve:
     def test_shared_letter_products_split(self, text, letters):
         p = parse(text, Alphabet(tuple(letters)))
         als = build_als(p)
-        assert linear_find_split(als) is None
+        assert linear_search(als)[0] is None
         atoms = factor_atoms(p)
         assert len(atoms) == 2 and product_of(atoms) == p
 
