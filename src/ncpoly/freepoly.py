@@ -193,12 +193,7 @@ class NcPolynomial:
             )
         other = self._coerce(other)
         self._check_alphabet(other)
-        out: Dict[Word, Fraction] = {}
-        for wa, ca in self._terms.items():
-            for wb, cb in other._terms.items():
-                word = wa + wb
-                out[word] = out.get(word, Fraction(0)) + ca * cb
-        return NcPolynomial(self.alphabet, out)
+        return NcPolynomial(self.alphabet, _product(self._terms, other._terms))
 
     def __rmul__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -254,6 +249,23 @@ class NcPolynomial:
         return f"NcPolynomial({self})"
 
 
+_Terms = Dict[Word, Fraction]
+
+
+def _product(a: _Terms, b: _Terms) -> _Terms:
+    """The term map of a * b, without zero coefficients."""
+    out: _Terms = {}
+    for wa, ca in a.items():
+        for wb, cb in b.items():
+            word = wa + wb
+            out[word] = out.get(word, 0) + ca * cb
+    return {word: c for word, c in out.items() if c}
+
+
+def _degree(terms: _Terms) -> int:
+    return max(map(len, terms), default=0)
+
+
 # -- parsing ---------------------------------------------------------------
 
 # Limits on parsed text, checked before anything is expanded: a power
@@ -305,6 +317,10 @@ class _Parser:
 
     A bare identifier such as "xy" is split into single letters when the
     alphabet consists solely of single-character letters.
+
+    Factors, terms and expressions are term maps (word -> coefficient) with
+    no zero coefficients, so the bounds read the same lengths and degrees
+    as on polynomials; ``parse`` builds one ``NcPolynomial`` at the end.
     """
 
     def __init__(self, text: str, alphabet: Alphabet):
@@ -328,36 +344,35 @@ class _Parser:
         self.advance()
 
     def parse(self) -> NcPolynomial:
-        result = self.expression()
+        terms = self.expression()
         kind, value, at = self.peek()
         if kind != "eof":
             raise ParseError(f"unexpected {value!r}", at)
-        return result
+        return NcPolynomial(self.alphabet, terms)
 
-    def expression(self) -> NcPolynomial:
-        sign = 1
+    def expression(self) -> _Terms:
+        total: _Terms = {}
         kind, value, _ = self.peek()
+        sign = -1 if kind == "op" and value == "-" else 1
         if kind == "op" and value in "+-":
             self.advance()
-            sign = -1 if value == "-" else 1
-        total = self.term() * sign
         while True:
+            for word, coeff in self.term().items():
+                total[word] = total.get(word, 0) + sign * coeff
             kind, value, _ = self.peek()
-            if kind == "op" and value in "+-":
-                self.advance()
-                part = self.term()
-                total = total + (part if value == "+" else -part)
-            else:
-                return total
+            if not (kind == "op" and value in "+-"):
+                return {word: c for word, c in total.items() if c}
+            self.advance()
+            sign = -1 if value == "-" else 1
 
-    def term(self) -> NcPolynomial:
+    def term(self) -> _Terms:
         kind, _, at = self.peek()
         coeff = Fraction(1)
         have_coeff = False
         if kind == "number":
             coeff = self.coefficient()
             have_coeff = True
-        product = NcPolynomial.scalar(self.alphabet, coeff)
+        product = {(): coeff} if coeff else {}
         have_factor = False
         while True:
             kind, value, star_at = self.peek()
@@ -369,11 +384,11 @@ class _Parser:
                 break
             factor_at = self.peek()[2]
             factor = self.factor()
-            if product.degree() + factor.degree() > MAX_DEGREE:
+            if _degree(product) + _degree(factor) > MAX_DEGREE:
                 raise ParseError(f"product exceeds degree {MAX_DEGREE}", factor_at)
             if len(product) * len(factor) > MAX_TERMS:
                 raise ParseError(f"product may exceed {MAX_TERMS} terms", factor_at)
-            product = product * factor
+            product = _product(product, factor)
             have_factor = True
         if not have_coeff and not have_factor:
             raise ParseError("expected a term", at)
@@ -401,10 +416,10 @@ class _Parser:
             return Fraction(numerator, den)
         return Fraction(numerator)
 
-    def factor(self) -> NcPolynomial:
+    def factor(self) -> _Terms:
         kind, value, at = self.advance()
         if kind == "ident":
-            base = self.identifier_poly(value, at)
+            base = {self.identifier_word(value, at): Fraction(1)}
         elif kind == "op" and value == "(":
             if self.depth == MAX_NESTING:
                 raise ParseError(f"parentheses nest deeper than {MAX_NESTING}", at)
@@ -423,19 +438,21 @@ class _Parser:
             exponent = self.integer()
             if exponent < 1:
                 raise ParseError("expected a positive integer exponent", at)
-            if max(exponent, base.degree() * exponent) > MAX_DEGREE:
+            if max(exponent, _degree(base) * exponent) > MAX_DEGREE:
                 raise ParseError(f"power exceeds degree {MAX_DEGREE}", at)
             if len(base) ** exponent > MAX_TERMS:
                 raise ParseError(f"power may exceed {MAX_TERMS} terms", at)
-            return base**exponent
+            power = base
+            for _ in range(exponent - 1):
+                power = _product(power, base)
+            return power
         return base
 
-    def identifier_poly(self, name: str, at: int) -> NcPolynomial:
+    def identifier_word(self, name: str, at: int) -> Word:
         if name in self.alphabet:
-            return NcPolynomial.letter(self.alphabet, name)
+            return (self.alphabet.index(name),)
         if self.alphabet.all_single_char and all(c in self.alphabet for c in name):
-            word = tuple(self.alphabet.index(c) for c in name)
-            return NcPolynomial.monomial(self.alphabet, word)
+            return tuple(self.alphabet.index(c) for c in name)
         raise ParseError(f"unknown identifier {name!r}", at)
 
 

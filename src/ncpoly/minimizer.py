@@ -26,10 +26,10 @@ from typing import Optional, Sequence
 
 from . import linalg
 from .freepoly import NcPolynomial, Word, word_key
-from .realization import Als, _Work, _zero_cell_rows
+from .realization import Als, _Work, _combine, _zero_cell_rows
 
 
-_ZERO = Fraction(0)
+_ZERO, _ONE = Fraction(0), Fraction(1)
 
 
 def solve_left_minimization(
@@ -64,7 +64,8 @@ def solve_left_minimization(
     t = linalg.solve_rows(rows, rhs, q)
     if t is None:
         return None
-    return tuple(t), _constant_parts(targets, t)
+    assert als.rhs[k - 1] + sum(x * v for x, v in zip(t, als.rhs[k:]) if x) == 0
+    return tuple(t), _other_unknown(targets, t, k == 1)
 
 
 def solve_right_minimization(
@@ -93,41 +94,63 @@ def solve_right_minimization(
     u = None if eqs is None else linalg.solve_rows(*eqs, q)
     if u is None:
         return None
-    return _constant_parts(targets, u), tuple(u)
+    return _other_unknown(targets, u, False), tuple(u)
 
 
-def _constant_parts(targets, x) -> tuple[Fraction, ...]:
-    """Minus each target's constant part once the unknowns x are applied.
+def _other_unknown(targets, x, constants_zeroed: bool) -> tuple[Fraction, ...]:
+    """The other unknown, U on the left and T on the right, for the unknowns x.
 
-    The left and right solvers zero only letters (except at left pivot 1);
-    this is the other unknown, U on the left and T on the right, that
-    cancels the constants left behind.
+    Each target's residual ``entry + sum x_v * e_v`` is computed once.  It
+    is the line that the removal step drops, less the other unknown, so its
+    letters (and, where the solver zeroed them, its constants) must be
+    zero: this is the check that the removal keeps the polynomial.  The
+    other unknown is minus the residual's constant part.
     """
-    return tuple(
-        -(entry.constant + sum((x[v] * e.constant for v, e in terms if x[v]), _ZERO))
-        for entry, terms in targets
-    )
+    out = []
+    for entry, terms in targets:
+        residual = list(entry.coeffs)
+        for v, e in terms:
+            if xv := x[v]:
+                for c, y in enumerate(e.coeffs):
+                    if y:
+                        residual[c] += xv * y
+        assert not any(residual[1:]) and not (constants_zeroed and residual[0])
+        out.append(-residual[0])
+    return tuple(out)
 
 
 def _left_step(work: _Work, k: int, t, u) -> None:
-    """Row k += T . (rows below), column k+j += U_j . column k; drop k."""
+    """Column k+j += U_j . column k above row k; drop k.
+
+    Row k += T . (rows below) would zero row k and v_k (the solver checked
+    the residual), so that row mix is never formed: row k is dropped.
+    """
     p = k - 1
-    work.mix(
-        {(p, k + j): x for j, x in enumerate(t) if x},
-        {(p, k + j): x for j, x in enumerate(u) if x},
-    )
-    assert all(entry.is_zero for entry in work.rows[p][k:]) and work.rhs[p] == 0
+    for row in work.rows[:p]:
+        if not (source := row[p]).is_zero:
+            for j, x in enumerate(u, k):
+                if x:
+                    row[j] = _combine(((_ONE, row[j]), (x, source)), work.zero)
     work.drop(k)
 
 
 def _right_step(work: _Work, k: int, t, u) -> None:
-    """Row i += T_i . row k (i < k), column k += sum_i U_i . column i; drop k."""
+    """Row i += T_i . row k for i < k; drop k.
+
+    Column k += sum_i U_i . column i would zero column k above the diagonal
+    (the solver checked the residual), so that column mix is never formed:
+    column k is dropped.
+    """
     p = k - 1
-    work.mix(
-        {(i, p): x for i, x in enumerate(t) if x},
-        {(i, p): x for i, x in enumerate(u) if x},
-    )
-    assert all(row[p].is_zero for row in work.rows[:p])
+    sources = [(j, e) for j, e in enumerate(work.rows[p]) if j > p and not e.is_zero]
+    value = work.rhs[p]
+    for i, x in enumerate(t):
+        if x:
+            row = work.rows[i]
+            for j, e in sources:
+                row[j] = _combine(((_ONE, row[j]), (x, e)), work.zero)
+            if value:
+                work.rhs[i] += x * value
     work.drop(k)
 
 

@@ -416,7 +416,9 @@ class _Work:
         every other cell is that of the identity.  Rows are mixed first,
         then columns of the row-mixed grid; every source row (column) is
         read before any mixed row (column) is written.  A mixed cell is
-        only computed where one of its sources is nonzero.
+        only computed where one of its sources is nonzero.  This serves
+        ``_transform``; restoration and the minimizer's removal steps edit
+        only the cells they keep instead.
         """
         rows, rhs, zero, n = self.rows, self.rhs, self.zero, self.n
         row_mix = _line_terms(p_cells, False)
@@ -488,12 +490,17 @@ class _Work:
 
     def restore_polynomial_form(self) -> None:
         """As ``restore_polynomial_form``, in place; a no-op in polynomial form."""
-        n, lam = self.n, self.rhs[-1]
+        lam = self.rhs[-1]
         if lam == 0:
             raise ValueError(
                 "cannot restore polynomial form: v_n is zero (see minimize)"
             )
-        self.mix({(i, n - 1): -v / lam for i, v in enumerate(self.rhs[:-1]) if v}, {})
+        # Row n is e_n, so row i += (-v_i / lam) * row n changes one constant.
+        for i, v in enumerate(self.rhs[:-1]):
+            if v:
+                entry = self.rows[i][-1].add_constant(-v / lam)
+                self.rows[i][-1] = self.zero if entry.is_zero else entry
+                self.rhs[i] = _ZERO
 
 
 # A cell to zero: its entry, and the (unknown, entry) pairs that multiply

@@ -31,13 +31,13 @@ from ncpoly import (
     solve_right_minimization,
 )
 
-from ncpoly import minimizer
+from ncpoly import linalg, minimizer
 from ncpoly.families import convolution_system, power_system
 from ncpoly.factorizer import _zero_block_ops
 from ncpoly.freepoly import word_key
 from ncpoly.linalg import _integer_row, _solve
 from ncpoly.minimizer import _family_rank, _is_reduced
-from ncpoly.realization import LinearEntry
+from ncpoly.realization import LinearEntry, _Work
 
 from conftest import BENCH19_TEXT, dense_transformation, random_polynomial, reference_rank
 
@@ -52,21 +52,25 @@ def system_for_one_minus_yx(ab):
     )
 
 
+def dependent_row_stage(ab):
+    """The 4-dim stage of minimizing x + (1 - yx); left pivot 2 solves."""
+    return Als.from_cells(
+        ab,
+        [
+            ["1", "-x", "y", "-1"],
+            ["0", "1", "0", "0"],
+            ["0", "0", "1", "-x"],
+            ["0", "0", "0", "1"],
+        ],
+        [0, 1, 0, 1],
+    )
+
+
 class TestSolveLeftMinimization:
     def test_dependent_row_in_sum_intermediate(self, ab_xy):
         # the 4-dim stage of minimizing x + (1 - yx): s_2 = 1 depends on s_4 = 1;
         # the fix subtracts row 4 from row 2 and adds column 2 to column 4
-        stage = Als.from_cells(
-            ab_xy,
-            [
-                ["1", "-x", "y", "-1"],
-                ["0", "1", "0", "0"],
-                ["0", "0", "1", "-x"],
-                ["0", "0", "0", "1"],
-            ],
-            [0, 1, 0, 1],
-        )
-        t, u = solve_left_minimization(stage, 2)
+        t, u = solve_left_minimization(dependent_row_stage(ab_xy), 2)
         assert t == (Fraction(0), Fraction(-1))
         assert u == (Fraction(0), Fraction(1))
 
@@ -395,6 +399,88 @@ class TestWorkingSystemMatchesPerStepReference:
         total = als_add(system_for_x(ab_xy), system_for_one_minus_yx(ab_xy))
         with pytest.raises(ValueError, match="below the diagonal"):
             minimize(total)
+
+
+class TestRemovalCheck:
+    """The solvers check the line each removal step drops.
+
+    The steps never form that line: a left step only mixes columns and a
+    right step only rows.  So the solver asserts that each target's
+    residual, entry + sum x_v * e_v, has no letters (at left pivot 1 no
+    constants either) and that the left right-hand-side row cancels.
+    """
+
+    def perturb(self, monkeypatch, index):
+        solve = linalg.solve_rows
+
+        def perturbed(rows, rhs, width):
+            x = solve(rows, rhs, width)
+            x[index] += 1
+            return x
+
+        monkeypatch.setattr(linalg, "solve_rows", perturbed)
+
+    def test_left_pivot_letter_residual(self, ab_xy, monkeypatch):
+        stage = dependent_row_stage(ab_xy)
+        assert solve_left_minimization(stage, 2) is not None
+        # T = (1, -1) still cancels v_2, but adds the -x of row 3 to cell (2, 4)
+        self.perturb(monkeypatch, 0)
+        with pytest.raises(AssertionError):
+            solve_left_minimization(stage, 2)
+
+    def test_left_pivot_right_hand_side(self, ab_xy, monkeypatch):
+        # T = (0, 0) leaves no letter, but v_2 = 1 is not cancelled
+        self.perturb(monkeypatch, 1)
+        with pytest.raises(AssertionError):
+            solve_left_minimization(dependent_row_stage(ab_xy), 2)
+
+    def test_left_pivot_one_constants(self, ab_xy, monkeypatch):
+        tail = Als.from_cells(ab_xy, [["1", "0"], ["0", "1"]], [0, -1])
+        self.perturb(monkeypatch, 0)
+        with pytest.raises(AssertionError):
+            solve_left_minimization(tail, 1)
+
+    def test_right_pivot_letter_residual(self, ab_xy, monkeypatch):
+        total = restore_polynomial_form(
+            als_add(system_for_x(ab_xy), system_for_one_minus_yx(ab_xy))
+        )
+        assert solve_right_minimization(total, 3) is not None
+        # U = (0, 1) adds the -x of column 2 to cell (1, 3)
+        self.perturb(monkeypatch, 1)
+        with pytest.raises(AssertionError):
+            solve_right_minimization(total, 3)
+
+
+class TestBuildAlsFormsOnlyKeptWork:
+    """Call counts on a fixed corpus, so discarded work cannot come back.
+
+    ``build_als`` forms no row or column mix (steps and restorations edit
+    only the lines they keep), and builds no more minimization equations
+    than its scan asks for.  Counts, not times, so the test is
+    deterministic.
+    """
+
+    MAX_EQUATION_BUILDS = 1_461  # one per solver call on this corpus
+
+    def test_seeded_corpus(self, ab_xy, ab_xyz, monkeypatch):
+        def no_mix(*args):
+            raise AssertionError("build_als formed a mix")
+
+        builds = []
+        zero_cell_rows = minimizer._zero_cell_rows
+
+        def counted(*args):
+            builds.append(args)
+            return zero_cell_rows(*args)
+
+        monkeypatch.setattr(_Work, "mix", no_mix)
+        monkeypatch.setattr(minimizer, "_zero_cell_rows", counted)
+        rng = random.Random(19)
+        for alphabet in (ab_xy, ab_xyz):
+            for _ in range(20):
+                p = random_polynomial(rng, alphabet, max_terms=8, max_degree=3)
+                assert build_als(p).polynomial() == p
+        assert len(builds) <= self.MAX_EQUATION_BUILDS
 
 
 class TestFamilyRankMatchesRatMatrixRank:
