@@ -382,6 +382,14 @@ def extract_factors(split: FactorSplit) -> tuple[Als, Als]:
     factor on rows/columns n1..n with the original lam.  Their product is
     checked against the represented polynomial exactly.
     """
+    left, right = _factor_systems(split)
+    if left.polynomial() * right.polynomial() != split.transformed.polynomial():
+        raise RuntimeError("internal inconsistency: extracted factors do not multiply back")
+    return left, right
+
+
+def _factor_systems(split: FactorSplit) -> tuple[Als, Als]:
+    """The two factor systems of ``extract_factors``, unchecked."""
     als = split.transformed
     n1 = split.n1
     left = Als(
@@ -394,8 +402,6 @@ def extract_factors(split: FactorSplit) -> tuple[Als, Als]:
         [row[n1 - 1 :] for row in als.rows[n1 - 1 :]],
         als.rhs[n1 - 1 :],
     )
-    if left.polynomial() * right.polynomial() != als.polynomial():
-        raise RuntimeError("internal inconsistency: extracted factors do not multiply back")
     return left, right
 
 
@@ -432,14 +438,23 @@ def _split_with_retries(als: Als) -> Optional[FactorSplit]:
     return None
 
 
-def _atoms_from_system(als: Als) -> list[Als]:
+def _atoms_from_system(als: Als, poly: NcPolynomial) -> list[NcPolynomial]:
+    """The atoms of ``poly``, searched on ``als``, a minimal system for it.
+
+    Each split's two factor polynomials are computed once, checked to
+    multiply back to ``poly`` (so the check covers the transformation
+    too), and carried into the search of their factor systems.
+    """
     if als.n < 3:
-        return [als]
+        return [poly]
     split = _split_with_retries(als)
     if split is None:
-        return [als]
-    left, right = extract_factors(split)
-    return _atoms_from_system(left) + _atoms_from_system(right)
+        return [poly]
+    left, right = _factor_systems(split)
+    left_poly, right_poly = left.polynomial(), right.polynomial()
+    if left_poly * right_poly != poly:
+        raise RuntimeError("internal inconsistency: split factors do not multiply back")
+    return _atoms_from_system(left, left_poly) + _atoms_from_system(right, right_poly)
 
 
 def factor_atoms(p: NcPolynomial) -> list[NcPolynomial]:
@@ -451,13 +466,13 @@ def factor_atoms(p: NcPolynomial) -> list[NcPolynomial]:
     was capped at some position is double-checked on a few rebuilt
     representatives (small dimensions only); any other miss is final.
     Split factors are minimal (their ranks n1 + n2 = n + 1 add up as for
-    any product) and are searched again as they are.  The result depends
-    on p alone.
+    any product) and are searched again as they are.  Each factor's
+    polynomial is computed once, from its system, and checked against its
+    parent's.  The result depends on p alone.
     """
     if p.is_zero or p.is_scalar:
         raise ValueError("factorization needs a non-scalar polynomial")
-    systems = _atoms_from_system(minimizer.build_als(p))
-    return [als.polynomial() for als in systems]
+    return _atoms_from_system(minimizer.build_als(p), p)
 
 
 # -- matrix reducibility pattern ------------------------------------------------

@@ -40,12 +40,16 @@ def solve_left_minimization(
     Returns (T, U) with entries in K^{1 x (n-k)}, or None.  At k = 1 the
     transformation must keep the first row of Q equal to e1, which forces
     U = 0; solvability there certifies that the represented polynomial is
-    zero.
+    zero.  A letter in cell (k-1, k) (0-based) decides None at once: the
+    cell's one unknown, the first entry of T, multiplies the diagonal 1 of
+    row k, so the letter cannot cancel.
     """
     n = als.n
     if not 1 <= k <= n - 1:
         raise IndexError(f"left pivot {k} out of range for dimension {n}")
     a = als.rows
+    if not a[k - 1][k].is_scalar:
+        return None
     q = n - k
     # Target: row k-1 right of the pivot.  T_r multiplies row k+r, which is
     # zero left of its diagonal.  T zeroes the letters (at k = 1 also the
@@ -76,12 +80,16 @@ def solve_right_minimization(
     Returns (T, U) with entries in K^{(k-1) x 1}, or None.  Admissibility
     forbids touching the first column, so U_1 must be 0.  No letter of
     A_11 lies in its first column, so U_1 is a free unknown, and free
-    unknowns are 0.
+    unknowns are 0.  A letter in cell (k-2, k-1) (0-based) decides None at
+    once: the cell's one unknown, the last entry of U, multiplies the
+    diagonal 1 of row k-2, so the letter cannot cancel.
     """
     n = als.n
     if not 2 <= k <= n:
         raise IndexError(f"right pivot {k} out of range for dimension {n}")
     a = als.rows
+    if not a[k - 2][k - 1].is_scalar:
+        return None
     q = k - 1
     # Target: column k-1 above the diagonal.  U_c multiplies column c,
     # which is zero below its diagonal.  U zeroes the letters; T takes
@@ -226,9 +234,10 @@ def _is_reduced(als: Als) -> bool:
 
     These are the solvers and pivots ``minimize`` scans (left at 1..n-1,
     right at 2..n), so True means ``minimize`` would not shrink the
-    system; for a polynomial ALS that is minimality.  Unsolvable equations
-    mostly stop at their first 0 = b row, so on a minimal system this is
-    far cheaper than the family ranks of ``is_minimal``, which stays the
+    system; for a polynomial ALS that is minimality.  On a minimal system
+    most pivots are decided by the letter in one superdiagonal cell, and
+    most other equations stop at their first 0 = b row, so this is far
+    cheaper than the family ranks of ``is_minimal``, which stays the
     independent certificate.
     """
     n = als.n

@@ -74,6 +74,18 @@ def test_alternates_and_summarizes(tmp_path):
     # lower is better; the tie in pair 3 counts for neither side
     assert ("  peak_rss_mb: parent median 30 (quartiles 30 30), "
             "change median 30.5, change better in 1/4") in out
+    # medians 1000 and 1550 attempted ops, 30 and 30.5 MB
+    assert "  attempted: parent median 1000, change median 1550" in out
+    assert "  peak_rss_mb per 1,000 extra attempted ops: 0.9091" in out
+
+
+def test_equal_attempted_gives_no_slope(tmp_path):
+    parent = checkout(tmp_path, "parent", 1, [(100.0, 30.0)])
+    change = checkout(tmp_path, "change", 1, [(100.0, 31.0)])
+    proc = run_tool(parent, change, 1)
+    assert proc.returncode == 0, proc.stderr
+    assert "  attempted: parent median 1000, change median 1000" in proc.stdout
+    assert "  peak_rss_mb per 1,000 extra attempted ops: n/a" in proc.stdout
 
 
 def test_failed_run_exits_one(tmp_path):

@@ -11,6 +11,7 @@ import ncpoly.factorizer
 from ncpoly import (
     AdmissibleTransformation,
     Alphabet,
+    Als,
     BlockFactorization,
     NcPolynomial,
     apply_transformation,
@@ -598,6 +599,75 @@ class TestRetrySearchesEachSystemOnce:
         assert atoms == reference
         rebuilt = sum(len(s) - 1 for s in searched)
         assert 0 < rebuilt < sum(len(s) - 1 for s in reference_searched)
+
+
+def factor_atoms_through_extract(p):
+    """factor_atoms as it was: each split through extract_factors, and one
+    polynomial per atom system at the end."""
+    fz = ncpoly.factorizer
+
+    def atoms(als):
+        split = fz._split_with_retries(als) if als.n >= 3 else None
+        if split is None:
+            return [als]
+        left, right = extract_factors(split)
+        return atoms(left) + atoms(right)
+
+    return [als.polynomial() for als in atoms(build_als(p))]
+
+
+class TestFactorPolynomialsOnce:
+    """factor_atoms computes each factor's polynomial once and checks it
+    against its parent's, the polynomial from before the transformation."""
+
+    def corpus(self):
+        yield from seeded_affine_products(60)
+        yield from seeded_xy_products(60)
+
+    def test_same_atoms_as_through_extract_factors(self):
+        lengths = set()
+        for poly in self.corpus():
+            atoms = factor_atoms(poly)
+            assert atoms == factor_atoms_through_extract(poly)
+            lengths.add(len(atoms))
+        assert lengths == {2, 3}
+
+    def test_two_polynomials_per_split(self, monkeypatch):
+        fz = ncpoly.factorizer
+        calls = []
+        polynomial = Als.polynomial
+
+        def counted(als):
+            calls.append(als)
+            return polynomial(als)
+
+        monkeypatch.setattr(Als, "polynomial", counted)
+        monkeypatch.setattr(fz, "_split_with_retries", fz.find_split)
+        for poly in self.corpus():
+            calls.clear()
+            atoms = factor_atoms(poly)
+            assert len(calls) == 2 * (len(atoms) - 1)
+
+    @pytest.mark.parametrize(
+        "text", ["x*y*z", "(x*y+1)*(z*x-3)", "(1+x+y)*(2+x-y)"]
+    )
+    def test_perturbed_transformation_raises(self, ab_xyz, monkeypatch, text):
+        # cell (n-2, n-1) lies outside every split's zero block, so the split
+        # stays certified and only the product check can see the change
+        apply = ncpoly.factorizer.apply_transformation
+
+        def perturbed(als, trans):
+            out = apply(als, trans)
+            rows = [list(row) for row in out.rows]
+            rows[-2][-1] = rows[-2][-1].add_constant(1)
+            return Als(out.alphabet, rows, out.rhs)
+
+        monkeypatch.setattr(ncpoly.factorizer, "apply_transformation", perturbed)
+        als = build_als(parse(text, ab_xyz))
+        # the check of extract_factors compares with the transformed system
+        extract_factors(find_split(als))
+        with pytest.raises(RuntimeError, match="do not multiply back"):
+            factor_atoms(als.polynomial())
 
 
 def linear_search(als):

@@ -460,7 +460,9 @@ class TestBuildAlsFormsOnlyKeptWork:
     deterministic.
     """
 
-    MAX_EQUATION_BUILDS = 1_461  # one per solver call on this corpus
+    # the scan's 1,461 solver calls on this corpus; the rest are decided
+    # by one cell (see TestOneCellDecision)
+    MAX_EQUATION_BUILDS = 470
 
     def test_seeded_corpus(self, ab_xy, ab_xyz, monkeypatch):
         def no_mix(*args):
@@ -481,6 +483,122 @@ class TestBuildAlsFormsOnlyKeptWork:
                 p = random_polynomial(rng, alphabet, max_terms=8, max_degree=3)
                 assert build_als(p).polynomial() == p
         assert len(builds) <= self.MAX_EQUATION_BUILDS
+
+
+def former_left_solve(als, k):
+    """The left solver before the one-cell decision."""
+    n = als.n
+    a = als.rows
+    q = n - k
+    targets = []
+    for c in range(k, n):
+        column = [(i - k, e) for i in range(k, c + 1) if not (e := a[i][c]).is_zero]
+        targets.append((a[k - 1][c], column))
+    comps = range(0 if k == 1 else 1, len(als.alphabet) + 1)
+    eqs = minimizer._zero_cell_rows(targets, comps, q)
+    if eqs is None:
+        return None
+    rows, rhs = eqs
+    rows.append(list(als.rhs[k:]))
+    rhs.append(-als.rhs[k - 1])
+    t = linalg.solve_rows(rows, rhs, q)
+    if t is None:
+        return None
+    return tuple(t), minimizer._other_unknown(targets, t, k == 1)
+
+
+def former_right_solve(als, k):
+    """The right solver before the one-cell decision."""
+    a = als.rows
+    q = k - 1
+    targets = [
+        (a[i][q], [(c, e) for c in range(i, q) if not (e := a[i][c]).is_zero])
+        for i in range(q)
+    ]
+    eqs = minimizer._zero_cell_rows(targets, range(1, len(als.alphabet) + 1), q)
+    u = None if eqs is None else linalg.solve_rows(*eqs, q)
+    if u is None:
+        return None
+    return minimizer._other_unknown(targets, u, False), tuple(u)
+
+
+def former_is_reduced(als):
+    n = als.n
+    return all(former_left_solve(als, k) is None for k in range(1, n)) and all(
+        former_right_solve(als, k) is None for k in range(2, n + 1)
+    )
+
+
+def decisive_letter(als, side, k):
+    """Whether the cell that decides pivot k on this side holds a letter."""
+    i = k - 1 if side == "left" else k - 2
+    return not als.rows[i][i + 1].is_scalar
+
+
+class TestOneCellDecision:
+    """A letter in cell (k-1, k) (left) or (k-2, k-1) (right) decides None.
+
+    The systems are every working system that ``build_als`` scans on
+    seeded polynomials, and the minimal q_5 and p_6, where every pivot is
+    decided this way.
+    """
+
+    def systems(self, ab_xy, ab_xyz):
+        seen = {}
+        solve = minimizer.solve_left_minimization
+
+        def recording(work, k):
+            key = (tuple(map(tuple, work.rows)), tuple(work.rhs))
+            seen.setdefault(key, _Work(work.alphabet, work.rows, work.rhs))
+            return solve(work, k)
+
+        rng = random.Random(20)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(minimizer, "solve_left_minimization", recording)
+            for alphabet in (ab_xy, ab_xyz):
+                for _ in range(15):
+                    build_als(random_polynomial(rng, alphabet, 8, 3))
+        return list(seen.values()) + [convolution_system(5), power_system(6)]
+
+    def pivots(self, als):
+        yield from (("left", k) for k in range(1, als.n))
+        yield from (("right", k) for k in range(2, als.n + 1))
+
+    def test_letter_decides_without_equations(self, ab_xy, ab_xyz, monkeypatch):
+        systems = self.systems(ab_xy, ab_xyz)
+
+        def no_equations(*args):
+            raise AssertionError("built equations for a pivot one cell decides")
+
+        monkeypatch.setattr(minimizer, "_zero_cell_rows", no_equations)
+        solvers = {"left": solve_left_minimization, "right": solve_right_minimization}
+        decided = {"left": 0, "right": 0}
+        for als in systems:
+            for side, k in self.pivots(als):
+                if decisive_letter(als, side, k):
+                    assert solvers[side](als, k) is None
+                    decided[side] += 1
+        assert all(count > 100 for count in decided.values())
+        for als in systems[-2:]:  # q_5 and p_6: one cell decides every pivot
+            assert all(decisive_letter(als, *pivot) for pivot in self.pivots(als))
+
+    def test_same_results_as_former_solvers(self, ab_xy, ab_xyz):
+        outcomes = {"left": [0, 0, 0], "right": [0, 0, 0]}
+        solvers = {
+            "left": (solve_left_minimization, former_left_solve),
+            "right": (solve_right_minimization, former_right_solve),
+        }
+        for als in self.systems(ab_xy, ab_xyz):
+            for side, k in self.pivots(als):
+                solve, former = solvers[side]
+                found = solve(als, k)
+                assert found == former(als, k)
+                outcomes[side][
+                    2 if decisive_letter(als, side, k) else found is None
+                ] += 1
+            assert _is_reduced(als) == former_is_reduced(als)
+        # solved, unsolved through the equations, decided by one cell
+        assert all(all(counts) for counts in outcomes.values())
 
 
 class TestFamilyRankMatchesRatMatrixRank:

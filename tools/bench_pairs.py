@@ -12,8 +12,13 @@ change first, and so on.  It prints each pair's end-to-end metrics and
 ``attempted`` counts, then for each end-to-end metric named in the
 parent's ``BENCHMARK.json`` both medians, the parent's quartiles and the
 number of pairs in which the change reads better (ties count for
-neither).  Standard library only.  Exit code 1 as soon as a run fails or
-prints no result.
+neither).  Last it prints both sides' median ``attempted`` and, when
+``peak_rss_mb`` is an end-to-end metric, its change in median per 1,000
+extra attempted ops: the benchmark keeps a record per timed sample, so
+this slope tells memory that follows the op count from the program's
+own.  It means something only when the medians of ``attempted`` differ
+by much more than their spread from run to run.  Standard library only.
+Exit code 1 as soon as a run fails or prints no result.
 """
 
 from __future__ import annotations
@@ -82,6 +87,16 @@ def main(argv=None) -> int:
               f"(quartiles {q1:.4g} {q3:.4g}), "
               f"change median {statistics.median(change):.4g}, "
               f"change better in {wins}/{args.pairs}")
+    attempted = [statistics.median(run["attempted"] for run in runs[side])
+                 for side in SIDES]
+    print(f"  attempted: parent median {attempted[0]:g}, "
+          f"change median {attempted[1]:g}")
+    if "peak_rss_mb" in better:
+        rss = [statistics.median(run["metrics"]["peak_rss_mb"] for run in runs[side])
+               for side in SIDES]
+        extra = attempted[1] - attempted[0]
+        slope = f"{1000 * (rss[1] - rss[0]) / extra:.4g}" if extra else "n/a"
+        print(f"  peak_rss_mb per 1,000 extra attempted ops: {slope}")
     return 0
 
 
