@@ -359,7 +359,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     s = sub.add_parser("selftest", help="quick built-in verification")
     s.add_argument("--rounds", type=_count(1), default=25)
-    s.add_argument("--size", type=_count(1), default=3, help="matrix size m")
+    # naive evaluation, the oracle, costs m^3 per product: the cap keeps the
+    # default rounds to seconds
+    s.add_argument("--size", type=_count(1, 16), default=3, help="matrix size m")
     s.set_defaults(func=cmd_selftest)
 
     return parser

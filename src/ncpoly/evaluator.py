@@ -23,12 +23,19 @@ and the scaled letters of scalar values) and its scalar, and hands them
 to the step function of the tuple's arithmetic.  In float64 the step's
 first product owns its storage and is scaled in place, later parts are
 added into it, and the scalar is added on its diagonal, so no identity
-matrix is built.  An exact step reads every matrix as Python ints over
-the lcm of its denominators, scaled once per evaluation and released
-when the walk drops the matrix; it multiplies and sums its parts on ints
-over one common denominator, puts the scalar on the diagonal as an int
-and builds the step's ``Fraction`` entries once, instead of reducing a
-``Fraction`` at every scalar step.
+matrix is built.
+
+Exact evaluation works on integer forms ``(ints, l)``, a matrix as Python
+ints over a common denominator ``l``.  An exact tuple makes its letters'
+forms once, when it is built, and the loop reads them as they are; a
+combination is formed directly on those ints, over the lcm of the
+letters' and coefficients' denominators, and never as ``Fraction``
+entries.  Only the tracked values are ``Fraction`` arrays: an exact step
+scales each one to ints on first read, keeps that form until the walk
+drops the value, multiplies and sums its parts on ints over one common
+denominator, puts the scalar on the diagonal as an int and builds the
+step's ``Fraction`` entries once, instead of reducing a ``Fraction`` at
+every scalar step.
 
 A tracked value is a plain scalar, standing for that multiple of the
 identity, or a full matrix.  Only matrix-times-matrix products are counted;
@@ -39,16 +46,16 @@ respectively the first row.
 Exact and float evaluation run the same code: only ``MatrixTuple`` knows its
 mode, through ``coeff`` (a rational in the tuple's arithmetic, which
 converts a plan's coefficients), ``identity`` and ``is_exact`` (which
-picks the step function), and its arrays carry it as their dtype
-(``Fraction`` objects or float64).
+picks the step function and how combinations are formed), and its arrays
+carry it as their dtype (``Fraction`` objects or float64).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import partial
-from math import lcm
+from math import isfinite, lcm
 from typing import Sequence
 
 import numpy as np
@@ -63,26 +70,58 @@ RAT = "rat"
 F64 = "f64"
 
 
+def _entry_error(mats, mode: str) -> ValueError | None:
+    """The error naming the first entry of ``mats`` that is not a finite number.
+
+    In exact mode that is an entry ``to_fraction`` rejects (``None``,
+    complex, ``inf``, nan, ``"1/0"``).  ``None`` when the matrices hold
+    no such entry or are not nested lists of scalars (ragged rows).
+    """
+    for mat in mats:
+        for x in np.array(mat, dtype=object).ravel().tolist():
+            if np.ndim(x):
+                return None
+            try:
+                if mode == RAT:
+                    to_fraction(x)
+                    continue
+                if isfinite(float(x)):
+                    continue
+            except (TypeError, ValueError, ArithmeticError):
+                pass
+            kind = "rational" if mode == RAT else "float64"
+            return ValueError(f"entry {x!r} is not a finite {kind} number")
+    return None
+
+
 @dataclass(frozen=True, eq=False)
 class MatrixTuple:
     """One square matrix per letter, all of the same size and mode.
 
     The constructor stores its own copies in the mode's arithmetic: every
     exact entry becomes a ``Fraction`` (``linalg.to_fraction``) in an object
-    array, every f64 matrix a float64 array.  It raises ``ValueError`` for
-    no matrices, matrices that are not square, of different sizes or 0 x 0,
-    and non-finite float64 entries.  Equal tuples have the same mode and
+    array, every f64 matrix a float64 array.  An exact tuple also makes
+    each matrix's integer form ``(ints, l)`` once, with ``l`` the lcm of
+    its denominators and ``mats[k] == ints / l``; exact evaluation reads
+    the letters only through these forms.  It raises ``ValueError`` for
+    no matrices, matrices that are not square, of different sizes or
+    0 x 0, and for an entry that is not a finite number (a rational in
+    exact mode), naming that entry.  Equal tuples have the same mode and
     equal matrices; like the arrays, a tuple is unhashable.
     """
 
     mats: tuple[np.ndarray, ...]
     mode: str  # RAT (Fraction entries) or F64
+    _forms: tuple | None = field(init=False, repr=False)  # exact only
 
     def __post_init__(self):
         if self.mode not in (RAT, F64):
             raise ValueError(f"mode must be {RAT!r} or {F64!r}")
         dtype = object if self.mode == RAT else float
-        mats = tuple(np.array(mat, dtype=dtype) for mat in self.mats)
+        try:
+            mats = tuple(np.array(mat, dtype=dtype) for mat in self.mats)
+        except (TypeError, ValueError) as exc:  # f64: a bad entry or ragged rows
+            raise _entry_error(self.mats, self.mode) or exc
         if not mats:
             raise ValueError("need at least one matrix")
         m = mats[0].shape[0] if mats[0].ndim else 0
@@ -91,15 +130,21 @@ class MatrixTuple:
                 raise ValueError("matrices must all be square of the same size")
         if m < 1:
             raise ValueError("matrices must be at least 1 x 1")
-        if self.mode == F64 and not all(np.isfinite(mat).all() for mat in mats):
-            raise ValueError("float64 entries must be finite")
-        if self.mode == RAT:
-            mats = tuple(
-                np.array([to_fraction(x) for x in mat.ravel().tolist()],
-                         dtype=object).reshape(m, m)
-                for mat in mats
-            )
+        forms = None
+        if self.mode == F64:
+            if not all(np.isfinite(mat).all() for mat in mats):
+                raise _entry_error(self.mats, self.mode)
+        else:
+            try:
+                entries = [[to_fraction(x) for x in mat.ravel().tolist()]
+                           for mat in mats]
+            except (TypeError, ValueError, ArithmeticError) as exc:
+                raise _entry_error(self.mats, self.mode) from exc
+            mats = tuple(np.array(flat, dtype=object).reshape(m, m)
+                         for flat in entries)
+            forms = tuple(_integer_form(mat) for mat in mats)
         object.__setattr__(self, "mats", mats)
+        object.__setattr__(self, "_forms", forms)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, MatrixTuple):
@@ -288,7 +333,7 @@ def _plan(system, side: str, tup: MatrixTuple) -> _Plan:
 
 
 def _accumulate(total, mat: np.ndarray, factor, owned: bool = False):
-    """``total + factor * mat``, written into ``total`` when there is one.
+    """float64 ``total + factor * mat``, written into ``total`` when there is one.
 
     With no total the result is ``mat`` itself, scaled in place, when the
     caller owns it (a fresh product), and a new array otherwise.
@@ -311,12 +356,32 @@ def _accumulate(total, mat: np.ndarray, factor, owned: bool = False):
 
 
 def _combination(letters, mats) -> np.ndarray:
-    """``sum c_k * mats[k]`` over ``letters``, whose first coefficient is 1."""
+    """float64 ``sum c_k * mats[k]`` over ``letters``, whose first coefficient is 1."""
     (first, _), *rest = letters
     total = mats[first].copy()
     for k, coeff in rest:
         _accumulate(total, mats[k], coeff)
     return total
+
+
+def _integer_combination(letters, forms) -> tuple[np.ndarray, int]:
+    """The integer form of ``sum c_k * L_k`` from the letters' integer forms.
+
+    Its denominator is the lcm of ``l_k * c_k.denominator``, so each
+    letter's ints are scaled by one int and no ``Fraction`` is built.
+    """
+    den = 1
+    for k, coeff in letters:
+        den = lcm(den, forms[k][1] * coeff.denominator)
+    total = None
+    for k, coeff in letters:
+        ints, letter_den = forms[k]
+        term = ints * (coeff.numerator * (den // (letter_den * coeff.denominator)))
+        if total is None:
+            total = term
+        else:
+            total += term
+    return total, den
 
 
 def _add_to_diagonal(mat: np.ndarray, scalar) -> None:
@@ -354,18 +419,22 @@ def _integer_form(mat: np.ndarray) -> tuple[np.ndarray, int]:
 
 
 def _exact_step(forms: dict, parts, scalar):
-    """The step of ``_float_step`` on ``Fraction`` arrays, summed on Python ints.
+    """The step of ``_float_step`` on integer forms, summed on Python ints.
 
-    Every matrix is read through its integer form, made on first read and
-    kept in ``forms`` (by ``id``, beside the matrix, until the walk drops
-    it).  The parts are multiplied and summed on ints over one common
-    denominator, the scalar goes on the diagonal as an int, and the step's
-    ``Fraction`` entries are built once, at the end.
+    An operand is a letter or combination already in integer form
+    ``(ints, l)``, taken as it is, or a tracked ``Fraction`` array.  A
+    tracked array is scaled to its integer form on first read and kept in
+    ``forms`` (by ``id``, beside the array, until the walk drops it).  The
+    parts are multiplied and summed on ints over one common denominator,
+    the scalar goes on the diagonal as an int, and the step's ``Fraction``
+    entries are built once, at the end.
     """
     if not parts:
         return scalar
 
     def form(mat):
+        if isinstance(mat, tuple):
+            return mat
         entry = forms.get(id(mat))
         if entry is None:
             entry = forms[id(mat)] = (mat, *_integer_form(mat))
@@ -403,16 +472,20 @@ def _exact_step(forms: dict, parts, scalar):
 def _run(plan: _Plan, tup: MatrixTuple, values: list, operands: list):
     """Walk ``plan`` on ``values``; return the products done and combinations formed.
 
-    ``operands`` holds the tuple's matrices and ``None`` for each of the
-    plan's combinations, which is formed on first use.  Terms whose value
-    is scalar zero are skipped.  Each step's parts, the products
-    ``factor * (L @ v)`` (``v @ L`` on the right), the scaled values
-    ``constant * v`` and the scaled operands ``(factor * s) * L`` of a
-    scalar value ``s``, go with the step's scalar to the step function of
-    the tuple's arithmetic.
+    ``operands`` holds the tuple's letters as evaluation reads them
+    (integer forms in exact mode, the float64 arrays otherwise) and
+    ``None`` for each of the plan's combinations, which is formed on first
+    use.  Terms whose value is scalar zero are skipped.  Each step's
+    parts, the products ``factor * (L @ v)`` (``v @ L`` on the right), the
+    scaled values ``constant * v`` and the scaled operands
+    ``(factor * s) * L`` of a scalar value ``s``, go with the step's
+    scalar to the step function of the tuple's arithmetic.
     """
-    forms = {}  # integer forms of the matrices the exact step has read
-    step = partial(_exact_step, forms) if tup.is_exact else _float_step
+    forms = {}  # integer forms of the tracked values an exact step has read
+    if tup.is_exact:
+        step, combine = partial(_exact_step, forms), _integer_combination
+    else:
+        step, combine = _float_step, _combination
     zero = tup.coeff(Fraction(0))
     count = formed = 0
 
@@ -420,13 +493,10 @@ def _run(plan: _Plan, tup: MatrixTuple, values: list, operands: list):
         nonlocal formed
         mat = operands[letter]
         if mat is None:
-            mat = _combination(plan.combos[letter - tup.d], tup.mats)
+            mat = combine(plan.combos[letter - tup.d], operands)
             operands[letter] = mat
             formed += 1
         return mat
-
-    def release(mat):
-        forms.pop(id(mat), None)
 
     for terms, finished, dropped in plan.steps:
         scalar, parts = zero, []
@@ -447,10 +517,9 @@ def _run(plan: _Plan, tup: MatrixTuple, values: list, operands: list):
                     parts.append((factor * value, operand(letter), None))
         values.append(step(parts, scalar))
         for letter in finished:
-            release(operands[letter])
             operands[letter] = None
         for value in values[:dropped]:
-            release(value)
+            forms.pop(id(value), None)
         del values[:dropped]
     return count, formed
 
@@ -460,7 +529,8 @@ def _walk(system, side: str, tup: MatrixTuple):
     _check_compatible(system.alphabet, tup)
     plan = _plan(system, side, tup)
     values = [plan.start]
-    operands = [*tup.mats, *[None] * len(plan.combos)]
+    letters = tup._forms if tup.is_exact else tup.mats
+    operands = [*letters, *[None] * len(plan.combos)]
     count, formed = _run(plan, tup, values, operands)
     return values[-1], count, formed
 

@@ -328,7 +328,7 @@ class TestCsvIsForTable:
 
 
 class TestCountOptions:
-    """--kmax-p/--kmax-q are 0..10/0..8, --rounds/--size at least 1."""
+    """--kmax-p/--kmax-q are 0..10/0..8, --rounds at least 1, --size 1..16."""
 
     @pytest.mark.parametrize(
         "argv, option",
@@ -341,6 +341,8 @@ class TestCountOptions:
             (("selftest", "--size", "0"), "--size"),
             (("table", "--kmax-p", "11"), "--kmax-p"),
             (("table", "--kmax-q", "9"), "--kmax-q"),
+            (("selftest", "--size", "17"), "--size"),
+            (("selftest", "--size", "100000"), "--size"),
         ],
     )
     def test_bad_counts_exit_two(self, capsys, argv, option):
@@ -355,4 +357,8 @@ class TestCountOptions:
         )
         assert code == 0 and out.splitlines()[1:] == ["p,0,1,1,0,0", "q,0,1,1,0,0"]
         code, out, _ = run(capsys, "selftest", "--rounds", "1", "--size", "1")
+        assert code == 0 and "ok oracle equivalence on 1 random polynomials" in out
+
+    def test_largest_size_runs(self, capsys):
+        code, out, _ = run(capsys, "selftest", "--rounds", "1", "--size", "16")
         assert code == 0 and "ok oracle equivalence on 1 random polynomials" in out

@@ -110,3 +110,12 @@ def test_modules_import_only_lower_layers():
     assert not upward, upward
     imports = package_imports(ROOT / "src" / "ncpoly" / "realization.py")
     assert imports == {"errors", "freepoly", "linalg"}
+
+
+def test_readme_names_every_public_name():
+    import ncpoly
+
+    readme = (ROOT / "README.md").read_text()
+    missing = [name for name in ncpoly.__all__
+               if not re.search(rf"\b{name}\b", readme)]
+    assert not missing, missing

@@ -1,7 +1,9 @@
 """Instrumented evaluation, static counts, bounds, block chains, file formats."""
 
 import random
+import re
 from fractions import Fraction
+from math import lcm
 
 import numpy as np
 import pytest
@@ -418,14 +420,15 @@ class TestBorrowedLetters:
         monkeypatch.setattr(evaluator, "_exact_step", step_spy)
         monkeypatch.setattr(evaluator, "_integer_form", form_spy)
         assert evaluate_block_factorization(bf, tup).formed == 1
-        assert [mat is tup.mats[1] for mat in read] == [True] * 4 + [False] * 2
+        # Exact steps read a letter as the tuple's own integer form.
+        assert [mat is tup._forms[1] for mat in read] == [True] * 4 + [False] * 2
         assert read[4] is read[5]
-        assert not any(np.shares_memory(read[4], mat) for mat in tup.mats)
-        # Each matrix is scaled to ints once per evaluation: x, y, the
-        # combination and the eight tracked values that later steps read.
-        assert len({id(mat) for mat in scaled}) == len(scaled) == 11
-        assert sum(mat is tup.mats[1] for mat in scaled) == 1
-        assert any(mat is read[4] for mat in scaled)
+        assert not any(np.shares_memory(read[4][0], ints) for ints, _ in tup._forms)
+        # The letters' forms are the tuple's and the combination is formed
+        # on ints, so only the eight tracked values that later steps read
+        # are scaled, each once.
+        assert len({id(mat) for mat in scaled}) == len(scaled) == 8
+        assert not any(mat is own for mat in scaled for own in tup.mats)
 
     def evaluations(self, tup, systems, chains):
         for als in systems:
@@ -454,17 +457,75 @@ class TestBorrowedLetters:
                   [bench19_chain])]
         for d, systems, chains in cases:
             exact = random_rational_tuple(rng, d, 3)
+            forms = [(ints.copy(), den) for ints, den in exact._forms]
             for tup in (exact, exact.to_float()):
                 before = [mat.copy() for mat in tup.mats]
                 raw = [mat.tobytes() for mat in tup.mats]
                 for report in self.evaluations(tup, systems, chains):
                     for mat in tup.mats:
                         assert not np.shares_memory(report.result, mat)
+                    for (ints, den), (old_ints, old_den) in zip(exact._forms, forms):
+                        assert not np.shares_memory(report.result, ints)
+                        assert den == old_den and np.array_equal(ints, old_ints)
                 for mat, old, old_raw in zip(tup.mats, before, raw):
                     if tup.is_exact:
                         assert np.array_equal(mat, old)
                     else:
                         assert mat.tobytes() == old_raw
+
+
+class TestIntegerForms:
+    """An exact tuple makes each letter's integer form once, when built."""
+
+    def test_forms_are_the_matrices_over_their_lcm(self):
+        rng = random.Random(24)
+        tuples = [random_rational_tuple(rng, 3, m, max_num=50, max_den=97)
+                  for m in (1, 2, 4)]
+        tuples.append(MatrixTuple.exact([[[0, 2], [-3, 5]], [["1/2", "2/3"], [0, 0]]]))
+        for tup in tuples:
+            assert len(tup._forms) == tup.d
+            for mat, (ints, den) in zip(tup.mats, tup._forms):
+                entries = mat.ravel().tolist()
+                assert den == lcm(*(x.denominator for x in entries))
+                assert ints.shape == mat.shape and ints.dtype == object
+                assert all(type(c) is int for c in ints.ravel().tolist())
+                assert [Fraction(c, den) for c in ints.ravel().tolist()] == entries
+                assert not np.shares_memory(ints, mat)
+        assert random_rational_tuple(rng, 2, 2).to_float()._forms is None
+
+    def test_forms_are_made_once_per_tuple(self, ab_xy, intro_als, monkeypatch):
+        tup = random_rational_tuple(random.Random(25), 2, 3)
+        systems = [intro_als, build_als(parse("x*y + 2x*x - 3y*x*y + 1", ab_xy)),
+                   Als.from_cells(ab_xy, [["1", "x + y", "-2x - 2y"],
+                                          ["0", "1", "x - 3y"],
+                                          ["0", "0", "1"]], [0, 0, 2])]
+        chain = BlockFactorization.from_cells(
+            ab_xy, [[["x", "x + y"]], [["y - x"], ["2x + 2y"]]])
+        scaled, tracked = [], []
+        exact_step, integer_form = evaluator._exact_step, evaluator._integer_form
+
+        def step_spy(forms, parts, scalar):
+            tracked.append(exact_step(forms, parts, scalar))
+            return tracked[-1]
+
+        def form_spy(mat):
+            scaled.append(mat)
+            return integer_form(mat)
+
+        monkeypatch.setattr(evaluator, "_exact_step", step_spy)
+        monkeypatch.setattr(evaluator, "_integer_form", form_spy)
+        formed = sum(evaluate_left(als, tup).formed + evaluate_right(als, tup).formed
+                     for als in systems)
+        formed += evaluate_block_factorization(chain, tup).formed
+        formed += evaluate_product(systems, tup).formed
+        assert formed > 0 and scaled
+        # Every scaled matrix is a value some step returned (a product's
+        # factor among them): no letter and no combination is scaled.
+        for mat in scaled:
+            assert any(mat is value for value in tracked)
+        scaled.clear()
+        MatrixTuple.exact(tup.mats)
+        assert len(scaled) == tup.d
 
 
 class TestFormedCombinations:
@@ -546,6 +607,22 @@ class TestMatrixTupleBoundary:
             mat[1, 0] = value
             with pytest.raises(ValueError, match="finite"):
                 MatrixTuple.floating([np.eye(2), mat])
+
+    @pytest.mark.parametrize("mode", ["rat", "f64"])
+    @pytest.mark.parametrize("bad", [float("inf"), float("-inf"), float("nan"),
+                                     None, 1j, "inf", object()])
+    def test_bad_entry_is_a_value_error_naming_it(self, mode, bad):
+        mats = ([[1, 0], [0, 1]], [[2, "1/2" if mode == "rat" else 0.5], [bad, 3]])
+        with pytest.raises(ValueError, match=f"^entry {re.escape(repr(bad))} is not"):
+            MatrixTuple(mats, mode)
+
+    def test_bad_rational_literals(self):
+        for bad in ("1/0", "abc", "1e400x"):
+            message = f"^entry {bad!r} is not a finite rational"
+            with pytest.raises(ValueError, match=message):
+                MatrixTuple.exact([[[1, bad], [0, 1]]])
+        with pytest.raises(ValueError, match="^entry 'abc'"):
+            MatrixTuple.floating([[[1, "abc"], [0, 1]]])
 
     def test_rejects_non_square_input(self):
         for mats in ([[1, 2], [3]], [1, 2], 5, [[[1]]]):

@@ -30,7 +30,6 @@ from ncpoly import (
     right_companion,
 )
 from ncpoly import evaluator
-from ncpoly.evaluator import _plan
 
 from conftest import random_polynomial
 from test_eval_plan import Reference
@@ -137,20 +136,22 @@ def test_bench19_chain(bench19_chain):
 
 
 def test_chain_releases_dropped_values(bench19_chain, monkeypatch):
-    # The integer forms alive at any step: the five letters, the formed
-    # combinations and the values of at most two blocks (4 + 4 at most).
+    # The integer forms alive at any step are those of tracked values the
+    # walk still holds: a step reads only the values of the previous
+    # block's rows (4 at most), and those are dropped once the block's last
+    # column is done.  Letters and combinations are never kept there.
     sizes = []
     exact_step = evaluator._exact_step
 
     def spy(forms, parts, scalar):
         sizes.append(len(forms))
+        assert not any(mat is own for mat, *_ in forms.values() for own in tup.mats)
         return exact_step(forms, parts, scalar)
 
     monkeypatch.setattr(evaluator, "_exact_step", spy)
     tup = coprime_tuple(random.Random(45), 5, 2)
     evaluate_block_factorization(bench19_chain, tup)
-    combos = len(_plan(bench19_chain, "right", tup).combos)
-    assert max(sizes) <= 5 + combos + 8
+    assert max(sizes) <= max(len(grid) for grid in bench19_chain.factors) == 4
     assert len(sizes) == sum(len(grid[0]) for grid in bench19_chain.factors)
 
 
