@@ -120,7 +120,8 @@ class MatrixTuple:
         dtype = object if self.mode == RAT else float
         try:
             mats = tuple(np.array(mat, dtype=dtype) for mat in self.mats)
-        except (TypeError, ValueError) as exc:  # f64: a bad entry or ragged rows
+        except (TypeError, ValueError, ArithmeticError) as exc:
+            # f64 only: an entry float() rejects, or ragged rows
             raise _entry_error(self.mats, self.mode) or exc
         if not mats:
             raise ValueError("need at least one matrix")
@@ -133,7 +134,8 @@ class MatrixTuple:
         forms = None
         if self.mode == F64:
             if not all(np.isfinite(mat).all() for mat in mats):
-                raise _entry_error(self.mats, self.mode)
+                raise (_entry_error(self.mats, self.mode)
+                       or ValueError("float64 entries must be finite"))
         else:
             try:
                 entries = [[to_fraction(x) for x in mat.ravel().tolist()]

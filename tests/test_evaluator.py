@@ -623,6 +623,8 @@ class TestMatrixTupleBoundary:
                 MatrixTuple.exact([[[1, bad], [0, 1]]])
         with pytest.raises(ValueError, match="^entry 'abc'"):
             MatrixTuple.floating([[[1, "abc"], [0, 1]]])
+        with pytest.raises(ValueError, match=r"^entry 1000\d+ is not a finite float64"):
+            MatrixTuple.floating([[[1, 10**400], [0, 1]]])
 
     def test_rejects_non_square_input(self):
         for mats in ([[1, 2], [3]], [1, 2], 5, [[[1]]]):
