@@ -70,17 +70,16 @@ RAT = "rat"
 F64 = "f64"
 
 
-def _entry_error(mats, mode: str) -> ValueError | None:
+def _entry_error(mats, mode: str) -> ValueError:
     """The error naming the first entry of ``mats`` that is not a finite number.
 
     In exact mode that is an entry ``to_fraction`` rejects (``None``,
-    complex, ``inf``, nan, ``"1/0"``).  ``None`` when the matrices hold
-    no such entry or are not nested lists of scalars (ragged rows).
+    complex, ``inf``, nan, ``"1/0"``).  Ragged rows are a shape error.
     """
     for mat in mats:
         for x in np.array(mat, dtype=object).ravel().tolist():
             if np.ndim(x):
-                return None
+                return ValueError("matrices must all be square of the same size")
             try:
                 if mode == RAT:
                     to_fraction(x)
@@ -91,7 +90,7 @@ def _entry_error(mats, mode: str) -> ValueError | None:
                 pass
             kind = "rational" if mode == RAT else "float64"
             return ValueError(f"entry {x!r} is not a finite {kind} number")
-    return None
+    return ValueError("entries must be finite numbers")
 
 
 @dataclass(frozen=True, eq=False)
@@ -122,7 +121,7 @@ class MatrixTuple:
             mats = tuple(np.array(mat, dtype=dtype) for mat in self.mats)
         except (TypeError, ValueError, ArithmeticError) as exc:
             # f64 only: an entry float() rejects, or ragged rows
-            raise _entry_error(self.mats, self.mode) or exc
+            raise _entry_error(self.mats, self.mode) from exc
         if not mats:
             raise ValueError("need at least one matrix")
         m = mats[0].shape[0] if mats[0].ndim else 0
@@ -134,8 +133,7 @@ class MatrixTuple:
         forms = None
         if self.mode == F64:
             if not all(np.isfinite(mat).all() for mat in mats):
-                raise (_entry_error(self.mats, self.mode)
-                       or ValueError("float64 entries must be finite"))
+                raise _entry_error(self.mats, self.mode)
         else:
             try:
                 entries = [[to_fraction(x) for x in mat.ravel().tolist()]
