@@ -10,7 +10,6 @@ import json
 import random
 import re
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
 from typing import Optional
@@ -38,13 +37,6 @@ from .realization import Als, als_mul, dump_als, format_system, load_als
 OK, INPUT_ERROR, VERIFY_ERROR = 0, 2, 3
 
 
-@dataclass(frozen=True)
-class SessionConfig:
-    alphabet: Optional[Alphabet]
-    seed: int
-    fmt: str
-
-
 def _infer_alphabet(text: str) -> Alphabet:
     """Letters in order of first appearance; explicit --alphabet overrides.
 
@@ -60,18 +52,21 @@ def _infer_alphabet(text: str) -> Alphabet:
     return Alphabet(names)
 
 
-def _session(args) -> SessionConfig:
+def _alphabet(args) -> Optional[Alphabet]:
+    """The ``--alphabet`` letters, or ``None`` to infer them per input.
+
+    Also refuses ``--format csv`` outside ``table``, before any input is read.
+    """
     alphabet = None
     if args.alphabet:
         alphabet = Alphabet([x.strip() for x in args.alphabet.split(",")])
     if args.format == "csv" and args.command != "table":
         raise ValueError(f"--format csv is for table only, not {args.command}")
-    return SessionConfig(alphabet, args.seed, args.format)
+    return alphabet
 
 
-def _parse_poly(config: SessionConfig, text: str) -> NcPolynomial:
-    alphabet = config.alphabet or _infer_alphabet(text)
-    return parse(text, alphabet)
+def _parse_poly(args, text: str) -> NcPolynomial:
+    return parse(text, args.alphabet or _infer_alphabet(text))
 
 
 def _summary(als: Als) -> dict:
@@ -98,24 +93,21 @@ def _print_summary(info: dict, fmt: str) -> None:
 
 
 def cmd_rank(args) -> int:
-    config = _session(args)
-    value = rank_of(_parse_poly(config, args.polynomial))
-    print(json.dumps({"rank": value}) if config.fmt == "json" else value)
+    value = rank_of(_parse_poly(args, args.polynomial))
+    print(json.dumps({"rank": value}) if args.format == "json" else value)
     return OK
 
 
 def cmd_compile(args) -> int:
-    config = _session(args)
-    als = build_als(_parse_poly(config, args.polynomial))
+    als = build_als(_parse_poly(args, args.polynomial))
     if args.output:
         with open(args.output, "w") as handle:
             handle.write(dump_als(als))
-    _print_summary(_summary(als), config.fmt)
+    _print_summary(_summary(als), args.format)
     return OK
 
 
 def cmd_minimize(args) -> int:
-    config = _session(args)
     with open(args.input) as handle:
         als = load_als(handle.read())
     reduced = minimize(als)
@@ -123,16 +115,15 @@ def cmd_minimize(args) -> int:
     if args.output:
         with open(args.output, "w") as handle:
             handle.write(dump_als(reduced))
-    elif config.fmt == "json":
+    elif args.format == "json":
         info["system"] = dump_als(reduced)
     else:
         print(format_system(reduced))
-    _print_summary(info, config.fmt)
+    _print_summary(info, args.format)
     return OK
 
 
 def cmd_eval(args) -> int:
-    config = _session(args)
     with open(args.system) as handle:
         als = load_als(handle.read())
     with open(args.matrices) as handle:
@@ -143,7 +134,7 @@ def cmd_eval(args) -> int:
         evaluate = evaluate_left if side == "left" else evaluate_right
         reports[side] = evaluate(als, tup)
         rows[side] = _matrix_lines(reports[side].result, tup.is_exact)
-    if config.fmt == "json":
+    if args.format == "json":
         info = {
             side: {"mults": rep.mult_count, "matrix": [r.split() for r in rows[side]]}
             for side, rep in reports.items()
@@ -167,10 +158,9 @@ def cmd_eval(args) -> int:
 
 
 def cmd_factor(args) -> int:
-    config = _session(args)
-    p = _parse_poly(config, args.polynomial)
+    p = _parse_poly(args, args.polynomial)
     atoms = factor_atoms(p)
-    if config.fmt == "json":
+    if args.format == "json":
         print(json.dumps({"atoms": [str(a) for a in atoms]}))
     else:
         print(f"atoms: {len(atoms)}")
@@ -186,11 +176,10 @@ def cmd_factor(args) -> int:
 
 
 def cmd_verify_block(args) -> int:
-    config = _session(args)
     with open(args.factors) as handle:
         bf = load_factors(handle.read())
     equal = verify_block_factorization(bf, parse(args.polynomial, bf.alphabet))
-    if config.fmt == "json":
+    if args.format == "json":
         print(json.dumps({"equal": equal}))
     elif equal:
         print("ok: block product equals the polynomial")
@@ -224,12 +213,11 @@ def _table_rows(kmax_p: int, kmax_q: int) -> list[dict]:
 
 
 def cmd_table(args) -> int:
-    config = _session(args)
     rows = _table_rows(args.kmax_p, args.kmax_q)
     columns = ["family", "k", "rank", "terms", "naive", "N"]
-    if config.fmt == "json":
+    if args.format == "json":
         print(json.dumps(rows))
-    elif config.fmt == "csv":
+    elif args.format == "csv":
         print(",".join(columns))
         for row in rows:
             print(",".join(str(row[c]) for c in columns))
@@ -244,8 +232,7 @@ def cmd_table(args) -> int:
 
 
 def cmd_selftest(args) -> int:
-    config = _session(args)
-    rng = random.Random(config.seed)
+    rng = random.Random(args.seed)
     checks: list[dict] = []
 
     def check(name: str, passed: bool) -> None:
@@ -282,7 +269,7 @@ def cmd_selftest(args) -> int:
             equal = False
             break
     check(f"oracle equivalence on {args.rounds} random polynomials", equal)
-    if config.fmt == "json":
+    if args.format == "json":
         print(json.dumps({"checks": checks}))
     else:
         for c in checks:
@@ -358,7 +345,9 @@ def build_parser() -> argparse.ArgumentParser:
     s.set_defaults(func=cmd_table)
 
     s = sub.add_parser("selftest", help="quick built-in verification")
-    s.add_argument("--rounds", type=_count(1), default=25)
+    # each round builds and evaluates one random polynomial: the cap keeps a
+    # selftest to seconds
+    s.add_argument("--rounds", type=_count(1, 1000), default=25)
     # naive evaluation, the oracle, costs m^3 per product: the cap keeps the
     # default rounds to seconds
     s.add_argument("--size", type=_count(1, 16), default=3, help="matrix size m")
@@ -370,6 +359,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        args.alphabet = _alphabet(args)  # commands read an Alphabet or None
         return args.func(args)
     except (ParseError, FormatError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

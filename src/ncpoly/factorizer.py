@@ -4,16 +4,18 @@ A minimal polynomial ALS of dimension n represents a product q1*q2 with
 rank(q_i) = n_i (n_1 + n_2 = n + 1) exactly when some polynomial
 transformation (P, Q) pushes an (n_1 - 1) x (n_2 - 1) block of zeros into
 the upper right corner of the system matrix.  Finding such (P, Q) is a
-non-linear problem in general.  This module first tries its linear part:
-two joint solves whose row sources all lie below their column sources (so
-each bilinear term multiplies a zero cell below the diagonal, and a
-solution zeroes the block exactly).  Then it solves the full equations
-over the union of the joint solves' unknowns: their one bilinear term per
-cell passes through the split row's diagonal 1, so the letter equations
-stay linear, and when they leave at most one free parameter the constant
-equations become quadratics in it whose rational roots are tried.  More
-parameters are not searched (the cap), so a ``None`` result means "no
-split found", never "irreducible".
+non-linear problem in general.  Each split position has one set of
+unknowns: row ops from rows n1-1..n-2 into the block's rows, and column
+ops from columns 1..n1-1 into its columns.  Their one bilinear term per
+cell passes through the split row's diagonal 1.  This module first tries
+the linear part: two joint solves, each the split equations with one
+side of the split row (its column ops, then its row ops) held at 0, so
+the bilinear term vanishes and a solution zeroes the block exactly.  Then
+it solves the full equations on the same unknowns: their letter
+equations stay linear, and when they leave at most one free parameter the
+constant equations become quadratics in it whose rational roots are
+tried.  More parameters are not searched (the cap), so a ``None`` result
+means "no split found", never "irreducible".
 
 Block factorizations (chains of rectangular pencil matrices whose product
 is a polynomial) are verified symbolically in the free algebra and can be
@@ -26,7 +28,7 @@ import random
 from math import isqrt
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 from . import linalg, minimizer
 from .errors import FormatError
@@ -47,6 +49,8 @@ from .realization import (
 
 Grid = tuple[tuple[LinearEntry, ...], ...]
 _Ops = dict[tuple[int, int], Fraction]  # off-diagonal cells of P or Q
+# A split position's unknowns and target cells (see _split_unknowns)
+_SplitUnknowns = tuple[list[tuple[str, int, int]], list[_Target]]
 # Free parameters the full split solve handles: with one, each constant
 # equation is a quadratic in it.  A position whose letter equations leave
 # more is "capped": it is not searched, and a miss there is retried on
@@ -196,31 +200,29 @@ def _block_is_zero(als: Als, n1: int) -> bool:
     return all(als.rows[i][j].is_zero for i in range(n1 - 1) for j in range(n1, als.n))
 
 
-def _block_unknowns(
-    als: Als,
-    target_rows: Sequence[int],
-    target_cols: Sequence[int],
-    row_sources: Sequence[int],
-    col_sources: Sequence[int],
-) -> tuple[list[tuple[str, int, int]], list[_Target]]:
-    """The row and column ops on the target cells, and the cells' targets.
+def _split_unknowns(als: Als, n1: int) -> _SplitUnknowns:
+    """The unknowns and target cells of the split equations at position n1.
 
-    Row i gains alpha[i, r] * row r for row sources r > i, and column j
-    gains beta[c, j] * column c for column sources 0 < c < j.  Returns the
-    unknowns, numbered row ops first as ``("row", i, r)`` and
-    ``("col", c, j)``, and per target cell (rows outer) the cell's entry
-    with the ``(unknown, entry)`` pairs that multiply the unknowns in it,
-    leaving out the bilinear alpha*A*beta terms.
+    Target rows i = 0..n1-2 gain alpha[i, r] * row r for r = n1-1..n-2,
+    and target columns j = n1..n-1 gain beta[c, j] * column c for
+    c = 1..n1-1.  Returns the unknowns, numbered row ops first as
+    ``("row", i, r)`` and ``("col", c, j)``, and per target cell (rows
+    outer) the cell's entry with the ``(unknown, entry)`` pairs that
+    multiply the unknowns in it, leaving out the bilinear alpha*A*beta
+    terms.  Each cell's pairs start with its split-row row op
+    alpha[i, n1-1] and end with its split-row column op beta[n1-1, j].
+    Row sources stop above row n-1, so ``P v = v``.
     """
-    a = als.rows
-    variables = [("row", i, r) for i in target_rows for r in row_sources if r > i]
-    variables += [("col", c, j) for j in target_cols for c in col_sources if 0 < c < j]
+    a, n = als.rows, als.n
+    rows, cols = range(n1 - 1, n - 1), range(1, n1)
+    variables = [("row", i, r) for i in range(n1 - 1) for r in rows]
+    variables += [("col", c, j) for j in range(n1, n) for c in cols]
     index = {var: pos for pos, var in enumerate(variables)}
     targets = []
-    for i in target_rows:
-        for j in target_cols:
-            terms = [(index["row", i, r], a[r][j]) for r in row_sources if r > i]
-            terms += [(index["col", c, j], a[i][c]) for c in col_sources if 0 < c < j]
+    for i in range(n1 - 1):
+        for j in range(n1, n):
+            terms = [(index["row", i, r], a[r][j]) for r in rows]
+            terms += [(index["col", c, j], a[i][c]) for c in cols]
             targets.append((a[i][j], terms))
     return variables, targets
 
@@ -236,29 +238,29 @@ def _ops_of(
     return ops["row"], ops["col"]
 
 
-def _zero_block_ops(
-    als: Als,
-    target_rows: Sequence[int],
-    target_cols: Sequence[int],
-    row_sources: Sequence[int],
-    col_sources: Sequence[int],
-) -> Optional[tuple[_Ops, _Ops]]:
-    """One exact linear solve for row/column ops zeroing the target cells.
+def _joint_split_ops(
+    als: Als, unknowns: _SplitUnknowns
+) -> Iterator[Optional[tuple[_Ops, _Ops]]]:
+    """The two joint solves at one position, in turn: nonzero ops or ``None``.
 
-    The unknowns are those of ``_block_unknowns``; every pencil component
-    of the target cells is zeroed.  Sources are 0-based; every row source
-    must exceed every column source, which kills the bilinear alpha*A*beta
-    terms and makes the equations exactly linear.  Returns the nonzero
-    (alpha, beta), or ``None`` when inconsistent.
+    Each is the split equations of ``_split_unknowns`` with one side of
+    the split row held at 0: first its column ops beta[n1-1, j], each
+    cell's last pair (the row is a row source only), then its row ops
+    alpha[i, n1-1], each cell's first pair (a column source only).  Either
+    way the one bilinear term alpha*beta is 0, so the equations are
+    exactly linear, and every pencil component of the target cells is
+    zeroed.  A held unknown sits in no equation and comes back 0.
     """
-    variables, targets = _block_unknowns(
-        als, target_rows, target_cols, row_sources, col_sources
-    )
-    eqs = _zero_cell_rows(targets, range(len(als.alphabet) + 1), len(variables))
-    solution = None if eqs is None else linalg.solve_rows(*eqs, len(variables))
-    if solution is None:
-        return None
-    return _ops_of(variables, solution)
+    variables, targets = unknowns
+    width = len(variables)
+    for kept in (slice(None, -1), slice(1, None)):
+        eqs = _zero_cell_rows(
+            [(entry, terms[kept]) for entry, terms in targets],
+            range(len(als.alphabet) + 1),
+            width,
+        )
+        solution = None if eqs is None else linalg.solve_rows(*eqs, width)
+        yield None if solution is None else _ops_of(variables, solution)
 
 
 def _rational_roots(c0: Fraction, c1: Fraction, c2: Fraction) -> list[Fraction]:
@@ -278,13 +280,14 @@ def _rational_roots(c0: Fraction, c1: Fraction, c2: Fraction) -> list[Fraction]:
     return sorted(roots)
 
 
-def _full_split_ops(als: Als, n1: int) -> tuple[Optional[tuple[_Ops, _Ops]], bool]:
-    """Ops zeroing the block at split position n1, bilinear term included.
+def _full_split_ops(
+    als: Als, unknowns: _SplitUnknowns
+) -> tuple[Optional[tuple[_Ops, _Ops]], bool]:
+    """Ops zeroing the block at one split position, bilinear term included.
 
-    The unknowns are the union of the two joint solves': alpha[i, r] for
-    target rows i <= n1-2 and row sources r = n1-1..n-2, beta[c, j] for
-    column sources c = 1..n1-1 and target columns j >= n1.  A bilinear
-    term alpha[i, r] * A[r, c] * beta[c, j] needs A[r, c] != 0, so r <= c,
+    ``unknowns`` are the position's (``_split_unknowns(als, n1)``), split
+    row n1-1 a row and a column source at once.  A bilinear term
+    alpha[i, r] * A[r, c] * beta[c, j] needs A[r, c] != 0, so r <= c,
     which leaves r = c = n1-1, where A is 1: the letter components of the
     equations are linear, and the constant component of cell (i, j) gains
     alpha[i, n1-1] * beta[n1-1, j].  The letter equations are solved
@@ -295,15 +298,11 @@ def _full_split_ops(als: Als, n1: int) -> tuple[Optional[tuple[_Ops, _Ops]], boo
     kernel is not searched (see ``_MAX_KERNEL_DIM``).
 
     Returns (the nonzero (alpha, beta) or ``None``, whether the kernel was
-    too large).  Row sources stop above row n-1, so ``P v = v``.
+    too large).
     """
-    n, d = als.n, len(als.alphabet)
-    split = n1 - 1
-    variables, targets = _block_unknowns(
-        als, range(split), range(n1, n), range(split, n - 1), range(1, n1)
-    )
+    variables, targets = unknowns
     width = len(variables)
-    eqs = _zero_cell_rows(targets, range(1, d + 1), width)
+    eqs = _zero_cell_rows(targets, range(1, len(als.alphabet) + 1), width)
     space = None if eqs is None else linalg.solution_space(*eqs, width)
     if space is None:
         return None, False
@@ -311,12 +310,9 @@ def _full_split_ops(als: Als, n1: int) -> tuple[Optional[tuple[_Ops, _Ops]], boo
     if len(kernel) > _MAX_KERNEL_DIM:
         return None, True
     k = kernel[0] if kernel else [Fraction(0)] * width
-    # the alpha[i, n1-1] and beta[n1-1, j] unknowns, in target order
-    alphas = [v for v, (kind, _, r) in enumerate(variables) if kind == "row" and r == split]
-    betas = [v for v, (kind, c, _) in enumerate(variables) if kind == "col" and c == split]
     quadratics = []
-    cells = ((a, b) for a in alphas for b in betas)
-    for (entry, terms), (a, b) in zip(targets, cells):
+    for entry, terms in targets:
+        a, b = terms[0][0], terms[-1][0]  # alpha[i, n1-1], beta[n1-1, j]
         c0 = entry.coeffs[0] + sum(x0[v] * e.coeffs[0] for v, e in terms) + x0[a] * x0[b]
         c1 = sum(k[v] * e.coeffs[0] for v, e in terms) + x0[a] * k[b] + k[a] * x0[b]
         quadratics.append((c0, c1, k[a] * k[b]))
@@ -330,14 +326,17 @@ def _full_split_ops(als: Als, n1: int) -> tuple[Optional[tuple[_Ops, _Ops]], boo
 def find_split(als: Als) -> Optional[FactorSplit]:
     """Search split positions n1 = 2..n-1, in order, for a certified zero block.
 
-    First, per position in order, the two joint solves (split row n1 - 1
-    as a row source, then as a column source), which subsume the
-    rows-only and columns-only solves.  Only when both miss everywhere
-    does the full solve, bilinear term included (``_full_split_ops``), run
-    at n1 = 2..n-1.  Equal systems give equal results.  The input must be
-    minimal (the factorization criterion presupposes it): a system on
-    which some minimization equation is solvable raises ``ValueError``.
-    ``None`` means "no split found": the full solve is capped at one free
+    Each position's unknowns and target cells are built once
+    (``_split_unknowns``).  First, per position in order, the two joint
+    solves: the split equations with split row n1 - 1 held at 0 on one
+    side, as a row source only and then as a column source only, which
+    subsume the rows-only and columns-only solves.  Only when both miss
+    everywhere does the full solve, bilinear term included
+    (``_full_split_ops``), run at n1 = 2..n-1 on the same unknowns.  Equal
+    systems give equal results.  The input must be minimal (the
+    factorization criterion presupposes it): a system on which some
+    minimization equation is solvable raises ``ValueError``.  ``None``
+    means "no split found": the full solve is capped at one free
     parameter.
     """
     n = als.n
@@ -347,18 +346,15 @@ def find_split(als: Als) -> Optional[FactorSplit]:
         raise ValueError("split search needs a polynomial ALS")
     if not minimizer._is_reduced(als):
         raise ValueError("split search needs a minimal system; minimize first")
+    positions = []
     for n1 in range(2, n):
-        for row_sources, col_sources in (
-            (range(n1 - 1, n - 1), range(1, n1 - 1)),  # split row as a row source
-            (range(n1, n - 1), range(1, n1)),  # split row as a column source
-        ):
-            found = _zero_block_ops(
-                als, range(n1 - 1), range(n1, n), row_sources, col_sources
-            )
+        unknowns = _split_unknowns(als, n1)
+        for found in _joint_split_ops(als, unknowns):
             if found is not None:
                 return _certified(als, n1, found)
-    for n1 in range(2, n):
-        found = _full_split_ops(als, n1)[0]
+        positions.append((n1, unknowns))
+    for n1, unknowns in positions:
+        found = _full_split_ops(als, unknowns)[0]
         if found is not None:
             return _certified(als, n1, found)
     return None
@@ -372,7 +368,7 @@ def _certified(als: Als, n1: int, ops: tuple[_Ops, _Ops]) -> FactorSplit:
 
 def _capped(als: Als) -> bool:
     """Whether the full solve left too many free parameters at some position."""
-    return any(_full_split_ops(als, n1)[1] for n1 in range(2, als.n))
+    return any(_full_split_ops(als, _split_unknowns(als, n1))[1] for n1 in range(2, als.n))
 
 
 def extract_factors(split: FactorSplit) -> tuple[Als, Als]:

@@ -150,14 +150,10 @@ def solve_rows(
     An all-zero row is settled without elimination: ``0 = 0`` is dropped
     and ``0 = b`` with ``b != 0`` returns ``None`` at once.  Neither
     changes the result, because the reduced row echelon form of the
-    remaining rows is unique.  Every row's length is checked first.
+    remaining rows is unique.  Every row's length, and the number of
+    right-hand sides, is checked first.
     """
-    rhs = [to_fraction(x) for x in rhs]
-    if width == 0:
-        return [] if all(x == 0 for x in rhs) else None
-    if not rows:
-        return [Fraction(0)] * width
-    augmented = _augmented(rows, rhs, width)
+    augmented = _augmented(rows, [to_fraction(x) for x in rhs], width)
     return None if augmented is None else _solve(augmented, width)
 
 

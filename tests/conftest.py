@@ -20,6 +20,8 @@ from ncpoly import (
     parse,
     vstack,
 )
+from ncpoly.linalg import solve_rows
+from ncpoly.realization import _zero_cell_rows
 
 BENCH19_TEXT = (
     "3cyxb + 3xbyxb + 2cyxax + cybxb - cyaxb - 2xbyxax + 4xbybxb - 3xbyaxb"
@@ -255,3 +257,56 @@ def reference_eliminate(rows):
 def reference_rank(rows):
     """Rank by ``reference_eliminate`` on a copy of the rows."""
     return len(reference_eliminate([[Fraction(x) for x in row] for row in rows])[1])
+
+
+# -- the general split solve -----------------------------------------------------
+
+
+def block_unknowns(als, target_rows, target_cols, row_sources, col_sources):
+    """The row and column ops on the target cells, from any sources, and the
+    cells' targets.
+
+    Row i gains alpha[i, r] * row r for row sources r > i, and column j
+    gains beta[c, j] * column c for column sources 0 < c < j.  Returns the
+    unknowns, numbered row ops first as ``("row", i, r)`` and
+    ``("col", c, j)``, and per target cell (rows outer) the cell's entry
+    with the ``(unknown, entry)`` pairs that multiply the unknowns in it,
+    leaving out the bilinear alpha*A*beta terms.
+    """
+    a = als.rows
+    variables = [("row", i, r) for i in target_rows for r in row_sources if r > i]
+    variables += [("col", c, j) for j in target_cols for c in col_sources if 0 < c < j]
+    index = {var: pos for pos, var in enumerate(variables)}
+    targets = []
+    for i in target_rows:
+        for j in target_cols:
+            terms = [(index["row", i, r], a[r][j]) for r in row_sources if r > i]
+            terms += [(index["col", c, j], a[i][c]) for c in col_sources if 0 < c < j]
+            targets.append((a[i][j], terms))
+    return variables, targets
+
+
+def zero_block_ops(als, target_rows, target_cols, row_sources, col_sources, comps=None):
+    """One exact linear solve for row/column ops zeroing the target cells.
+
+    The split solve over any sources, which the former split strategies
+    used: the unknowns are those of ``block_unknowns``, and the given
+    pencil components (all by default) of the target cells are zeroed.
+    Exact when every row source lies below every column source, which
+    kills the bilinear terms.  Returns the nonzero (alpha, beta) as dicts,
+    or ``None`` when inconsistent.
+    """
+    variables, targets = block_unknowns(
+        als, target_rows, target_cols, row_sources, col_sources
+    )
+    if comps is None:
+        comps = range(len(als.alphabet) + 1)
+    eqs = _zero_cell_rows(targets, comps, len(variables))
+    solution = None if eqs is None else solve_rows(*eqs, len(variables))
+    if solution is None:
+        return None
+    ops = {"row": {}, "col": {}}
+    for (kind, s, t), x in zip(variables, solution):
+        if x != 0:
+            ops[kind][s, t] = x
+    return ops["row"], ops["col"]

@@ -328,7 +328,7 @@ class TestCsvIsForTable:
 
 
 class TestCountOptions:
-    """--kmax-p/--kmax-q are 0..10/0..8, --rounds at least 1, --size 1..16."""
+    """--kmax-p/--kmax-q are 0..10/0..8, --rounds 1..1000, --size 1..16."""
 
     @pytest.mark.parametrize(
         "argv, option",
@@ -343,6 +343,7 @@ class TestCountOptions:
             (("table", "--kmax-q", "9"), "--kmax-q"),
             (("selftest", "--size", "17"), "--size"),
             (("selftest", "--size", "100000"), "--size"),
+            (("selftest", "--rounds", "1001"), "--rounds"),
         ],
     )
     def test_bad_counts_exit_two(self, capsys, argv, option):

@@ -35,10 +35,9 @@ from ncpoly import (
 )
 from ncpoly.errors import FormatError
 from ncpoly.factorizer import FactorSplit
-from ncpoly.linalg import solve_rows
-from ncpoly.realization import _transform, _zero_cell_rows
+from ncpoly.realization import _transform
 
-from conftest import assert_bitwise_equal, random_polynomial
+from conftest import assert_bitwise_equal, block_unknowns, random_polynomial, zero_block_ops
 
 
 def product_of(polys):
@@ -147,10 +146,11 @@ class TestSplitTransformation:
                 splits.append((als, split))
             return split
 
-        def recording_full(als, n1):
-            found = full(als, n1)
+        def recording_full(als, unknowns):
+            found = full(als, unknowns)
             if found[0] is not None:
-                from_full_solve.append((als, n1))
+                trans = AdmissibleTransformation(als.n, *found[0])
+                from_full_solve.append((als, trans))
             return found
 
         monkeypatch.setattr(ncpoly.factorizer, "find_split", recording_find)
@@ -163,7 +163,7 @@ class TestSplitTransformation:
                 factor_atoms(p * q)
         for als, split in splits:
             self.assert_certified(als, split)
-        hits = [(als, split.n1) for als, split in splits]
+        hits = [(als, split.transformation) for als, split in splits]
         assert from_full_solve and all(hit in hits for hit in from_full_solve)
 
     def test_criterion_5_splits(self, monkeypatch):
@@ -201,17 +201,6 @@ def former_strategies(n, n1):
     )
 
 
-def zero_block_ops_on(als, target_rows, target_cols, comps, row_sources, col_sources):
-    """``_zero_block_ops`` zeroing only the given pencil components."""
-    fz = ncpoly.factorizer
-    variables, targets = fz._block_unknowns(
-        als, target_rows, target_cols, row_sources, col_sources
-    )
-    eqs = _zero_cell_rows(targets, comps, len(variables))
-    solution = None if eqs is None else solve_rows(*eqs, len(variables))
-    return None if solution is None else fz._ops_of(variables, solution)
-
-
 def single_pass_ops(als, target_rows, target_cols, row_sources, col_sources):
     """Nonzero ops of one row's (or one column's) former pass, else ``None``.
 
@@ -220,8 +209,8 @@ def single_pass_ops(als, target_rows, target_cols, row_sources, col_sources):
     """
     d = len(als.alphabet)
     for comps in (range(d + 1), range(1, d + 1)):
-        found = zero_block_ops_on(
-            als, target_rows, target_cols, comps, row_sources, col_sources
+        found = zero_block_ops(
+            als, target_rows, target_cols, row_sources, col_sources, comps
         )
         ops = found[0] or found[1] if found else None
         if ops:
@@ -282,7 +271,7 @@ def former_find_split(als):
         return None
     for n1 in range(2, n):
         for row_sources, col_sources in former_strategies(n, n1):
-            found = ncpoly.factorizer._zero_block_ops(
+            found = zero_block_ops(
                 als, range(n1 - 1), range(n1, n), row_sources, col_sources
             )
             if found is None:
@@ -376,9 +365,7 @@ class TestSplitSearchMatchesFormerLadder:
             n = als.n
             for n1 in range(2, n):
                 hits = [
-                    ncpoly.factorizer._zero_block_ops(
-                        als, range(n1 - 1), range(n1, n), rows, cols
-                    )
+                    zero_block_ops(als, range(n1 - 1), range(n1, n), rows, cols)
                     is not None
                     for rows, cols in former_strategies(n, n1)
                 ]
@@ -681,9 +668,7 @@ def linear_search(als):
             (range(n1 - 1, n - 1), range(1, n1 - 1)),
             (range(n1, n - 1), range(1, n1)),
         ):
-            found = ncpoly.factorizer._zero_block_ops(
-                als, range(n1 - 1), range(n1, n), rows, cols
-            )
+            found = zero_block_ops(als, range(n1 - 1), range(n1, n), rows, cols)
             if found is not None:
                 return ncpoly.factorizer._certified(als, n1, found), "joint"
         partial = former_partial_passes(als, n1)
@@ -699,7 +684,9 @@ def passes_find_split(als):
     if split is not None:
         return split, stage
     for n1 in range(2, als.n):
-        found = ncpoly.factorizer._full_split_ops(als, n1)[0]
+        found = ncpoly.factorizer._full_split_ops(
+            als, ncpoly.factorizer._split_unknowns(als, n1)
+        )[0]
         if found is not None:
             return ncpoly.factorizer._certified(als, n1, found), "full"
     return None, None
@@ -816,9 +803,85 @@ class TestFullSolve:
         fz = ncpoly.factorizer
         p = parse("(x-1)*(x-2)*(x-3)", Alphabet(("x",)))
         als = build_als(p)
-        assert [fz._full_split_ops(als, n1) for n1 in (2, 3)] == [(None, True)] * 2
+        found = [fz._full_split_ops(als, fz._split_unknowns(als, n1)) for n1 in (2, 3)]
+        assert found == [(None, True)] * 2
         assert fz._capped(als) and find_split(als) is None
         assert factor_atoms(p) == [p]
+
+
+def three_builds_unknowns(als, n1):
+    """The full solve's unknowns as the search built them with three sets per
+    position: the general builder over the union of the joint solves'
+    sources."""
+    n = als.n
+    return block_unknowns(als, range(n1 - 1), range(n1, n), range(n1 - 1, n - 1), range(1, n1))
+
+
+def three_builds_find_split(als):
+    """find_split as it was with three sets of unknowns per position: each
+    joint solve over its own sources, then the full solve over their union;
+    and the stage that hit ("joint" or "full"), else ``None``."""
+    fz = ncpoly.factorizer
+    n = als.n
+    for n1 in range(2, n):
+        for rows, cols in (
+            (range(n1 - 1, n - 1), range(1, n1 - 1)),  # split row as a row source
+            (range(n1, n - 1), range(1, n1)),  # split row as a column source
+        ):
+            found = zero_block_ops(als, range(n1 - 1), range(n1, n), rows, cols)
+            if found is not None:
+                return fz._certified(als, n1, found), "joint"
+    for n1 in range(2, n):
+        found = fz._full_split_ops(als, three_builds_unknowns(als, n1))[0]
+        if found is not None:
+            return fz._certified(als, n1, found), "full"
+    return None, None
+
+
+class TestOneSetOfUnknownsPerPosition:
+    """The joint solves are the full split equations with one side of the
+    split row held at 0: find_split returns what the search with three sets
+    of unknowns per position returned, and builds each position's once."""
+
+    def corpus(self):
+        yield from seeded_affine_products(60)
+        yield from seeded_xy_products(60)
+        for text, letters in (
+            ("(1-2*x)*(-2-3*x)", "x"),
+            ("(1+x+y)*(2+x-y)", "xy"),
+            ("x*x - 1", "x"),
+            ("(x-1)*(x-2)*(x-3)", "x"),
+            ("x*y + y*x", "xy"),
+        ):
+            yield parse(text, Alphabet(tuple(letters)))
+
+    def test_same_splits_and_one_build_per_position(self, monkeypatch):
+        fz = ncpoly.factorizer
+        split_unknowns = fz._split_unknowns
+        built = []
+
+        def recording(als, n1):
+            built.append(n1)
+            return split_unknowns(als, n1)
+
+        monkeypatch.setattr(fz, "_split_unknowns", recording)
+        stages = {"joint": 0, "full": 0, None: 0}
+        for poly in self.corpus():
+            pending = [build_als(poly)]
+            while pending:
+                als = pending.pop()
+                built.clear()
+                split = find_split(als)
+                reference, stage = three_builds_find_split(als)
+                assert split == reference
+                stages[stage] += 1
+                reached = split.n1 if stage == "joint" else als.n - 1
+                assert built == list(range(2, reached + 1))
+                for n1 in built:
+                    assert split_unknowns(als, n1) == three_builds_unknowns(als, n1)
+                if split is not None:
+                    pending.extend(f for f in extract_factors(split) if f.n >= 3)
+        assert all(stages.values())
 
 
 # sha256 of the atoms below, recorded when they were last changed

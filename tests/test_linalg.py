@@ -60,6 +60,8 @@ class TestSolveRows:
     def test_zero_width(self):
         assert solve_rows([[], []], [0, 0], 0) == []
         assert solve_rows([[]], [1], 0) is None
+        with pytest.raises(ValueError, match="right-hand side"):
+            solve_rows([], [1], 0)  # more right-hand sides than rows
 
     def test_rejects_ragged_rows(self):
         with pytest.raises(ValueError):

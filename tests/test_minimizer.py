@@ -33,13 +33,19 @@ from ncpoly import (
 
 from ncpoly import linalg, minimizer
 from ncpoly.families import convolution_system, power_system
-from ncpoly.factorizer import _zero_block_ops
+from ncpoly.factorizer import _joint_split_ops, _split_unknowns
 from ncpoly.freepoly import word_key
 from ncpoly.linalg import _integer_row, _solve
 from ncpoly.minimizer import _family_rank, _is_reduced
 from ncpoly.realization import LinearEntry, _Work
 
-from conftest import BENCH19_TEXT, dense_transformation, random_polynomial, reference_rank
+from conftest import (
+    BENCH19_TEXT,
+    dense_transformation,
+    random_polynomial,
+    reference_rank,
+    zero_block_ops,
+)
 
 
 def system_for_x(ab):
@@ -792,15 +798,12 @@ def dense_zero_block_ops(als, target_rows, target_cols, row_sources, col_sources
     return ops["row"], ops["col"]
 
 
-def split_solves(n):
-    """(target rows, target cols, (row, col sources)) of every split solve
-    shape: rows only, columns only and the two joint solves."""
-    for n1 in range(2, n):
-        rows, cols = range(n1 - 1), range(n1, n)
-        yield rows, cols, (range(1, n - 1), ())  # rows only
-        yield rows, cols, ((), range(1, n1))  # columns only
-        yield rows, cols, (range(n1 - 1, n - 1), range(1, n1 - 1))  # joint
-        yield rows, cols, (range(n1, n - 1), range(1, n1))  # joint
+def joint_sources(n, n1):
+    """(row, col sources) of the two joint solves at split position n1."""
+    return (
+        (range(n1 - 1, n - 1), range(1, n1 - 1)),  # split row as a row source
+        (range(n1, n - 1), range(1, n1)),  # split row as a column source
+    )
 
 
 class TestCertificateMatchesFullElimination:
@@ -848,11 +851,23 @@ class TestCertificateMatchesFullElimination:
         outcomes = [0, 0]
         for p in polys:
             als = build_als(p)
-            for rows, cols, sources in split_solves(als.n):
-                args = (als, rows, cols, *sources)
-                found = _zero_block_ops(*args)
-                assert found == dense_zero_block_ops(*args)
-                outcomes[found is None] += 1
+            n = als.n
+            for n1 in range(2, n):
+                rows, cols = range(n1 - 1), range(n1, n)
+                found = list(_joint_split_ops(als, _split_unknowns(als, n1)))
+                want = [
+                    dense_zero_block_ops(als, rows, cols, *sources)
+                    for sources in joint_sources(n, n1)
+                ]
+                assert found == want
+                # the general reference of the former strategies, rows-only
+                # and columns-only shapes included
+                shapes = [(range(1, n - 1), ()), ((), range(1, n1))]
+                for sources in shapes + list(joint_sources(n, n1)):
+                    args = (als, rows, cols, *sources)
+                    assert zero_block_ops(*args) == dense_zero_block_ops(*args)
+                for ops in found:
+                    outcomes[ops is None] += 1
         # both outcomes occur, so both paths are compared
         assert all(outcomes)
 
