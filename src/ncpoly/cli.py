@@ -14,8 +14,6 @@ from fractions import Fraction
 from functools import reduce
 from typing import Optional
 
-import numpy as np
-
 from . import families
 from .errors import FormatError, ParseError
 from .evaluator import (
@@ -30,7 +28,14 @@ from .evaluator import (
     random_rational_tuple,
 )
 from .factorizer import factor_atoms, load_factors, verify_block_factorization
-from .freepoly import Alphabet, NcPolynomial, naive_evaluate, naive_mult_count, parse
+from .freepoly import (
+    Alphabet,
+    NcPolynomial,
+    naive_evaluate,
+    naive_mult_count,
+    np,
+    parse,
+)
 from .minimizer import build_als, is_minimal, minimize, rank_of
 from .realization import Als, als_mul, dump_als, format_system, load_als
 

@@ -58,11 +58,9 @@ from functools import partial
 from math import isfinite, lcm
 from typing import Sequence
 
-import numpy as np
-
 from .errors import FormatError
 from .factorizer import BlockFactorization
-from .freepoly import identity_matrix
+from .freepoly import identity_matrix, np
 from .linalg import integer_scaled, to_fraction
 from .realization import Als, _frac_str, _parse_frac
 

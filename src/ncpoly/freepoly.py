@@ -17,15 +17,39 @@ elsewhere in the package.
 
 from __future__ import annotations
 
+import importlib.util
 import re
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from types import ModuleType
 from typing import Dict, Iterable, Iterator, Mapping, Sequence, Tuple
-
-import numpy as np
 
 from .errors import ParseError
 from .linalg import to_fraction
+
+
+def _lazy_numpy() -> ModuleType:
+    """numpy, whose body runs on the first attribute read.
+
+    Building, minimizing and factoring systems is exact work that never
+    touches a matrix, so a process that does only that never pays numpy's
+    import.  An already imported numpy is returned as it is; otherwise the
+    module is registered in ``sys.modules`` and becomes an ordinary module
+    once its first attribute is read.
+    """
+    if "numpy" in sys.modules:
+        return sys.modules["numpy"]
+    spec = importlib.util.find_spec("numpy")
+    loader = importlib.util.LazyLoader(spec.loader)
+    spec.loader = loader
+    module = importlib.util.module_from_spec(spec)
+    sys.modules["numpy"] = module
+    loader.exec_module(module)
+    return module
+
+
+np = _lazy_numpy()  # the matrix backend of this package's evaluators
 
 Word = Tuple[int, ...]
 
@@ -272,8 +296,11 @@ def _degree(terms: _Terms) -> int:
 # ``base^e`` multiplies e times and its term count can grow like
 # len(base)**e, and a product of factors like the product of their term
 # counts, so unbounded input would never return; each nested parenthesis
-# costs the recursive-descent parser three stack frames.
-MAX_DEGREE = 1000  # bound on e, on degree(base) * e and on a product's degree
+# costs the recursive-descent parser three stack frames.  Building a
+# system costs about the cube of the degree even for two terms:
+# ``x*y*x^126 + x^2*y*x^125`` (degree 128) builds in about 1 s, and
+# ``x*y*x^239 + x^2*y*x^238`` (degree 241) in 8 s.
+MAX_DEGREE = 128  # bound on e, on degree(base) * e and on a product's degree
 MAX_TERMS = 10_000  # bound on len(base) ** e and on len(a) * len(b)
 MAX_NESTING = 100  # bound on the depth of nested parentheses
 
@@ -476,6 +503,12 @@ def _check_tuple(p: NcPolynomial, mats: Sequence[np.ndarray]) -> tuple[int, bool
         raise ValueError(
             f"need {len(p.alphabet)} matrices, got {len(mats)}"
         )
+    for mat in mats:
+        if not isinstance(mat, np.ndarray):
+            raise TypeError(
+                "naive_evaluate needs one square numpy.ndarray per letter, "
+                f"not {type(mat).__name__}"
+            )
     m = mats[0].shape[0]
     for mat in mats:
         if mat.shape != (m, m):
@@ -499,7 +532,9 @@ def naive_evaluate(p: NcPolynomial, mats: Sequence[np.ndarray]) -> np.ndarray:
 
     One square matrix per letter; the empty word contributes coeff * I.
     No products are shared between terms, so this is the trustworthy
-    (and expensive) reference for every other evaluation path.
+    (and expensive) reference for every other evaluation path.  Raises
+    ``ValueError`` for the wrong number of matrices or sizes that differ,
+    and ``TypeError`` for a matrix that is not a ``numpy.ndarray``.
     """
     m, exact = _check_tuple(p, mats)
     zero = Fraction(0) if exact else 0.0

@@ -39,7 +39,7 @@ class TestRank:
         assert code == 2 and "error" in err
 
     def test_oversized_power_exits_two(self, capsys):
-        for text in ("x^99999999", "(x+y)^40"):
+        for text in ("x^99999999", "(x+y)^40", "x*y*x^239 + x^2*y*x^238"):
             code, _, err = run(capsys, "rank", text)
             assert code == 2 and "power" in err
 

@@ -1,6 +1,7 @@
 """The README's library tour and every demo script run as written, the
 README names every command and option of the command line and each of its
-command lines parses, and each module imports only from the layers below it."""
+command lines parses, it quotes the parser's limits as the code sets them,
+and each module imports only from the layers below it."""
 
 import argparse
 import ast
@@ -66,6 +67,16 @@ def test_readme_command_lines_parse():
             parser.parse_args(argv)
         except SystemExit:
             pytest.fail(f"README command line does not parse: ncpoly {shlex.join(argv)}")
+
+
+def test_readme_quotes_the_parser_limits():
+    from ncpoly import freepoly
+
+    readme = (ROOT / "README.md").read_text()
+    for name in ("MAX_DEGREE", "MAX_TERMS", "MAX_NESTING"):
+        quoted = re.findall(rf"`{name}` \((\d+)\)", readme)
+        assert quoted, name
+        assert {int(value) for value in quoted} == {getattr(freepoly, name)}, name
 
 
 # errors < linalg < freepoly < realization < families, minimizer < factorizer

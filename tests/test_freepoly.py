@@ -100,11 +100,21 @@ class TestParse:
             ("(x+y)^13*(x+y)^3", "(x+y)^3"),
             ("2 (x+y)^7 (x-y)^7", "(x-y)^7"),
             (f"x^{MAX_DEGREE} y", "y"),
-            ("x^600*y^600", "y^600"),
+            (f"x^{MAX_DEGREE // 2 + 1}*y^{MAX_DEGREE // 2 + 1}", "y^"),
         ):
             with pytest.raises(ParseError) as err:
                 parse(bad, ab_xy)
             assert err.value.position == bad.rindex(factor)
+
+    def test_short_input_of_high_degree(self, ab_xy):
+        # a system costs about the cube of the degree to build, even for two
+        # terms: at degree 128 about 1 s, at degree 241 (this input) 8 s
+        assert MAX_DEGREE <= 128
+        assert parse(f"x*y*x^{MAX_DEGREE - 2}", ab_xy).degree() == MAX_DEGREE
+        text = "x*y*x^239 + x^2*y*x^238"
+        with pytest.raises(ParseError, match="degree") as err:
+            parse(text, ab_xy)
+        assert err.value.position == text.index("239")
 
     def test_overlong_integers(self, ab_xy):
         digits = "9" * 5000  # beyond int()'s default string-conversion limit
@@ -296,6 +306,13 @@ class TestNaiveEvaluate:
             naive_evaluate(p, [identity_matrix(2), identity_matrix(3)])
         with pytest.raises(ValueError):
             naive_evaluate(p, [identity_matrix(2)])
+
+    def test_plain_lists_are_a_type_error(self, ab_xy):
+        p = parse("x*y", ab_xy)
+        with pytest.raises(TypeError, match=r"square numpy\.ndarray per letter, not list"):
+            naive_evaluate(p, [[[1]], [[2]]])
+        with pytest.raises(TypeError, match="not tuple"):
+            naive_evaluate(p, [identity_matrix(1), ((1,),)])
 
 
 class TestNaiveMultCount:
