@@ -625,8 +625,10 @@ def evaluate_block_factorization(
     This is the right family of ``bf.to_block_als()``, walked one factor at
     a time without building that system: the values of a factor's columns
     depend only on those of its rows, so two blocks of values are alive at
-    once.
+    once.  Raises ``TypeError`` for anything but a ``BlockFactorization``.
     """
+    if not isinstance(bf, BlockFactorization):
+        raise TypeError(f"expected a BlockFactorization, got {type(bf).__name__}")
     return _report(tup, *_walk(bf, "right", tup), "right")
 
 
@@ -639,6 +641,7 @@ def evaluate_product(systems: Sequence[Als], tup: MatrixTuple) -> EvalReport:
     after a zero factor no later factor does either.  Raises ``TypeError``
     for a factor that is not an ``Als``.
     """
+    systems = tuple(systems)
     if not systems:
         raise ValueError("need at least one factor")
     for als in systems:

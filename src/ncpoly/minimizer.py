@@ -26,10 +26,10 @@ from typing import Optional, Sequence
 
 from . import linalg
 from .freepoly import NcPolynomial, Word, word_key
-from .realization import Als, _Work, _combine, _zero_cell_rows
+from .realization import Als, _Work, _zero_cell_rows
 
 
-_ZERO, _ONE = Fraction(0), Fraction(1)
+_ZERO = Fraction(0)
 
 
 def solve_left_minimization(
@@ -128,38 +128,33 @@ def _other_unknown(targets, x, constants_zeroed: bool) -> tuple[Fraction, ...]:
 
 
 def _left_step(work: _Work, k: int, t, u) -> None:
-    """Column k+j += U_j . column k above row k; drop k.
+    """Column k+j += U_j . column k; drop k.
 
     Row k += T . (rows below) would zero row k and v_k (the solver checked
-    the residual), so that row mix is never formed: row k is dropped.
+    the residual), so that row mix is never formed.  Row k is dropped
+    first, so the column moves write only the rows that stay: the row that
+    takes its place is zero in column k, so they read the rows above.
     """
-    p = k - 1
-    for row in work.rows[:p]:
-        if not (source := row[p]).is_zero:
-            for j, x in enumerate(u, k):
-                if x:
-                    row[j] = _combine(((_ONE, row[j]), (x, source)), work.zero)
-    work.drop(k)
+    work.drop_row(k)
+    for j, x in enumerate(u, k):
+        if x:
+            work.add_cols(j, [(x, k - 1)])
+    work.drop_col(k)
 
 
 def _right_step(work: _Work, k: int, t, u) -> None:
     """Row i += T_i . row k for i < k; drop k.
 
     Column k += sum_i U_i . column i would zero column k above the diagonal
-    (the solver checked the residual), so that column mix is never formed:
-    column k is dropped.
+    (the solver checked the residual), so that column mix is never formed.
+    Column k is dropped first, so the row moves write only the columns
+    that stay: row k then reads on from the column after its diagonal.
     """
-    p = k - 1
-    sources = [(j, e) for j, e in enumerate(work.rows[p]) if j > p and not e.is_zero]
-    value = work.rhs[p]
+    work.drop_col(k)
     for i, x in enumerate(t):
         if x:
-            row = work.rows[i]
-            for j, e in sources:
-                row[j] = _combine(((_ONE, row[j]), (x, e)), work.zero)
-            if value:
-                work.rhs[i] += x * value
-    work.drop(k)
+            work.add_rows(i, [(x, k - 1)])
+    work.drop_row(k)
 
 
 def _trim(work: _Work) -> None:

@@ -289,9 +289,9 @@ def _subtract_product(
             terms[key] = terms.get(key, 0) - x * value
 
 
-# Off-diagonal cells (i, j) -> x of a unitriangular P or Q.
+# Sparse scalar cells (i, j) -> x, such as the coupling block of ``append``.
 _Cells = Mapping[tuple[int, int], Fraction]
-_ZERO, _ONE = Fraction(0), Fraction(1)
+_ZERO = Fraction(0)
 
 
 @dataclass(frozen=True)
@@ -329,57 +329,15 @@ def _upper_cells(cells, first: int, n: int, name: str) -> tuple:
 
 
 def _combine(
-    terms: Sequence[tuple[Fraction, LinearEntry]], zero: LinearEntry
+    entry: LinearEntry, terms: Sequence[tuple[Fraction, LinearEntry]], zero: LinearEntry
 ) -> LinearEntry:
-    """Sum of factor * entry over pairs with nonzero entries.
-
-    A sum that is zero comes back as the shared ``zero``.
-    """
-    factor, entry = terms[0]
-    if factor == 1:
-        if len(terms) == 1:
-            return entry
-        coeffs = list(entry.coeffs)
-    else:
-        coeffs = [factor * x if x else x for x in entry.coeffs]
-    for factor, entry in terms[1:]:
-        for c, x in enumerate(entry.coeffs):
-            if x:
-                coeffs[c] += factor * x
+    """entry + sum of x * e over ``terms`` (x, e); a zero sum is the shared ``zero``."""
+    coeffs = list(entry.coeffs)
+    for x, e in terms:
+        for c, y in enumerate(e.coeffs):
+            if y:
+                coeffs[c] += x * y
     return LinearEntry(tuple(coeffs)) if any(coeffs) else zero
-
-
-def _mixed(
-    lines: Sequence[tuple[Fraction, Sequence[tuple[int, LinearEntry]]]],
-    zero: LinearEntry,
-) -> dict[int, LinearEntry]:
-    """Position -> sum of factor * line, over sparse lines (position, entry).
-
-    Lines list only their nonzero entries, and so does the result.
-    """
-    terms: dict[int, list[tuple[Fraction, LinearEntry]]] = {}
-    for factor, cells in lines:
-        for at, entry in cells:
-            terms.setdefault(at, []).append((factor, entry))
-    out = {}
-    for at, pairs in terms.items():
-        entry = _combine(pairs, zero)
-        if entry is not zero:
-            out[at] = entry
-    return out
-
-
-def _line_terms(cells: _Cells, by_column: bool) -> dict[int, list]:
-    """Target line -> (line, factor) terms of I + cells, by rows or by columns.
-
-    A target lists itself with factor 1 first: row i gains P[i, j] times row
-    j, column j gains Q[i, j] times column i.
-    """
-    lines: dict[int, list[tuple[int, Fraction]]] = {}
-    for (i, j), x in cells.items():
-        target, source = (j, i) if by_column else (i, j)
-        lines.setdefault(target, [(target, _ONE)]).append((source, x))
-    return lines
 
 
 class _Work:
@@ -409,49 +367,57 @@ class _Work:
     def freeze(self) -> Als:
         return Als(self.alphabet, self.rows, self.rhs)
 
-    def mix(self, p_cells: _Cells, q_cells: _Cells) -> None:
-        """(A, v) -> (P A Q, P v) for unitriangular P and Q, in place.
+    def add_rows(self, i: int, terms: Sequence[tuple[Fraction, int]]) -> None:
+        """Row i += sum of x * row r over ``terms`` (x, r), right-hand side included.
 
-        ``p_cells`` and ``q_cells`` hold the off-diagonal cells of P and Q;
-        every other cell is that of the identity.  Rows are mixed first,
-        then columns of the row-mixed grid; every source row (column) is
-        read before any mixed row (column) is written.  A mixed cell is
-        only computed where one of its sources is nonzero.  This serves
-        ``_transform``; restoration and the minimizer's removal steps edit
-        only the cells they keep instead.
+        Each source row r lies below row i and is zero left of its diagonal,
+        so it is read from there rightward.
         """
-        rows, rhs, zero, n = self.rows, self.rhs, self.zero, self.n
-        row_mix = _line_terms(p_cells, False)
-        sources = {
-            k: [(j, e) for j, e in enumerate(rows[k]) if not e.is_zero]
-            for k in {k for mix in row_mix.values() for k, _ in mix}
-        }
-        mixed_rows = {
-            i: (
-                _mixed([(f, sources[k]) for k, f in mix], zero),
-                sum((f * v for k, f in mix if (v := rhs[k])), Fraction(0)),
-            )
-            for i, mix in row_mix.items()
-        }
-        for i, (cells, value) in mixed_rows.items():
-            row = rows[i] = [zero] * n
-            for j, entry in cells.items():
-                row[j] = entry
-            rhs[i] = value
-        col_mix = _line_terms(q_cells, True)
-        sources = {
-            k: [(r, row[k]) for r, row in enumerate(rows) if not row[k].is_zero]
-            for k in {k for mix in col_mix.values() for k, _ in mix}
-        }
-        mixed_cols = {
-            j: _mixed([(f, sources[k]) for k, f in mix], zero)
-            for j, mix in col_mix.items()
-        }
-        for j, cells in mixed_cols.items():
-            for row in rows:
-                row[j] = zero
-            for r, entry in cells.items():
-                rows[r][j] = entry
+        rows, rhs = self.rows, self.rhs
+        row = rows[i]
+        sums: dict[int, list[tuple[Fraction, LinearEntry]]] = {}
+        for x, r in terms:
+            for j, entry in enumerate(rows[r][r:], r):
+                if not entry.is_zero:
+                    sums.setdefault(j, []).append((x, entry))
+            if value := rhs[r]:
+                rhs[i] += x * value
+        for j, added in sums.items():
+            row[j] = _combine(row[j], added, self.zero)
+
+    def add_cols(self, j: int, terms: Sequence[tuple[Fraction, int]]) -> None:
+        """Column j += sum of x * column c over ``terms`` (x, c).
+
+        Each source column c lies left of column j and is zero below its
+        diagonal, so it is read down to there.
+        """
+        rows = self.rows
+        sums: dict[int, list[tuple[Fraction, LinearEntry]]] = {}
+        for x, c in terms:
+            for i in range(c + 1):
+                if not (entry := rows[i][c]).is_zero:
+                    sums.setdefault(i, []).append((x, entry))
+        for i, added in sums.items():
+            rows[i][j] = _combine(rows[i][j], added, self.zero)
+
+    def mix(self, trans: AdmissibleTransformation) -> None:
+        """(A, v) -> (P A Q, P v) for the pair (P, Q) of ``trans``, in place.
+
+        Row i gains P[i, r] times row r, top row first, then column j gains
+        Q[c, j] times column c, rightmost column first.  Every source lies
+        below its target row or left of its target column, so it is read
+        before it is changed.
+        """
+        row_terms: dict[int, list[tuple[Fraction, int]]] = {}
+        for (i, r), x in trans.p:
+            row_terms.setdefault(i, []).append((x, r))
+        for i in sorted(row_terms):
+            self.add_rows(i, row_terms[i])
+        col_terms: dict[int, list[tuple[Fraction, int]]] = {}
+        for (c, j), x in trans.q:
+            col_terms.setdefault(j, []).append((x, c))
+        for j in sorted(col_terms, reverse=True):
+            self.add_cols(j, col_terms[j])
 
     def append(self, b_rows, b_rhs, coupling: _Cells) -> None:
         """Extend (A, v) in place to ([[A, C], [0, B]], (v, w)): the one block layout.
@@ -481,12 +447,14 @@ class _Work:
         for row in self.rows:
             del row[m:]
 
-    def drop(self, k: int) -> None:
-        """Remove row/column k (1-based)."""
-        p = k - 1
-        del self.rows[p], self.rhs[p]
+    def drop_row(self, k: int) -> None:
+        """Remove row k (1-based) and its right-hand side."""
+        del self.rows[k - 1], self.rhs[k - 1]
+
+    def drop_col(self, k: int) -> None:
+        """Remove column k (1-based)."""
         for row in self.rows:
-            del row[p]
+            del row[k - 1]
 
     def restore_polynomial_form(self) -> None:
         """As ``restore_polynomial_form``, in place; a no-op in polynomial form."""
@@ -495,12 +463,10 @@ class _Work:
             raise ValueError(
                 "cannot restore polynomial form: v_n is zero (see minimize)"
             )
-        # Row n is e_n, so row i += (-v_i / lam) * row n changes one constant.
-        for i, v in enumerate(self.rhs[:-1]):
+        last = self.n - 1
+        for i, v in enumerate(self.rhs[:last]):
             if v:
-                entry = self.rows[i][-1].add_constant(-v / lam)
-                self.rows[i][-1] = self.zero if entry.is_zero else entry
-                self.rhs[i] = _ZERO
+                self.add_rows(i, [(-v / lam, last)])
 
 
 # A cell to zero: its entry, and the (unknown, entry) pairs that multiply
@@ -538,22 +504,17 @@ def _zero_cell_rows(
     return rows, rhs
 
 
-def _transform(als: Als, p_cells: _Cells, q_cells: _Cells) -> Als:
-    """(A, v) -> (P A Q, P v) for unitriangular P and Q (see ``_Work.mix``)."""
-    work = _Work.thaw(als)
-    work.mix(p_cells, q_cells)
-    return work.freeze()
-
-
 def apply_transformation(als: Als, trans: AdmissibleTransformation) -> Als:
     """Transform (A, v) -> (P A Q, P v); the represented polynomial is unchanged.
 
-    The result must stay upper unitriangular (the only system shape this
-    package works with); otherwise ``ValueError`` is raised.
+    The pair is unitriangular, so the result stays upper unitriangular.
+    Raises ``ValueError`` when the sizes differ.
     """
     if trans.n != als.n:
         raise ValueError("transformation size does not match the system")
-    return _transform(als, dict(trans.p), dict(trans.q))
+    work = _Work.thaw(als)
+    work.mix(trans)
+    return work.freeze()
 
 
 # -- constructors ------------------------------------------------------------

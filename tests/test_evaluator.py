@@ -205,6 +205,14 @@ class TestBlockFactorization:
             with pytest.raises(TypeError, match="BlockFactorization"):
                 call()
 
+    def test_chain_evaluator_rejects_anything_but_a_chain(self, ab_xy):
+        # an Als has a right-family walk too, and a matrix grid has none
+        tup = random_rational_tuple(random.Random(23), 2, 3)
+        xy = build_als(parse("x*y", ab_xy))
+        for other in (xy, [[xy]], None):
+            with pytest.raises(TypeError, match="^expected a BlockFactorization, got"):
+                evaluate_block_factorization(other, tup)
+
     def test_block_als_represents_the_product(self, bench19_chain, bench19_poly):
         block_als = bench19_chain.to_block_als()
         assert block_als.n == 18
@@ -252,6 +260,17 @@ class TestEvaluateProduct:
             assert report.mult_count == 0
             assert np.array_equal(report.result, np.zeros((2, 2)))
 
+
+    def test_generator_gives_the_list_result(self, ab_xy):
+        polys = [parse(t, ab_xy) for t in ("x + 2*y", "y*x - 1", "3*x*y")]
+        systems = [build_als(p) for p in polys]
+        tup = random_rational_tuple(random.Random(17), 2, 3)
+        listed = evaluate_product(systems, tup)
+        generated = evaluate_product((als for als in systems), tup)
+        assert generated.mult_count == listed.mult_count > 0
+        assert np.array_equal(generated.result, listed.result)
+        product = polys[0] * polys[1] * polys[2]
+        assert np.array_equal(generated.result, naive_evaluate(product, tup.mats))
 
     def test_rejects_systems_over_different_alphabets(self):
         polys = [parse("a*b", Alphabet(("a", "b"))), parse("x+y", Alphabet(("x", "y")))]

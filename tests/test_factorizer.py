@@ -35,7 +35,6 @@ from ncpoly import (
 )
 from ncpoly.errors import FormatError
 from ncpoly.factorizer import FactorSplit
-from ncpoly.realization import _transform
 
 from conftest import assert_bitwise_equal, block_unknowns, random_polynomial, zero_block_ops
 
@@ -246,14 +245,16 @@ def former_partial_passes(als, n1, max_passes=3):
             alpha = single_pass_ops(current, [i], range(n1, n), range(1, n - 1), ())
             if alpha is None:
                 continue
-            current = _transform(current, alpha, {})
+            trans = AdmissibleTransformation(n, alpha)
+            current = apply_transformation(current, trans)
             add_rows(p_cells, i, alpha)
             changed = True
         for j in range(n1, n):
             beta = single_pass_ops(current, range(n1 - 1), [j], (), range(1, j))
             if beta is None:
                 continue
-            current = _transform(current, {}, beta)
+            trans = AdmissibleTransformation(n, q=beta)
+            current = apply_transformation(current, trans)
             add_rows(qt_cells, j, {(j, c): x for (c, _), x in beta.items()})
             changed = True
         if ncpoly.factorizer._block_is_zero(current, n1):

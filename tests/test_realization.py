@@ -27,7 +27,7 @@ from ncpoly import (
     right_companion,
 )
 from ncpoly.errors import FormatError
-from ncpoly.realization import _transform, format_system
+from ncpoly.realization import format_system
 
 from conftest import dense_transformation, random_polynomial
 
@@ -375,19 +375,18 @@ class TestTransformationMatchesDenseReference:
                     assert all(type(x) is Fraction for x in result.rhs)
 
     def test_non_unitriangular_transformations_raise(self):
-        # such ops cannot be built as a transformation; passed to the core
-        # directly, the validation of the transformed system refuses them
+        # a cell on or below the diagonal is refused when the pair is built,
+        # so no such op reaches a system
         rng = random.Random(7)
         for n in range(1, 9):
-            for d in range(1, 4):
-                als = random_system(rng, n, d)
+            for _ in range(3):
                 p = random_cells(rng, n, 0.5)
                 q = random_cells(rng, n, 0.5, 1)
                 i = rng.randrange(n)
                 cell = (i, rng.randrange(i + 1))  # on or below the diagonal
                 (p if rng.random() < 0.5 else q)[cell] = Fraction(rng.choice([-2, 1, 3]))
-                with pytest.raises(ValueError):
-                    _transform(als, p, q)
+                with pytest.raises(ValueError, match="cell"):
+                    AdmissibleTransformation(n, p, q)
 
 
 def product_left_family(als):

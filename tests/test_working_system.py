@@ -1,22 +1,28 @@
 """The constructors and transformations that edit one working system.
 
 ``minimal_monomial``, ``als_add``, ``als_mul``, ``restore_polynomial_form``,
-``_transform`` and ``build_als`` thaw a system into ``realization._Work`` (or
-start an empty one), edit it in place and freeze it once.  The ``former_*``
-functions below are copies of the versions that built each result as a
-fresh list copy and validated it; both must give the same ``dump_als`` text,
-or the same ``ValueError``, on seeded inputs and on the edge cases.
+``apply_transformation`` and ``build_als`` thaw a system into
+``realization._Work`` (or start an empty one), edit it in place and freeze
+it once.  The ``former_*`` functions below are copies of the versions that
+built each result as a fresh list copy and validated it, and of the staged
+sparse core that mixed every row, then every column, from sources read
+before any write; both must give the same ``dump_als`` text, or the same
+``ValueError``, on seeded inputs and on the edge cases.
 """
 
 import random
 from fractions import Fraction
 
+import pytest
+
 from ncpoly import (
+    AdmissibleTransformation,
     Alphabet,
     Als,
     LinearEntry,
     als_add,
     als_mul,
+    apply_transformation,
     build_als,
     dump_als,
     minimal_monomial,
@@ -24,23 +30,59 @@ from ncpoly import (
 )
 from ncpoly.freepoly import word_key
 from ncpoly.minimizer import _reduce
-from ncpoly.realization import _line_terms, _mixed, _transform, _unit_rows, _Work
+from ncpoly.realization import _unit_rows, _Work
 
 from conftest import random_polynomial
 
 # -- the former copy, edit and validate versions -------------------------------
 
 
+def former_combine(terms, zero):
+    factor, entry = terms[0]
+    if factor == 1:
+        if len(terms) == 1:
+            return entry
+        coeffs = list(entry.coeffs)
+    else:
+        coeffs = [factor * x if x else x for x in entry.coeffs]
+    for factor, entry in terms[1:]:
+        for c, x in enumerate(entry.coeffs):
+            if x:
+                coeffs[c] += factor * x
+    return LinearEntry(tuple(coeffs)) if any(coeffs) else zero
+
+
+def former_mixed(lines, zero):
+    terms = {}
+    for factor, cells in lines:
+        for at, entry in cells:
+            terms.setdefault(at, []).append((factor, entry))
+    out = {}
+    for at, pairs in terms.items():
+        entry = former_combine(pairs, zero)
+        if entry is not zero:
+            out[at] = entry
+    return out
+
+
+def former_line_terms(cells, by_column):
+    lines = {}
+    for (i, j), x in cells.items():
+        target, source = (j, i) if by_column else (i, j)
+        lines.setdefault(target, [(target, Fraction(1))]).append((source, x))
+    return lines
+
+
 def former_mix_in_place(rows, rhs, p_cells, q_cells, zero):
     n = len(rows)
-    row_mix = _line_terms(p_cells, False)
+    row_mix = former_line_terms(p_cells, False)
     sources = {
         k: [(j, e) for j, e in enumerate(rows[k]) if not e.is_zero]
         for k in {k for mix in row_mix.values() for k, _ in mix}
     }
     mixed_rows = {
         i: (
-            _mixed([(f, sources[k]) for k, f in mix], zero),
+            former_mixed([(f, sources[k]) for k, f in mix], zero),
             sum((f * v for k, f in mix if (v := rhs[k])), Fraction(0)),
         )
         for i, mix in row_mix.items()
@@ -50,13 +92,13 @@ def former_mix_in_place(rows, rhs, p_cells, q_cells, zero):
         for j, entry in cells.items():
             row[j] = entry
         rhs[i] = value
-    col_mix = _line_terms(q_cells, True)
+    col_mix = former_line_terms(q_cells, True)
     sources = {
         k: [(r, row[k]) for r, row in enumerate(rows) if not row[k].is_zero]
         for k in {k for mix in col_mix.values() for k, _ in mix}
     }
     mixed_cols = {
-        j: _mixed([(f, sources[k]) for k, f in mix], zero)
+        j: former_mixed([(f, sources[k]) for k, f in mix], zero)
         for j, mix in col_mix.items()
     }
     for j, cells in mixed_cols.items():
@@ -276,13 +318,16 @@ class TestConstructorsMatchFormerVersions:
             for als in operands(rng, alphabet):
                 n = als.n
                 p, q = random_cells(rng, n, 0), random_cells(rng, n, 1)
-                assert outcome(_transform, als, p, q) == outcome(former_transform, als, p, q)
-                if n:  # a cell on or below the diagonal breaks unitriangularity
+                trans = AdmissibleTransformation(n, p, q)
+                assert outcome(apply_transformation, als, trans) == outcome(
+                    former_transform, als, p, q
+                )
+                if n:  # a cell on or below the diagonal is no admissible cell
                     i = rng.randrange(n)
                     (p if rng.random() < 0.5 else q)[i, rng.randrange(i + 1)] = Fraction(2)
-                    got = outcome(_transform, als, p, q)
-                    assert got == outcome(former_transform, als, p, q)
-                    raised += got.startswith("ValueError")
+                    with pytest.raises(ValueError, match="cell"):
+                        AdmissibleTransformation(n, p, q)
+                    raised += 1
         assert raised
 
     def test_build_als_appends(self):
