@@ -7,9 +7,10 @@ appends a tracked value: ``-sum_j a_ij s_j`` for the left family (entry on
 the left, bottom-up from ``s_n = lam*I`` to ``s_1 = p``) or
 ``-sum_i t_i a_ij`` for the right family (entry on the right, top-down from
 ``t_1 = I``, with ``lam`` folded into the last step).  A block
-factorization is the right family of its block system, walked one factor
-at a time; a product of systems folds the left-evaluated factors with
-one-step plans whose operand is the factor.
+factorization's plan is the right family of its block system; a product
+of systems folds the left-evaluated factors with one-step plans whose
+operand is the factor.  Every walk drops each tracked value after the
+last step that reads it.
 
 A plan step lists its nonzero entries ``c0*I + c*L`` with the step's sign
 already folded into ``c0`` and ``c``.  ``L`` is one letter's matrix of the
@@ -31,8 +32,8 @@ forms once, when it is built, and the loop reads them as they are; a
 combination is formed directly on those ints, over the lcm of the
 letters' and coefficients' denominators, and never as ``Fraction``
 entries.  Only the tracked values are ``Fraction`` arrays: an exact step
-scales each one to ints on first read, keeps that form until the walk
-drops the value, multiplies and sums its parts on ints over one common
+scales each one to ints on first read, keeps that form until its last
+read, multiplies and sums its parts on ints over one common
 denominator, puts the scalar on the diagonal as an int and builds the
 step's ``Fraction`` entries once, instead of reducing a ``Fraction`` at
 every scalar step.
@@ -229,14 +230,14 @@ class _Plan:
     """One walk of a system, compiled once per side and arithmetic.
 
     The walk starts from the tracked value ``start`` and appends one value
-    per step ``(terms, finished, dropped)``.  A term ``(src, constant,
+    per step ``(terms, finished, freed)``.  A term ``(src, constant,
     letter, factor)`` adds ``constant * v + factor * (L @ v)`` with
     ``v = values[src]`` (``v @ L`` when the entry is on the right), the
     step's sign and scale already folded into ``constant`` and ``factor``.
     ``L`` is the tuple's own matrix ``letter`` for ``letter < d`` and
     combination ``letter - d`` otherwise; a scalar entry has no letter.
-    After the step, the ``finished`` combinations are dropped, and so are
-    the first ``dropped`` values.
+    After the step, the ``finished`` combinations and the ``freed`` values
+    are dropped: those the step is the last to read.
     """
 
     start: object
@@ -246,21 +247,25 @@ class _Plan:
 
 
 def _compile(d: int, start, entry_left: bool, steps, coeff) -> _Plan:
-    """The plan of ``steps``, each ``(scale, [(src, entry), ...], dropped)``.
+    """The plan of ``steps``, each ``(scale, [(src, entry), ...])``.
 
     Zero entries are left out and every coefficient is converted once with
     ``coeff``.  An entry of two or more letters is its first nonzero
     letter coefficient times a combination that starts with coefficient 1,
-    so ``x + y`` and ``-2x - 2y`` share one.
+    so ``x + y`` and ``-2x - 2y`` share one.  Each combination and value
+    is dropped after its last read, or at once if no step reads it.
     """
     combos: dict = {}
-    last_step = {}
+    last_step = {}  # combination letter -> last step reading it
+    # value index -> last step reading it, else the step that makes it
+    last_read = {src: max(src - 1, 0) for src in range(len(steps))}
     compiled = []
-    for index, (scale, terms, dropped) in enumerate(steps):
+    for index, (scale, terms) in enumerate(steps):
         plan_terms = []
         for src, entry in terms:
             if entry.is_zero:
                 continue
+            last_read[src] = index
             constant = coeff(scale * entry.constant)
             letters = [(k, c) for k, c in enumerate(entry.coeffs[1:]) if c]
             if not letters:
@@ -272,45 +277,38 @@ def _compile(d: int, start, entry_left: bool, steps, coeff) -> _Plan:
                 letter = combos.setdefault(key, d + len(combos))
                 last_step[letter] = index
             plan_terms.append((src, constant, letter, coeff(scale * lead)))
-        compiled.append((tuple(plan_terms), dropped))
+        compiled.append(tuple(plan_terms))
     finished: dict = {}
     for letter, index in last_step.items():
         finished.setdefault(index, []).append(letter)
+    freed: dict = {}
+    for src, index in last_read.items():
+        freed.setdefault(index, []).append(src)
     return _Plan(
         coeff(start),
         entry_left,
         tuple(tuple((k, coeff(c)) for k, c in key) for key in combos),
         tuple(
-            (terms, tuple(finished.get(index, ())), dropped)
-            for index, (terms, dropped) in enumerate(compiled)
+            (terms, tuple(finished.get(index, ())), tuple(freed.get(index, ())))
+            for index, terms in enumerate(compiled)
         ),
     )
 
 
-def _walk_steps(system, side: str):
+def _walk_steps(als: Als, side: str):
     """(start, steps) of a system's walk on one side, as ``_compile`` takes."""
-    if isinstance(system, BlockFactorization):
-        # Right family of the block system: a factor's columns need only
-        # its rows, so those are dropped once its last column is done.
-        steps = []
-        for grid in system.factors:
-            columns = list(zip(*grid))
-            for j, column in enumerate(columns):
-                last = j == len(columns) - 1
-                steps.append((1, list(enumerate(column)), len(grid) if last else 0))
-        return Fraction(1), steps
-    n, rows = system.n, system.rows
+    n, rows = als.n, als.rows
     if n == 0:
         return Fraction(0), []
-    lam = system.lam
+    lam = als.lam
     if side == "left":  # values[k] holds s_{n-k} (1-based s), from s_n = lam
         return lam, [
-            (-1, [(n - 1 - j, rows[i][j]) for j in range(i + 1, n)], 0)
+            (-1, [(n - 1 - j, rows[i][j]) for j in range(i + 1, n)])
             for i in range(n - 2, -1, -1)
         ]
     # values[j] holds t_{j+1}, from t_1 = 1; lam scales the last step
     return lam if n == 1 else Fraction(1), [
-        (-lam if j == n - 1 else -1, [(i, rows[i][j]) for i in range(j)], 0)
+        (-lam if j == n - 1 else -1, [(i, rows[i][j]) for i in range(j)])
         for j in range(1, n)
     ]
 
@@ -318,14 +316,18 @@ def _walk_steps(system, side: str):
 def _plan(system, side: str, tup: MatrixTuple) -> _Plan:
     """The system's plan for this side and the tuple's arithmetic.
 
+    A block factorization's plan is the right walk of its block system.
     It is compiled on first use and kept in the system's ``_plans`` slot:
     systems never change, so a plan never goes stale.
     """
     key = (side, tup.mode)
     plan = system._plans.get(key)
     if plan is None:
-        start, steps = _walk_steps(system, side)
-        plan = _compile(len(system.alphabet), start, side == "left", steps, tup.coeff)
+        als = system
+        if isinstance(system, BlockFactorization):
+            als = system.to_block_als()
+        start, steps = _walk_steps(als, side)
+        plan = _compile(len(als.alphabet), start, side == "left", steps, tup.coeff)
         system._plans[key] = plan
     return plan
 
@@ -422,7 +424,7 @@ def _exact_step(forms: dict, parts, scalar):
     An operand is a letter or combination already in integer form
     ``(ints, l)``, taken as it is, or a tracked ``Fraction`` array.  A
     tracked array is scaled to its integer form on first read and kept in
-    ``forms`` (by ``id``, beside the array, until the walk drops it).  The
+    ``forms`` (by ``id``, beside the array, until its last read).  The
     parts are multiplied and summed on ints over one common denominator,
     the scalar goes on the diagonal as an int, and the step's ``Fraction``
     entries are built once, at the end.
@@ -496,7 +498,7 @@ def _run(plan: _Plan, tup: MatrixTuple, values: list, operands: list):
             formed += 1
         return mat
 
-    for terms, finished, dropped in plan.steps:
+    for terms, finished, freed in plan.steps:
         scalar, parts = zero, []
         for src, constant, letter, factor in terms:
             value = values[src]
@@ -516,9 +518,9 @@ def _run(plan: _Plan, tup: MatrixTuple, values: list, operands: list):
         values.append(step(parts, scalar))
         for letter in finished:
             operands[letter] = None
-        for value in values[:dropped]:
-            forms.pop(id(value), None)
-        del values[:dropped]
+        for src in freed:
+            forms.pop(id(values[src]), None)
+            values[src] = None
     return count, formed
 
 
@@ -540,8 +542,8 @@ def _report(tup: MatrixTuple, value, count: int, formed: int, side: str) -> Eval
 
 
 def _require_als(system) -> None:
-    # A BlockFactorization has a walk too, but of its block system's right
-    # family: evaluating it through the left-family plan would be wrong.
+    # A BlockFactorization is evaluated by evaluate_block_factorization,
+    # through the right walk of its block system.
     if not isinstance(system, Als):
         raise TypeError(f"expected an Als, got {type(system).__name__}")
 
@@ -622,9 +624,9 @@ def evaluate_block_factorization(
 ) -> EvalReport:
     """Evaluate a chain of rectangular pencil matrices left to right.
 
-    This is the right family of ``bf.to_block_als()``, walked one factor at
-    a time without building that system: the values of a factor's columns
-    depend only on those of its rows, so two blocks of values are alive at
+    This is the right family of ``bf.to_block_als()``: a factor's columns
+    read only the values of its rows, so each value is dropped within the
+    next factor and at most one factor's rows and columns are alive at
     once.  Raises ``TypeError`` for anything but a ``BlockFactorization``.
     """
     if not isinstance(bf, BlockFactorization):
@@ -648,18 +650,20 @@ def evaluate_product(systems: Sequence[Als], tup: MatrixTuple) -> EvalReport:
         _require_als(als)
     if any(als.alphabet != systems[0].alphabet for als in systems):
         raise ValueError("operands use different alphabets")
-    values, count, formed = [tup.coeff(Fraction(1))], 0, 0
+    product, count, formed = tup.coeff(Fraction(1)), 0, 0
     for als in systems:
         factor, factor_count, factor_formed = _walk(als, "left", tup)
         if isinstance(factor, np.ndarray):
             term = (0, tup.coeff(Fraction(0)), 0, tup.coeff(Fraction(1)))
         else:
             term = (0, factor, None, 0)
-        fold = _Plan(None, False, (), (((term,), (), 1),))
+        fold = _Plan(None, False, (), (((term,), (), (0,)),))
+        values = [product]
         counted, _ = _run(fold, tup, values, [factor])
+        product = values[-1]
         count += factor_count + counted
         formed += factor_formed
-    return _report(tup, values[0], count, formed, "left")
+    return _report(tup, product, count, formed, "left")
 
 
 # -- matrix tuple files ---------------------------------------------------------

@@ -192,12 +192,8 @@ class FactorSplit:
             raise ValueError("factor ranks must satisfy n1 + n2 = n + 1")
         if self.transformation.n != n:
             raise ValueError("transformation size does not match the system")
-        if not _block_is_zero(self.transformed, self.n1):
+        if not check_k_reducibility_pattern(self.transformed, self.n1 - 1, 1):
             raise ValueError("zero-block certificate does not hold")
-
-
-def _block_is_zero(als: Als, n1: int) -> bool:
-    return all(als.rows[i][j].is_zero for i in range(n1 - 1) for j in range(n1, als.n))
 
 
 def _split_unknowns(als: Als, n1: int) -> _SplitUnknowns:

@@ -127,7 +127,7 @@ def _other_unknown(targets, x, constants_zeroed: bool) -> tuple[Fraction, ...]:
     return tuple(out)
 
 
-def _left_step(work: _Work, k: int, t, u) -> None:
+def _left_step(work: _Work, k: int, u) -> None:
     """Column k+j += U_j . column k; drop k.
 
     Row k += T . (rows below) would zero row k and v_k (the solver checked
@@ -142,7 +142,7 @@ def _left_step(work: _Work, k: int, t, u) -> None:
     work.drop_col(k)
 
 
-def _right_step(work: _Work, k: int, t, u) -> None:
+def _right_step(work: _Work, k: int, t) -> None:
     """Row i += T_i . row k for i < k; drop k.
 
     Column k += sum_i U_i . column i would zero column k above the diagonal
@@ -185,7 +185,7 @@ def _reduce(work: _Work, trace: Optional[list[str]]) -> None:
                 if trace is not None:
                     trace.append("L k=1 dim=0")
                 return
-            _left_step(work, pivot, *left)
+            _left_step(work, pivot, left[1])
             if trace is not None:
                 trace.append(f"L k={pivot} dim={work.n}")
             if k > 2 and 2 * k > n + 1:
@@ -193,7 +193,7 @@ def _reduce(work: _Work, trace: Optional[list[str]]) -> None:
             continue
         right = solve_right_minimization(work, k)
         if right is not None:
-            _right_step(work, k, *right)
+            _right_step(work, k, right[0])
             if trace is not None:
                 trace.append(f"R k={k} dim={work.n}")
             if k > 2 and 2 * k > n + 1:

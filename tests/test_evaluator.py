@@ -417,10 +417,11 @@ class TestBorrowedLetters:
         for mats in (tup, tup.to_float()):
             plan = _plan(bf, "right", mats)
             terms = [terms for terms, _, _ in plan.steps[1:1 + len(self.CELLS)]]
-            # (src, constant, letter, factor); letter 2 is the combination x + y
+            # (src, constant, letter, factor); letter 2 is the combination
+            # x + y; src 1 is the block system's value of the middle row
             assert [term for (term,) in terms] == [
-                (0, 0, 1, 1), (0, 0, 1, -1), (0, 0, 1, 2), (0, 3, 1, 1),
-                (0, 0, 2, 1), (0, 0, 2, -2), (0, 3, None, 0),
+                (1, 0, 1, 1), (1, 0, 1, -1), (1, 0, 1, 2), (1, 3, 1, 1),
+                (1, 0, 2, 1), (1, 0, 2, -2), (1, 3, None, 0),
             ]
             assert plan.combos == (((0, 1), (1, 1)),)
             combination = _combination(plan.combos[0], mats.mats)
@@ -491,6 +492,43 @@ class TestBorrowedLetters:
                         assert np.array_equal(mat, old)
                     else:
                         assert mat.tobytes() == old_raw
+
+
+class TestHeldValues:
+    """A walk holds a value only while a later step reads it."""
+
+    def test_held_values_are_read_later(self, ab_xy, monkeypatch):
+        walks = []  # (plan, values) of each walk run
+        checked = []
+        run, float_step = evaluator._run, evaluator._float_step
+
+        def run_spy(plan, tup, values, operands):
+            walks.append((plan, values))
+            return run(plan, tup, values, operands)
+
+        def step_spy(parts, scalar):
+            plan, values = walks[-1]
+            index = len(values) - 1  # the step about to append its value
+            read = {src for terms, *_ in plan.steps[index:] for src, *_ in terms}
+            held = {k for k, value in enumerate(values) if value is not None}
+            assert held <= read
+            checked.append(index)
+            return float_step(parts, scalar)
+
+        monkeypatch.setattr(evaluator, "_run", run_spy)
+        monkeypatch.setattr(evaluator, "_float_step", step_spy)
+        # the chain's x column is read by no step
+        unread = BlockFactorization.from_cells(ab_xy, [[["x", "y"]], [["0"], ["2"]]])
+        factors = [build_als(parse(text, ab_xy)) for text in ("x*y + 2", "y*x*y - x")]
+        tup = random_rational_tuple(random.Random(22), 2, 3).to_float()
+        evaluate_block_factorization(unread, tup)
+        for als in (unread.to_block_als(), *factors):
+            evaluate_left(als, tup)
+            evaluate_right(als, tup)
+        evaluate_product(factors, tup)
+        assert len(checked) == sum(len(plan.steps) for plan, _ in walks) > 20
+        for plan, values in walks:
+            assert all(value is None for value in values[:-1])
 
 
 class TestIntegerForms:

@@ -25,11 +25,13 @@ from ncpoly import (
     evaluate_left,
     evaluate_product,
     evaluate_right,
+    minimize,
     parse,
     random_rational_tuple,
     right_companion,
 )
 from ncpoly import evaluator
+from ncpoly.families import convolution_system
 
 from conftest import random_polynomial
 from test_eval_plan import Reference
@@ -153,6 +155,58 @@ def test_chain_releases_dropped_values(bench19_chain, monkeypatch):
     evaluate_block_factorization(bench19_chain, tup)
     assert max(sizes) <= max(len(grid) for grid in bench19_chain.factors) == 4
     assert len(sizes) == sum(len(grid[0]) for grid in bench19_chain.factors)
+
+
+def spy_forms(monkeypatch, start):
+    """Record, per step, the integer forms alive and the values made so far.
+
+    ``made`` starts at the walk's start value and gains each step's result,
+    so ``made[k]`` is the plan's ``values[k]``.
+    """
+    made, alive = [start], []
+    exact_step = evaluator._exact_step
+
+    def spy(forms, parts, scalar):
+        alive.append([mat for mat, *_ in forms.values()])
+        made.append(exact_step(forms, parts, scalar))
+        return made[-1]
+
+    monkeypatch.setattr(evaluator, "_exact_step", spy)
+    return made, alive
+
+
+def test_companion_left_walk_keeps_one_form(monkeypatch):
+    # Each s_i of the left walk is read by the next step only (s_n, read by
+    # all, is the scalar lam), so its form goes with that step.
+    ab = Alphabet(("x",))
+    consts = [Fraction(k - 7, k + 1) for k in range(16)]
+    als = right_companion(ab, ["x"] * 16, consts)
+    _, alive = spy_forms(monkeypatch, Fraction(1))
+    evaluate_left(als, coprime_tuple(random.Random(47), 1, 2))
+    assert len(alive) == 16
+    assert max(map(len, alive)) <= 1
+
+
+def test_walks_hold_no_form_past_its_last_read(
+    bench19_poly, six_dim_remark, monkeypatch
+):
+    q5 = minimize(convolution_system(5))
+    rng = random.Random(48)
+    for als in (build_als(bench19_poly), q5, six_dim_remark):
+        tup = coprime_tuple(rng, len(als.alphabet), 2)
+        for side, evaluate in (("left", evaluate_left), ("right", evaluate_right)):
+            plan = evaluator._plan(als, side, tup)
+            last_read = {}
+            for index, (terms, *_) in enumerate(plan.steps):
+                for src, *_ in terms:
+                    last_read[src] = index
+            made, alive = spy_forms(monkeypatch, plan.start)
+            evaluate(als, tup)
+            assert len(alive) == len(plan.steps) > 0
+            for index, mats in enumerate(alive):
+                for mat in mats:
+                    (src,) = [k for k, value in enumerate(made) if value is mat]
+                    assert last_read[src] >= index
 
 
 def test_products_with_scalar_and_zero_factors():

@@ -257,7 +257,7 @@ def former_partial_passes(als, n1, max_passes=3):
             current = apply_transformation(current, trans)
             add_rows(qt_cells, j, {(j, c): x for (c, _), x in beta.items()})
             changed = True
-        if ncpoly.factorizer._block_is_zero(current, n1):
+        if check_k_reducibility_pattern(current, n1 - 1, 1):
             q_cells = {(c, j): x for (j, c), x in qt_cells.items()}
             return current, AdmissibleTransformation(n, p_cells, q_cells)
         if not changed:
@@ -279,7 +279,7 @@ def former_find_split(als):
                 continue
             trans = AdmissibleTransformation(n, *found)
             transformed = apply_transformation(als, trans)
-            if ncpoly.factorizer._block_is_zero(transformed, n1):
+            if check_k_reducibility_pattern(transformed, n1 - 1, 1):
                 return FactorSplit(transformed, n1, n + 1 - n1, trans)
         partial = former_partial_passes(als, n1)
         if partial is not None:

@@ -397,8 +397,8 @@ class TestWorkingSystemMatchesPerStepReference:
         # the working system is frozen into the returned Als
         step = minimizer._right_step
 
-        def broken_step(work, k, t, u):
-            step(work, k, t, u)
+        def broken_step(work, k, t):
+            step(work, k, t)
             work.rows[-1][0] = LinearEntry.letter(0, len(work.alphabet))
 
         monkeypatch.setattr(minimizer, "_right_step", broken_step)
