@@ -25,19 +25,11 @@ from .evaluator import (
     random_rational_tuple,
 )
 from .factorizer import (
-    BlockFactorization,
     FactorSplit,
-    block_diag,
     check_k_reducibility_pattern,
-    dump_factors,
-    entry_grid,
     extract_factors,
     factor_atoms,
     find_split,
-    hstack,
-    load_factors,
-    verify_block_factorization,
-    vstack,
 )
 from .freepoly import (
     Alphabet,
@@ -59,16 +51,24 @@ from .minimizer import (
 from .realization import (
     AdmissibleTransformation,
     Als,
+    BlockFactorization,
     LinearEntry,
     als_add,
     als_mul,
     apply_transformation,
+    block_diag,
     dump_als,
+    dump_factors,
+    entry_grid,
+    hstack,
     left_companion,
     load_als,
+    load_factors,
     minimal_monomial,
     restore_polynomial_form,
     right_companion,
+    verify_block_factorization,
+    vstack,
 )
 
 __version__ = "0.1.0"

@@ -27,7 +27,7 @@ from .evaluator import (
     load_matrix_tuple,
     random_rational_tuple,
 )
-from .factorizer import factor_atoms, load_factors, verify_block_factorization
+from .factorizer import factor_atoms
 from .freepoly import (
     Alphabet,
     NcPolynomial,
@@ -37,7 +37,15 @@ from .freepoly import (
     parse,
 )
 from .minimizer import build_als, is_minimal, minimize, rank_of
-from .realization import Als, als_mul, dump_als, format_system, load_als
+from .realization import (
+    Als,
+    als_mul,
+    dump_als,
+    format_system,
+    load_als,
+    load_factors,
+    verify_block_factorization,
+)
 
 OK, INPUT_ERROR, VERIFY_ERROR = 0, 2, 3
 

@@ -60,10 +60,9 @@ from math import isfinite, lcm
 from typing import Sequence
 
 from .errors import FormatError
-from .factorizer import BlockFactorization
 from .freepoly import identity_matrix, np
 from .linalg import integer_scaled, to_fraction
-from .realization import Als, _frac_str, _parse_frac
+from .realization import Als, BlockFactorization, _frac_str, _parse_frac
 
 RAT = "rat"
 F64 = "f64"
@@ -313,22 +312,18 @@ def _walk_steps(als: Als, side: str):
     ]
 
 
-def _plan(system, side: str, tup: MatrixTuple) -> _Plan:
+def _plan(als: Als, side: str, tup: MatrixTuple) -> _Plan:
     """The system's plan for this side and the tuple's arithmetic.
 
-    A block factorization's plan is the right walk of its block system.
     It is compiled on first use and kept in the system's ``_plans`` slot:
     systems never change, so a plan never goes stale.
     """
     key = (side, tup.mode)
-    plan = system._plans.get(key)
+    plan = als._plans.get(key)
     if plan is None:
-        als = system
-        if isinstance(system, BlockFactorization):
-            als = system.to_block_als()
         start, steps = _walk_steps(als, side)
         plan = _compile(len(als.alphabet), start, side == "left", steps, tup.coeff)
-        system._plans[key] = plan
+        als._plans[key] = plan
     return plan
 
 
@@ -524,10 +519,10 @@ def _run(plan: _Plan, tup: MatrixTuple, values: list, operands: list):
     return count, formed
 
 
-def _walk(system, side: str, tup: MatrixTuple):
+def _walk(als: Als, side: str, tup: MatrixTuple):
     """Tracked value of the system's walk, products done, combinations formed."""
-    _check_compatible(system.alphabet, tup)
-    plan = _plan(system, side, tup)
+    _check_compatible(als.alphabet, tup)
+    plan = _plan(als, side, tup)
     values = [plan.start]
     letters = tup._forms if tup.is_exact else tup.mats
     operands = [*letters, *[None] * len(plan.combos)]
@@ -576,36 +571,29 @@ def evaluate_right(als: Als, tup: MatrixTuple) -> EvalReport:
 # -- static multiplication counts ---------------------------------------------
 
 
-def count_ns(als: Als) -> int:
-    """Non-scalar entries in the upper-left (n-1) x (n-1) block."""
-    n = als.n
-    if n < 2:
-        return 0
+def _non_scalar(als: Als, lo: int, hi: int) -> int:
+    """Non-scalar entries above the diagonal in rows and columns lo..hi-1."""
+    rows = als.rows
     return sum(
         1
-        for i in range(n - 1)
-        for j in range(i + 1, n - 1)
-        if not als.rows[i][j].is_scalar
+        for i in range(lo, hi)
+        for j in range(i + 1, hi)
+        if not rows[i][j].is_scalar
     )
+
+
+def count_ns(als: Als) -> int:
+    """Non-scalar entries in the upper-left (n-1) x (n-1) block."""
+    return _non_scalar(als, 0, als.n - 1)
 
 
 def count_nt(als: Als) -> int:
     """Non-scalar entries in the lower-right (n-1) x (n-1) block."""
-    n = als.n
-    if n < 2:
-        return 0
-    return sum(
-        1
-        for i in range(1, n)
-        for j in range(i + 1, n)
-        if not als.rows[i][j].is_scalar
-    )
+    return _non_scalar(als, 1, als.n)
 
 
 def count_n(als: Als) -> int:
     """min(N_s, N_t): the cheaper of the two evaluation directions."""
-    if als.n < 2:
-        return 0
     return min(count_ns(als), count_nt(als))
 
 
@@ -631,7 +619,7 @@ def evaluate_block_factorization(
     """
     if not isinstance(bf, BlockFactorization):
         raise TypeError(f"expected a BlockFactorization, got {type(bf).__name__}")
-    return _report(tup, *_walk(bf, "right", tup), "right")
+    return _report(tup, *_walk(bf.to_block_als(), "right", tup), "right")
 
 
 def evaluate_product(systems: Sequence[Als], tup: MatrixTuple) -> EvalReport:

@@ -16,10 +16,6 @@ equations stay linear, and when they leave at most one free parameter the
 constant equations become quadratics in it whose rational roots are
 tried.  More parameters are not searched (the cap), so a ``None`` result
 means "no split found", never "irreducible".
-
-Block factorizations (chains of rectangular pencil matrices whose product
-is a polynomial) are verified symbolically in the free algebra and can be
-embedded as block systems with the factors on the superdiagonal.
 """
 
 from __future__ import annotations
@@ -31,23 +27,15 @@ from fractions import Fraction
 from typing import Iterator, Optional, Sequence
 
 from . import linalg, minimizer
-from .errors import FormatError
-from .freepoly import Alphabet, NcPolynomial
+from .freepoly import NcPolynomial
 from .realization import (
     AdmissibleTransformation,
     Als,
-    CellLike,
-    LinearEntry,
     _Target,
-    _coerce_cell,
-    _entry_row_str,
-    _parse_entry_row,
-    _unit_rows,
     _zero_cell_rows,
     apply_transformation,
 )
 
-Grid = tuple[tuple[LinearEntry, ...], ...]
 _Ops = dict[tuple[int, int], Fraction]  # off-diagonal cells of P or Q
 # A split position's unknowns and target cells (see _split_unknowns)
 _SplitUnknowns = tuple[list[tuple[str, int, int]], list[_Target]]
@@ -56,120 +44,6 @@ _SplitUnknowns = tuple[list[tuple[str, int, int]], list[_Target]]
 # more is "capped": it is not searched, and a miss there is retried on
 # rebuilt systems (see _split_with_retries).
 _MAX_KERNEL_DIM = 1
-
-
-def entry_grid(alphabet: Alphabet, cells: Sequence[Sequence[CellLike]]) -> Grid:
-    """Rectangular grid of pencil entries from entry-like cells."""
-    rows = tuple(
-        tuple(_coerce_cell(cell, alphabet) for cell in row) for row in cells
-    )
-    if not rows or not rows[0]:
-        raise ValueError("grid must be non-empty")
-    width = len(rows[0])
-    if any(len(row) != width for row in rows):
-        raise ValueError("grid rows must have equal length")
-    return rows
-
-
-def hstack(*grids: Grid) -> Grid:
-    height = len(grids[0])
-    if any(len(g) != height for g in grids):
-        raise ValueError("hstack needs equal heights")
-    return tuple(
-        tuple(entry for g in grids for entry in g[i]) for i in range(height)
-    )
-
-
-def vstack(*grids: Grid) -> Grid:
-    width = len(grids[0][0])
-    if any(len(g[0]) != width for g in grids):
-        raise ValueError("vstack needs equal widths")
-    return tuple(row for g in grids for row in g)
-
-
-def block_diag(*grids: Grid) -> Grid:
-    d = grids[0][0][0].width
-    total_rows = sum(len(g) for g in grids)
-    total_cols = sum(len(g[0]) for g in grids)
-    zero = LinearEntry.zero(d)
-    out = [[zero] * total_cols for _ in range(total_rows)]
-    r = c = 0
-    for g in grids:
-        for i, row in enumerate(g):
-            for j, entry in enumerate(row):
-                out[r + i][c + j] = entry
-        r += len(g)
-        c += len(g[0])
-    return tuple(tuple(row) for row in out)
-
-
-class BlockFactorization:
-    """Chain of pencil matrices (1 x k1)(k1 x k2)...(k_r x 1)."""
-
-    # ``_plans``: the evaluator's compiled plan, filled on first use.
-    __slots__ = ("alphabet", "factors", "_plans")
-
-    def __init__(self, alphabet: Alphabet, factors: Sequence[Grid]):
-        factors = tuple(factors)
-        if not factors:
-            raise ValueError("need at least one factor")
-        if len(factors[0]) != 1:
-            raise ValueError("first factor must have one row")
-        if len(factors[-1][0]) != 1:
-            raise ValueError("last factor must have one column")
-        for left, right in zip(factors, factors[1:]):
-            if len(left[0]) != len(right):
-                raise ValueError("factor dimensions do not chain")
-        d = len(alphabet)
-        for grid in factors:
-            for row in grid:
-                for entry in row:
-                    if entry.width != d:
-                        raise ValueError("entry width does not match the alphabet")
-        self.alphabet = alphabet
-        self.factors = factors
-        self._plans = {}
-
-    @classmethod
-    def from_cells(
-        cls, alphabet: Alphabet, factors: Sequence[Sequence[Sequence[CellLike]]]
-    ) -> "BlockFactorization":
-        return cls(alphabet, [entry_grid(alphabet, grid) for grid in factors])
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, BlockFactorization):
-            return NotImplemented
-        return self.alphabet == other.alphabet and self.factors == other.factors
-
-    def __hash__(self) -> int:
-        return hash((self.alphabet, self.factors))
-
-    def polynomial(self) -> NcPolynomial:
-        """Symbolic product of the chain: the polynomial of ``to_block_als``."""
-        return self.to_block_als().polynomial()
-
-    def to_block_als(self) -> Als:
-        """Polynomial ALS with -factor blocks on the block superdiagonal."""
-        sizes = [1] + [len(grid[0]) for grid in self.factors]
-        n = sum(sizes)
-        rows = _unit_rows(n, len(self.alphabet))
-        offset = 0
-        for b, grid in enumerate(self.factors):
-            col_offset = offset + sizes[b]
-            for i, grid_row in enumerate(grid):
-                for j, entry in enumerate(grid_row):
-                    if not entry.is_zero:
-                        rows[offset + i][col_offset + j] = -entry
-            offset = col_offset
-        rhs = [Fraction(0)] * (n - 1) + [Fraction(1)]
-        return Als(self.alphabet, rows, rhs)
-
-
-def verify_block_factorization(bf: BlockFactorization, p: NcPolynomial) -> bool:
-    """True iff the symbolic chain product equals p exactly."""
-    if bf.alphabet != p.alphabet:
-        raise ValueError("factorization and polynomial use different alphabets")
-    return bf.polynomial() == p
 
 
 # -- split search --------------------------------------------------------------
@@ -491,58 +365,3 @@ def check_k_reducibility_pattern(als: Als, i: int, k: int) -> bool:
                 return False
     return True
 
-
-# -- serialization ---------------------------------------------------------------
-
-_FACTORS_TAG = "ncpoly-factors 1"
-
-
-def dump_factors(bf: BlockFactorization) -> str:
-    lines = [
-        _FACTORS_TAG,
-        "alphabet " + ",".join(bf.alphabet.letters),
-        f"count {len(bf.factors)}",
-    ]
-    for grid in bf.factors:
-        lines.append(f"factor {len(grid)} {len(grid[0])}")
-        lines.extend(_entry_row_str(row) for row in grid)
-    return "\n".join(lines) + "\n"
-
-
-def load_factors(text: str) -> BlockFactorization:
-    lines = [line for line in text.splitlines() if line.strip()]
-    if not lines or lines[0] != _FACTORS_TAG:
-        raise FormatError("not a block-factor file (missing format tag)")
-    try:
-        keys = [line.split()[0] for line in lines[1:3]]
-        alphabet = Alphabet(lines[1].split(" ", 1)[1].split(","))
-        count = int(lines[2].split()[1])
-    except (IndexError, ValueError) as exc:
-        raise FormatError(f"malformed factor header: {exc}") from exc
-    if keys != ["alphabet", "count"]:
-        raise FormatError("factor header must be 'alphabet', 'count'")
-    d = len(alphabet)
-    factors = []
-    at = 3
-    for _ in range(count):
-        if at >= len(lines) or not lines[at].startswith("factor "):
-            raise FormatError("expected a 'factor rows cols' line")
-        try:
-            _, rows_s, cols_s = lines[at].split()
-            height, width = int(rows_s), int(cols_s)
-        except ValueError as exc:
-            raise FormatError("malformed factor size line") from exc
-        at += 1
-        if height < 1 or width < 1:
-            raise FormatError("factor sizes must be positive")
-        if at + height > len(lines):
-            raise FormatError(f"truncated factor: expected {height} rows")
-        rows = lines[at:at + height]
-        factors.append(tuple(_parse_entry_row(row, width, d) for row in rows))
-        at += height
-    if at != len(lines):
-        raise FormatError("unexpected lines after the last factor")
-    try:
-        return BlockFactorization(alphabet, factors)
-    except ValueError as exc:
-        raise FormatError(str(exc)) from exc

@@ -15,6 +15,10 @@ A *polynomial* ALS additionally has ``v = (0, ..., 0, lam)`` with nonzero
 constructor and transformation, the minimizer's and the factorizer's
 included, thaws an ``Als`` into one or starts an empty one, edits it in
 place and freezes it once, which validates the result.
+
+Block factorizations (chains of rectangular pencil matrices whose product
+is a polynomial) are kept with their block systems, the factors on the
+block superdiagonal, and are verified symbolically in the free algebra.
 """
 
 from __future__ import annotations
@@ -646,6 +650,122 @@ def right_companion(
     return Als(alphabet, rows, [Fraction(0)] * m + [Fraction(1)])
 
 
+# -- block chains -------------------------------------------------------------
+
+Grid = tuple[tuple[LinearEntry, ...], ...]
+
+
+def entry_grid(alphabet: Alphabet, cells: Sequence[Sequence[CellLike]]) -> Grid:
+    """Rectangular grid of pencil entries from entry-like cells."""
+    rows = tuple(
+        tuple(_coerce_cell(cell, alphabet) for cell in row) for row in cells
+    )
+    if not rows or not rows[0]:
+        raise ValueError("grid must be non-empty")
+    width = len(rows[0])
+    if any(len(row) != width for row in rows):
+        raise ValueError("grid rows must have equal length")
+    return rows
+
+
+def hstack(*grids: Grid) -> Grid:
+    height = len(grids[0])
+    if any(len(g) != height for g in grids):
+        raise ValueError("hstack needs equal heights")
+    return tuple(
+        tuple(entry for g in grids for entry in g[i]) for i in range(height)
+    )
+
+
+def vstack(*grids: Grid) -> Grid:
+    width = len(grids[0][0])
+    if any(len(g[0]) != width for g in grids):
+        raise ValueError("vstack needs equal widths")
+    return tuple(row for g in grids for row in g)
+
+
+def block_diag(*grids: Grid) -> Grid:
+    d = grids[0][0][0].width
+    total_rows = sum(len(g) for g in grids)
+    total_cols = sum(len(g[0]) for g in grids)
+    zero = LinearEntry.zero(d)
+    out = [[zero] * total_cols for _ in range(total_rows)]
+    r = c = 0
+    for g in grids:
+        for i, row in enumerate(g):
+            for j, entry in enumerate(row):
+                out[r + i][c + j] = entry
+        r += len(g)
+        c += len(g[0])
+    return tuple(tuple(row) for row in out)
+
+
+class BlockFactorization:
+    """Chain of pencil matrices (1 x k1)(k1 x k2)...(k_r x 1).
+
+    The chain is kept with its block system, built once: a polynomial ALS
+    with the negated factors on the block superdiagonal.  Building it
+    checks every entry's width, zero entries included.
+    """
+
+    __slots__ = ("alphabet", "factors", "_system")
+
+    def __init__(self, alphabet: Alphabet, factors: Sequence[Grid]):
+        factors = tuple(factors)
+        if not factors:
+            raise ValueError("need at least one factor")
+        if len(factors[0]) != 1:
+            raise ValueError("first factor must have one row")
+        if len(factors[-1][0]) != 1:
+            raise ValueError("last factor must have one column")
+        for left, right in zip(factors, factors[1:]):
+            if len(left[0]) != len(right):
+                raise ValueError("factor dimensions do not chain")
+        sizes = [1] + [len(grid[0]) for grid in factors]
+        n = sum(sizes)
+        rows = _unit_rows(n, len(alphabet))
+        offset = 0
+        for b, grid in enumerate(factors):
+            col_offset = offset + sizes[b]
+            for i, grid_row in enumerate(grid):
+                for j, entry in enumerate(grid_row):
+                    rows[offset + i][col_offset + j] = -entry
+            offset = col_offset
+        rhs = [Fraction(0)] * (n - 1) + [Fraction(1)]
+        self.alphabet = alphabet
+        self.factors = factors
+        self._system = Als(alphabet, rows, rhs)
+
+    @classmethod
+    def from_cells(
+        cls, alphabet: Alphabet, factors: Sequence[Sequence[Sequence[CellLike]]]
+    ) -> "BlockFactorization":
+        return cls(alphabet, [entry_grid(alphabet, grid) for grid in factors])
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, BlockFactorization):
+            return NotImplemented
+        return self.alphabet == other.alphabet and self.factors == other.factors
+
+    def __hash__(self) -> int:
+        return hash((self.alphabet, self.factors))
+
+    def polynomial(self) -> NcPolynomial:
+        """Symbolic product of the chain: the polynomial of its block system."""
+        return self._system.polynomial()
+
+    def to_block_als(self) -> Als:
+        """Polynomial ALS with -factor blocks on the block superdiagonal."""
+        return self._system
+
+
+def verify_block_factorization(bf: BlockFactorization, p: NcPolynomial) -> bool:
+    """True iff the symbolic chain product equals p exactly."""
+    if bf.alphabet != p.alphabet:
+        raise ValueError("factorization and polynomial use different alphabets")
+    return bf.polynomial() == p
+
+
 def format_system(als: Als) -> str:
     """Human-readable display of A and v (zeros shown as '.')."""
     if als.is_empty:
@@ -759,3 +879,57 @@ def load_als(text: str) -> Als:
     if lambda_pos != _lambda_pos(als):
         raise FormatError(f"lambda-pos must be {_lambda_pos(als)}, not {lambda_pos}")
     return als
+
+
+_FACTORS_TAG = "ncpoly-factors 1"
+
+
+def dump_factors(bf: BlockFactorization) -> str:
+    lines = [
+        _FACTORS_TAG,
+        "alphabet " + ",".join(bf.alphabet.letters),
+        f"count {len(bf.factors)}",
+    ]
+    for grid in bf.factors:
+        lines.append(f"factor {len(grid)} {len(grid[0])}")
+        lines.extend(_entry_row_str(row) for row in grid)
+    return "\n".join(lines) + "\n"
+
+
+def load_factors(text: str) -> BlockFactorization:
+    lines = [line for line in text.splitlines() if line.strip()]
+    if not lines or lines[0] != _FACTORS_TAG:
+        raise FormatError("not a block-factor file (missing format tag)")
+    try:
+        keys = [line.split()[0] for line in lines[1:3]]
+        alphabet = Alphabet(lines[1].split(" ", 1)[1].split(","))
+        count = int(lines[2].split()[1])
+    except (IndexError, ValueError) as exc:
+        raise FormatError(f"malformed factor header: {exc}") from exc
+    if keys != ["alphabet", "count"]:
+        raise FormatError("factor header must be 'alphabet', 'count'")
+    d = len(alphabet)
+    factors = []
+    at = 3
+    for _ in range(count):
+        if at >= len(lines) or not lines[at].startswith("factor "):
+            raise FormatError("expected a 'factor rows cols' line")
+        try:
+            _, rows_s, cols_s = lines[at].split()
+            height, width = int(rows_s), int(cols_s)
+        except ValueError as exc:
+            raise FormatError("malformed factor size line") from exc
+        at += 1
+        if height < 1 or width < 1:
+            raise FormatError("factor sizes must be positive")
+        if at + height > len(lines):
+            raise FormatError(f"truncated factor: expected {height} rows")
+        rows = lines[at:at + height]
+        factors.append(tuple(_parse_entry_row(row, width, d) for row in rows))
+        at += height
+    if at != len(lines):
+        raise FormatError("unexpected lines after the last factor")
+    try:
+        return BlockFactorization(alphabet, factors)
+    except ValueError as exc:
+        raise FormatError(str(exc)) from exc

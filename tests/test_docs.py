@@ -1,7 +1,8 @@
 """The README's library tour and every demo script run as written, the
 README names every command and option of the command line and each of its
 command lines parses, it quotes the parser's limits as the code sets them,
-and each module imports only from the layers below it."""
+each module imports only from the layers below it, and the private names
+that cross modules are the ones listed here."""
 
 import argparse
 import ast
@@ -79,8 +80,8 @@ def test_readme_quotes_the_parser_limits():
         assert {int(value) for value in quoted} == {getattr(freepoly, name)}, name
 
 
-# errors < linalg < freepoly < realization < families, minimizer < factorizer
-# < evaluator < cli < the package itself
+# errors < linalg < freepoly < realization < families, minimizer, evaluator
+# < factorizer < cli < the package itself
 LAYERS = {
     "errors": 0,
     "linalg": 1,
@@ -88,10 +89,10 @@ LAYERS = {
     "realization": 3,
     "families": 4,
     "minimizer": 4,
+    "evaluator": 4,
     "factorizer": 5,
-    "evaluator": 6,
-    "cli": 7,
-    "__init__": 8,
+    "cli": 6,
+    "__init__": 7,
 }
 
 
@@ -121,6 +122,45 @@ def test_modules_import_only_lower_layers():
     assert not upward, upward
     imports = package_imports(ROOT / "src" / "ncpoly" / "realization.py")
     assert imports == {"errors", "freepoly", "linalg"}
+
+
+def private_imports(path):
+    """The private names a source file takes from other ncpoly modules.
+
+    Both ``from .x import _y`` and ``x._y`` on a module bound by
+    ``from . import x`` count, as ``"importer<-x._y"``.
+    """
+    tree = ast.parse(path.read_text())
+    modules, names = set(), set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level:
+            if node.module:
+                names.update(f"{path.stem}<-{node.module}.{alias.name}"
+                             for alias in node.names if alias.name.startswith("_"))
+            else:
+                modules.update(alias.asname or alias.name for alias in node.names)
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                and node.value.id in modules and node.attr.startswith("_")):
+            names.add(f"{path.stem}<-{node.value.id}.{node.attr}")
+    return names
+
+
+def test_private_names_crossing_modules():
+    crossing = set()
+    for path in (ROOT / "src" / "ncpoly").glob("*.py"):
+        crossing |= private_imports(path)
+    assert crossing == {
+        "cli<-evaluator._matrix_lines",
+        "evaluator<-realization._frac_str",
+        "evaluator<-realization._parse_frac",
+        "factorizer<-realization._Target",
+        "factorizer<-realization._zero_cell_rows",
+        "factorizer<-minimizer._is_reduced",
+        "families<-realization._unit_rows",
+        "minimizer<-realization._Work",
+        "minimizer<-realization._zero_cell_rows",
+    }
 
 
 def test_readme_names_every_public_name():

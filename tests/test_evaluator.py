@@ -12,6 +12,7 @@ from ncpoly import (
     Alphabet,
     Als,
     BlockFactorization,
+    LinearEntry,
     MatrixTuple,
     build_als,
     complexity_bounds,
@@ -186,6 +187,30 @@ class TestBlockFactorization:
             BlockFactorization.from_cells(
                 ab_xy, [[["x", "y"]], [["x", "y"]]]  # 1x2 then 1x2: no chain
             )
+
+    def test_entry_of_another_width_rejected(self, ab_xy):
+        # built directly, not through entry_grid, with a zero entry of width 3
+        x, y = LinearEntry.letter(0, 2), LinearEntry.letter(1, 2)
+        factors = [((x, LinearEntry.zero(3)),), ((y,), (LinearEntry.one(2),))]
+        with pytest.raises(ValueError, match="^entry width does not match the alphabet$"):
+            BlockFactorization(ab_xy, factors)
+
+    def test_plan_compiles_once_per_side_and_arithmetic(self, ab_xy, monkeypatch):
+        compiled = []
+        compile_plan = evaluator._compile
+
+        def counting(*args):
+            compiled.append(args[2])  # entry_left
+            return compile_plan(*args)
+
+        monkeypatch.setattr(evaluator, "_compile", counting)
+        bf = BlockFactorization.from_cells(ab_xy, [[["x", "y"]], [["y"], ["x"]]])
+        tup = random_rational_tuple(random.Random(24), 2, 3)
+        for mats in (tup, tup, tup.to_float(), tup.to_float()):
+            evaluate_block_factorization(bf, mats)
+        evaluate_right(bf.to_block_als(), tup)
+        evaluate_left(bf.to_block_als(), tup)
+        assert compiled == [False, False, True]
 
     def test_als_evaluators_reject_a_chain(self, ab_xy):
         # [[x, 1]] [[y], [1]] is 1 + x*y; a left-family walk of its right
@@ -415,7 +440,7 @@ class TestBorrowedLetters:
         bf = self.chain(ab_xy)
         tup = random_rational_tuple(random.Random(21), 2, 3)
         for mats in (tup, tup.to_float()):
-            plan = _plan(bf, "right", mats)
+            plan = _plan(bf.to_block_als(), "right", mats)
             terms = [terms for terms, _, _ in plan.steps[1:1 + len(self.CELLS)]]
             # (src, constant, letter, factor); letter 2 is the combination
             # x + y; src 1 is the block system's value of the middle row
