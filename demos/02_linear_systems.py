@@ -41,7 +41,7 @@ print(f"minimization steps: {trace}")
 print(f"minimal system (dimension {reduced.n} = rank):")
 print(format_system(reduced))
 print(f"represented polynomial: {reduced.polynomial()}")
-print(f"certified minimal (both families independent): {is_minimal(reduced)}")
+print(f"certified minimal (dimension = rank): {is_minimal(reduced)}")
 
 print()
 print("== product systems couple through the right-hand side ==")

@@ -10,7 +10,7 @@ fraction-free Gauss-Jordan runs on Python ints with first-nonzero pivoting
 primitive.  Solutions set all free variables to zero, so results are
 deterministic; ``solution_space`` adds one kernel vector per free
 variable.  These routines back the minimization equations, the
-family-rank tests, and the factorization solves.
+family-rank reference in the tests, and the factorization solves.
 """
 
 from __future__ import annotations

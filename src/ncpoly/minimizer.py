@@ -1,11 +1,13 @@
 """Minimization of polynomial admissible linear systems.
 
 A system is minimal exactly when both its left family ``s = A^-1 v`` and
-right family ``t = u A^-1`` are linearly independent over the rationals.
-Dependencies are detected by solving *minimization equations*: small exact
-linear systems whose solutions (T, U) turn into row/column transformations
-after which one row/column can be removed without changing the represented
-polynomial.
+right family ``t = u A^-1`` are linearly independent over the rationals,
+that is, when its dimension is the rank of its polynomial: the dimension
+of the span of the polynomial's left quotients, which ``rank_of`` and
+``is_minimal`` compute.  Dependencies are detected by solving
+*minimization equations*: small exact linear systems whose solutions
+(T, U) turn into row/column transformations after which one row/column
+can be removed without changing the represented polynomial.
 
 Pivot indices in this module are 1-based, matching the block decomposition
 
@@ -22,14 +24,12 @@ systems because T and U are scalar.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
 from typing import Optional, Sequence
 
 from . import linalg
 from .freepoly import NcPolynomial, Word, word_key
 from .realization import Als, _Work, _zero_cell_rows
-
-
-_ZERO = Fraction(0)
 
 
 def solve_left_minimization(
@@ -232,8 +232,8 @@ def _is_reduced(als: Als) -> bool:
     system; for a polynomial ALS that is minimality.  On a minimal system
     most pivots are decided by the letter in one superdiagonal cell, and
     most other equations stop at their first 0 = b row, so this is far
-    cheaper than the family ranks of ``is_minimal``, which stays the
-    independent certificate.
+    cheaper than ``is_minimal``, which expands the polynomial and ranks
+    its left quotients and stays the independent certificate.
     """
     n = als.n
     return all(solve_left_minimization(als, k) is None for k in range(1, n)) and all(
@@ -266,35 +266,72 @@ def build_als(
     return work.freeze()
 
 
+def _quotient_rank(p: NcPolynomial) -> int:
+    """Dimension of the span of the left quotients ``w^-1 p``: the rank of p.
+
+    ``(w^-1 p)(u) = p(wu)``, and the span is the smallest space that holds
+    p and is closed under every ``x^-1``, so the closure takes ``x^-1`` of
+    each basis vector once.  Vectors are sparse word-keyed integer rows
+    (the coefficients scaled to ints once; rank does not see the scale),
+    not ``linalg``'s dense rows: their words are known only as the closure
+    grows, and p_6's 1,093 prefixes would make every row that long.
+    Each new vector is reduced fraction-free against the basis in the
+    order it grew: every basis vector is zero at the pivots of those
+    before it, so a subtraction never brings back an earlier pivot.  The
+    pivot is a word of highest degree, which the lower-degree quotients
+    rarely hold.
+    """
+    terms = p.term_map()
+    start = dict(zip(terms, linalg.integer_scaled(list(terms.values()))[0]))
+    basis: list[tuple[Word, dict[Word, int]]] = []
+    if start:
+        basis.append((max(start, key=len), start))
+    d = len(p.alphabet)
+    for _, vector in basis:  # grows while it is read
+        quotients: list[dict[Word, int]] = [{} for _ in range(d)]
+        for word, c in vector.items():
+            if word:
+                quotients[word[0]][word[1:]] = c
+        for q in quotients:
+            for pivot, b in basis:
+                a = q.get(pivot)
+                if a:
+                    pb = b[pivot]
+                    g = gcd(a, pb)
+                    a, pb = a // g, pb // g
+                    if pb != 1:
+                        for word in q:
+                            q[word] *= pb
+                    for word, c in b.items():
+                        x = q.get(word, 0) - a * c
+                        if x:
+                            q[word] = x
+                        else:
+                            del q[word]
+            if q:
+                g = gcd(*q.values())
+                if g != 1:
+                    q = {word: c // g for word, c in q.items()}
+                basis.append((max(q, key=len), q))
+    return len(basis)
+
+
 def rank_of(p: NcPolynomial) -> int:
     """Dimension of a minimal linear representation of p.
 
-    rank 0 iff p = 0; rank 1 for nonzero scalars; degree + 1 in the
-    univariate case.
+    The dimension of the span of p's left quotients (``_quotient_rank``);
+    no system is built.  rank 0 iff p = 0; rank 1 for nonzero scalars;
+    degree + 1 in the univariate case.
     """
-    return build_als(p).n
-
-
-def _family_rank(family: Sequence[NcPolynomial]) -> int:
-    """Rank of the family's coefficient rows over their joint word support."""
-    terms = [q.term_map() for q in family]
-    support = set().union(*terms)  # the rank does not depend on column order
-    if not support:
-        return 0
-    return linalg.rank([[t.get(w, _ZERO) for w in support] for t in terms])
+    return _quotient_rank(p)
 
 
 def is_minimal(als: Als) -> bool:
-    """Exact minimality certificate: both families linearly independent.
+    """Exact minimality certificate: the dimension equals the rank.
 
-    The families are computed symbolically and stacked as coefficient
-    vectors over their joint word support; independence is a rational rank
-    computation.
+    An ALS of dimension n for p is minimal exactly when n is the rank of
+    p, the dimension of the span of p's left quotients.  The polynomial is
+    expanded once, from the left family, and ranked by ``_quotient_rank``;
+    neither the minimization equations nor the right family are used.
     """
-    if als.is_empty:
-        return True
-    n = als.n
-    return (
-        _family_rank(als.left_family()) == n
-        and _family_rank(als.right_family()) == n
-    )
+    return als.n == _quotient_rank(als.polynomial())

@@ -660,12 +660,16 @@ def entry_grid(alphabet: Alphabet, cells: Sequence[Sequence[CellLike]]) -> Grid:
     rows = tuple(
         tuple(_coerce_cell(cell, alphabet) for cell in row) for row in cells
     )
-    if not rows or not rows[0]:
-        raise ValueError("grid must be non-empty")
-    width = len(rows[0])
-    if any(len(row) != width for row in rows):
-        raise ValueError("grid rows must have equal length")
+    _check_rectangular(rows)
     return rows
+
+
+def _check_rectangular(grid: Grid) -> None:
+    """Raise ``ValueError`` unless the grid is non-empty with rows of one length."""
+    if not grid or not grid[0]:
+        raise ValueError("grid must be non-empty")
+    if any(len(row) != len(grid[0]) for row in grid):
+        raise ValueError("grid rows must have equal length")
 
 
 def hstack(*grids: Grid) -> Grid:
@@ -714,6 +718,8 @@ class BlockFactorization:
         factors = tuple(factors)
         if not factors:
             raise ValueError("need at least one factor")
+        for grid in factors:  # grids built directly skip entry_grid's check
+            _check_rectangular(grid)
         if len(factors[0]) != 1:
             raise ValueError("first factor must have one row")
         if len(factors[-1][0]) != 1:

@@ -20,7 +20,7 @@ from ncpoly import (
     parse,
     vstack,
 )
-from ncpoly.linalg import solve_rows
+from ncpoly.linalg import rank, solve_rows
 from ncpoly.realization import _zero_cell_rows
 
 BENCH19_TEXT = (
@@ -187,6 +187,28 @@ def assert_bitwise_equal(a, b) -> None:
         assert np.array_equal(a, b)
     else:
         assert a.tobytes() == b.tobytes()
+
+
+# -- the family-rank minimality certificate --------------------------------------
+
+
+def family_rank(family):
+    """Rank of the family's coefficient rows over their joint word support."""
+    terms = [q.term_map() for q in family]
+    support = set().union(*terms)  # the rank does not depend on column order
+    if not support:
+        return 0
+    return rank([[t.get(w, Fraction(0)) for w in support] for t in terms])
+
+
+def reference_is_minimal(als):
+    """Minimal exactly when both solution families are linearly independent.
+
+    Both families are expanded symbolically and ranked as coefficient rows
+    over their joint word support.
+    """
+    n = als.n
+    return family_rank(als.left_family()) == n and family_rank(als.right_family()) == n
 
 
 # -- dense references on plain lists -------------------------------------------

@@ -195,6 +195,21 @@ class TestBlockFactorization:
         with pytest.raises(ValueError, match="^entry width does not match the alphabet$"):
             BlockFactorization(ab_xy, factors)
 
+    def test_ragged_factor_rejected(self, ab_xy):
+        # built directly, not through entry_grid: the second factor's rows
+        # have lengths 1 and 2, and sizing it by its first row would put the
+        # longer row's x into the third factor's column (2*y*x + x*y*x)
+        x, y = LinearEntry.letter(0, 2), LinearEntry.letter(1, 2)
+        factors = [((x, y),), ((y,), (LinearEntry.one(2), x)), ((x,),)]
+        with pytest.raises(ValueError, match="^grid rows must have equal length$"):
+            BlockFactorization(ab_xy, factors)
+
+    def test_empty_factor_rejected(self, ab_xy):
+        x = LinearEntry.letter(0, 2)
+        for factors in ([((x,),), ()], [((x,),), ((),)]):
+            with pytest.raises(ValueError, match="^grid must be non-empty$"):
+                BlockFactorization(ab_xy, factors)
+
     def test_plan_compiles_once_per_side_and_arithmetic(self, ab_xy, monkeypatch):
         compiled = []
         compile_plan = evaluator._compile

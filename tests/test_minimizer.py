@@ -1,8 +1,10 @@
 """Minimization equations, the reduction algorithm, rank, and minimality."""
 
 import hashlib
+import importlib.util
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,6 +13,7 @@ from ncpoly import (
     AdmissibleTransformation,
     Alphabet,
     Als,
+    NcPolynomial,
     als_add,
     als_mul,
     apply_transformation,
@@ -27,22 +30,30 @@ from ncpoly import (
     random_rational_tuple,
     rank_of,
     restore_polynomial_form,
+    right_companion,
     solve_left_minimization,
     solve_right_minimization,
 )
 
 from ncpoly import linalg, minimizer
-from ncpoly.families import convolution_system, power_system
+from ncpoly.families import (
+    convolution_polynomial,
+    convolution_system,
+    power_polynomial,
+    power_system,
+)
 from ncpoly.factorizer import _joint_split_ops, _split_unknowns
 from ncpoly.freepoly import word_key
 from ncpoly.linalg import _integer_row, _solve
-from ncpoly.minimizer import _family_rank, _is_reduced
+from ncpoly.minimizer import _is_reduced
 from ncpoly.realization import LinearEntry, _Work
 
 from conftest import (
     BENCH19_TEXT,
     dense_transformation,
+    family_rank,
     random_polynomial,
+    reference_is_minimal,
     reference_rank,
     zero_block_ops,
 )
@@ -608,7 +619,7 @@ class TestOneCellDecision:
 
 
 class TestFamilyRankMatchesRatMatrixRank:
-    """_family_rank equals the rank of the coefficient rows by rational Gauss-Jordan."""
+    """family_rank equals the rank of the coefficient rows by rational Gauss-Jordan."""
 
     def test_seeded_families(self, ab_xy, ab_xyz):
         rng = random.Random(47)
@@ -626,7 +637,7 @@ class TestFamilyRankMatchesRatMatrixRank:
         for family in families:
             support = sorted(set().union(*(q.support() for q in family)), key=word_key)
             expected = reference_rank([[q.coefficient(w) for w in support] for q in family])
-            assert _family_rank(family) == expected
+            assert family_rank(family) == expected
             ranks.add(expected == len(family))
         assert ranks == {True, False}  # full and deficient ranks both occur
 
@@ -687,6 +698,105 @@ class TestIsMinimal:
 
     def test_empty_is_minimal(self, ab_xy):
         assert is_minimal(Als.empty(ab_xy))
+
+
+def bench_inputs():
+    """The benchmark's input definitions, ``bench/inputs.py``, read only."""
+    path = Path(__file__).resolve().parents[1] / "bench" / "inputs.py"
+    spec = importlib.util.spec_from_file_location("bench_inputs", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def compile_polynomials(inputs, seed):
+    """The benchmark's 112 compile polynomials at one seed, drawn as its set-up does."""
+    rng = random.Random(seed)
+    polys = []
+    for d, words in inputs.corpus_skeletons(110):
+        alphabet = Alphabet(tuple("wxyz"[:d]))
+        polys.append(NcPolynomial(alphabet, inputs.corpus_polynomial(rng, words)))
+    for _, text, letters, _ in inputs.COMPILE_NAMED:
+        polys.append(parse(text, Alphabet(letters)))
+    polys.append(power_polynomial(3))
+    return polys
+
+
+class TestIsMinimalMatchesFamilyRanks:
+    """is_minimal (one family, its quotient rank) agrees with both family ranks."""
+
+    def test_minimal_systems(self, bench19_poly):
+        inputs = bench_inputs()
+        systems = [
+            build_als(p) for seed in (1, 101) for p in compile_polynomials(inputs, seed)
+        ]
+        assert len(systems) == 224
+        systems += [power_system(k) for k in range(7)]
+        systems += [convolution_system(k) for k in range(1, 7)]
+        systems.append(build_als(bench19_poly))
+        univariate, rng = Alphabet(("x",)), random.Random(29)
+        for degree in (9, 16):
+            consts = inputs.companion_consts(rng, degree)
+            systems.append(right_companion(univariate, ["x"] * degree, consts))
+        for als in systems:
+            assert reference_is_minimal(als)
+            assert is_minimal(als)
+
+    def test_sums_and_products(self, ab_xy, ab_xyz, seven_dim_remark, bench19_chain):
+        # als_add(a, a) has twice the dimension of a for a polynomial of a's
+        # rank; of the other sums and products some are minimal (a product
+        # with a scalar factor), so both verdicts are compared
+        non_minimal = [seven_dim_remark, bench19_chain.to_block_als()]
+        others = []
+        rng = random.Random(31)
+        for alphabet in (ab_xy, ab_xyz):
+            for _ in range(10):
+                a, b = (
+                    build_als(random_polynomial(rng, alphabet, max_terms=6, max_degree=3))
+                    for _ in range(2)
+                )
+                non_minimal.append(als_add(a, a))
+                others += [als_add(a, b), als_mul(a, b)]
+        for als in non_minimal:
+            assert not reference_is_minimal(als)
+            assert not is_minimal(als)
+        verdicts = [0, 0]
+        for als in others:
+            minimal = reference_is_minimal(als)
+            assert is_minimal(als) == minimal
+            verdicts[minimal] += 1
+        assert all(verdicts)
+
+
+class TestRankFromQuotients:
+    """rank_of builds no system, and equals the dimension build_als reaches."""
+
+    def test_seeded_polynomials(self):
+        rng = random.Random(37)
+        for letters in (("x",), ("x", "y"), ("x", "y", "z")):
+            alphabet = Alphabet(letters)
+            for _ in range(20):
+                p = random_polynomial(rng, alphabet, max_terms=8, max_degree=5)
+                assert rank_of(p) == build_als(p).n
+
+    def test_named_polynomials(self, ab_xyz, bench19_poly):
+        polys = [
+            power_polynomial(6),
+            convolution_polynomial(5),
+            bench19_poly,
+            parse("(x+y+z)^5", ab_xyz),
+            parse("1/2*x - 2/3*x*y*x + 5/7", ab_xyz),
+            parse("0", ab_xyz),
+            parse("-7/3", ab_xyz),
+        ]
+        ranks = [rank_of(p) for p in polys]
+        assert ranks == [build_als(p).n for p in polys]
+        assert ranks == [7, 6, 16, 6, 4, 0, 1]
+
+    def test_builds_no_system(self, ab_xyz, monkeypatch):
+        monkeypatch.setattr(minimizer, "build_als", None)
+        monkeypatch.setattr(minimizer, "_Work", None)
+        assert rank_of(parse("(x*y+1)*(z*x-3)", ab_xyz)) == 5
 
 
 class TestCorpusInvariants:
