@@ -1,23 +1,33 @@
-"""Exact-rational linear algebra on rows given as plain lists.
+"""Exact-rational linear algebra: one sparse integer elimination kernel.
 
-Rows hold ``Fraction`` entries; ``to_fraction`` is the one place where
-other numbers (ints, strings, floats) become ``Fraction`` and values that
-already are pass through untouched.  All solving and ranking goes through
-one kernel, ``_eliminate``: each row is scaled to integers by the lcm of
-its denominators (``integer_scaled``, which exact evaluation shares), then
-fraction-free Gauss-Jordan runs on Python ints with first-nonzero pivoting
-(exact arithmetic needs no magnitude pivoting) and keeps every row
-primitive.  Solutions set all free variables to zero, so results are
+``to_fraction`` is the one place where other numbers (ints, strings,
+floats) become ``Fraction``; values that already are pass through
+untouched.  All solving and ranking goes through one kernel,
+``add_row``: it keeps sparse integer rows (column -> nonzero int) in
+reduced echelon form and grows the basis one row at a time.  A new row is
+reduced fraction-free at every pivot it holds; a nonzero remainder is
+divided by its gcd and joins with its least column, under the caller's
+order, as pivot, and every other row is reduced at that pivot, so each
+pivot is zero in every row but its own.  With least-column pivots the
+basis is the reduced row echelon form of the rows added, up to one
+nonzero factor per row, whatever order they come in.
+
+``rank``, ``solve_rows`` and ``solution_space`` take dense rows of
+rationals, scale each to integers by the lcm of its denominators
+(``integer_scaled``, which exact evaluation shares) and keep its nonzero
+entries; the right-hand side is column ``width``.  A pivot there means no
+solution.  Solutions set all free variables to zero, so results are
 deterministic; ``solution_space`` adds one kernel vector per free
 variable.  These routines back the minimization equations, the
-family-rank reference in the tests, and the factorization solves.
+factorization solves, and (through ``add_row`` on word-keyed rows) the
+rank of a polynomial's left-quotient space.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd
-from typing import Optional, Sequence
+from typing import Callable, Hashable, Optional, Sequence
 
 
 def to_fraction(x) -> Fraction:
@@ -41,103 +51,107 @@ def integer_scaled(values: Sequence[Fraction]) -> tuple[list[int], int]:
     return [x.numerator * (den // x.denominator) for x in values], den
 
 
-def _integer_row(row: Sequence[Fraction]) -> list[int]:
-    """The row scaled by the lcm of its denominators, as Python ints."""
-    return integer_scaled(row)[0]
+def _cancel(row: dict, other: dict, col) -> dict:
+    """``p*row - a*other``, zero in column ``col``, as a new row.
 
-
-def _primitive(row: list[int]) -> list[int]:
-    """The row divided by the gcd of its entries (folded pairwise, no tuple)."""
-    g = 0
-    for x in row:
-        if x:
-            g = gcd(g, x)
-            if g == 1:
-                return row
-    return [x // g for x in row] if g > 1 else row
-
-
-def _eliminate(rows: list[list[int]]) -> tuple[list[list[int]], list[int]]:
-    """Fraction-free Gauss-Jordan on integer rows, in place.
-
-    The pivot is the first nonzero entry at or below the current target row.
-    Every other row with a nonzero entry ``a`` in the pivot column becomes
-    ``p*row - a*pivot_row`` divided by its gcd, so each reduced row is a
-    nonzero rational multiple of the row that rational Gauss-Jordan with a
-    normalized pivot would give: same zero pattern, same pivots, and the
-    value of a pivot variable is ``row[-1] / row[pivot]``.  Returns
-    (rows, pivot column indices).
+    ``a/p`` is ``row[col]/other[col]`` in lowest terms, so no entry grows
+    by more than the two pivots force.
     """
-    n_rows = len(rows)
-    n_cols = len(rows[0]) if rows else 0
-    pivots: list[int] = []
-    target = 0
-    for col in range(n_cols):
-        pivot_row = next((r for r in range(target, n_rows) if rows[r][col]), None)
-        if pivot_row is None:
-            continue
-        rows[target], rows[pivot_row] = rows[pivot_row], rows[target]
-        prow = rows[target]
-        p = prow[col]
-        for r in range(n_rows):
-            row = rows[r]
-            a = row[col]
-            if a and r != target:
-                rows[r] = _primitive([p * x - a * y for x, y in zip(row, prow)])
-        pivots.append(col)
-        target += 1
-        if target == n_rows:
-            break
-    return rows, pivots
+    a, p = row[col], other[col]
+    g = gcd(a, p)
+    a, p = a // g, p // g
+    out = {c: p * x for c, x in row.items()} if p != 1 else dict(row)
+    for c, x in other.items():
+        y = out.get(c, 0) - a * x
+        if y:
+            out[c] = y
+        else:
+            del out[c]
+    return out
 
 
-def _solve(rows: list[list[int]], width: int) -> Optional[list[Fraction]]:
-    """Solve augmented integer rows (constant in column ``width``).
+def _by_gcd(row: dict) -> dict:
+    """The nonzero row divided by the gcd of its entries."""
+    g = gcd(*row.values())
+    return row if g == 1 else {c: x // g for c, x in row.items()}
 
-    Free variables are zero; ``None`` when the system is inconsistent.
+
+def add_row(
+    basis: dict, row: dict, least: Callable[[dict], Hashable] = min
+) -> Optional[Hashable]:
+    """Reduce ``row`` against ``basis`` and add what remains; its pivot, or None.
+
+    ``basis`` maps each pivot to its row and is in reduced echelon form:
+    every pivot is zero in every other row, and every row is primitive.
+    ``least(row)`` names a column of ``row`` that is least under an order
+    the caller keeps for the basis (ties allowed): ``min``, the least
+    index, or the longest word.  Each basis row is zero at the other
+    pivots, so cancelling one pivot of ``row`` brings back none: the
+    pivots ``row`` holds are cancelled once each, in any order.  A nonzero
+    remainder joins, divided by its gcd, with ``least`` of it as pivot,
+    and every row holding that pivot is reduced there.  Its entries are
+    no less than the pivot, so each row keeps a least column as its pivot.
+    Rows are replaced, never changed in place, so a row the caller read
+    from ``basis`` keeps the value it joined with (``row`` itself may
+    join, uncopied).  Returns None when ``row`` lies in the span of the
+    basis.
     """
-    reduced, pivots = _eliminate(rows)
-    if width in pivots:
-        return None  # a pivot in the constant column: inconsistent
-    return _particular(reduced, pivots, width)
+    for pivot in basis.keys() & row.keys():
+        row = _cancel(row, basis[pivot], pivot)
+    if not row:
+        return None
+    row = _by_gcd(row)
+    pivot = least(row)
+    for other, r in basis.items():
+        if pivot in r:
+            basis[other] = _by_gcd(_cancel(r, row, pivot))
+    basis[pivot] = row
+    return pivot
 
 
-def _particular(reduced: list[list[int]], pivots: list[int], width: int) -> list[Fraction]:
-    """The solution of consistent reduced rows whose free variables are zero."""
-    solution = [Fraction(0)] * width
-    for r, col in enumerate(pivots):
-        row = reduced[r]
-        solution[col] = Fraction(row[width], row[col])
-    return solution
+def _sparse(values: Sequence) -> dict:
+    """The nonzero values as Fractions scaled to integers, by column."""
+    row = {c: to_fraction(x) for c, x in enumerate(values) if x}
+    return {c: x for c, x in zip(row, integer_scaled(list(row.values()))[0]) if x}
 
 
 def rank(rows: Sequence[Sequence[Fraction]]) -> int:
-    """Exact rank of equal-length rows of Fractions or ints (fraction-free)."""
-    return len(_eliminate([_integer_row(row) for row in rows])[1])
+    """Exact rank of equal-length rows of Fractions or ints (fraction-free).
+
+    Raises ``ValueError`` when the rows differ in length.
+    """
+    if any(len(row) != len(rows[0]) for row in rows):
+        raise ValueError("rows must have equal length")
+    basis: dict = {}
+    for row in rows:
+        add_row(basis, _sparse(row))
+    return len(basis)
 
 
-def _augmented(
-    rows: Sequence[Sequence], rhs: Sequence[Fraction], width: int
-) -> Optional[list[list[int]]]:
-    """Checked rows with their right-hand sides appended, as integer rows.
+def _reduced(rows: Sequence[Sequence], rhs: Sequence, width: int) -> Optional[dict]:
+    """The basis of the checked rows with their right-hand sides in column
+    ``width``, or ``None`` once a row's pivot is that column.
 
-    ``0 = 0`` rows are dropped, and the first ``0 = b`` row with ``b != 0``
-    returns ``None``.  Every row's length is checked first.
+    Every row's length, and the number of right-hand sides, is checked
+    first.
     """
     if len(rhs) != len(rows):
         raise ValueError("right-hand side must match the number of rows")
     if any(len(row) != width for row in rows):
         raise ValueError(f"rows must have length {width}")
-    augmented = []
+    basis: dict = {}
     for row, b in zip(rows, rhs):
-        row = [to_fraction(x) for x in row]
-        if not any(row):
-            if b:
-                return None
-            continue
-        row.append(b)
-        augmented.append(_integer_row(row))
-    return augmented
+        if add_row(basis, _sparse([*row, b])) == width:
+            return None
+    return basis
+
+
+def _particular(basis: dict, width: int) -> list[Fraction]:
+    """The solution of a consistent basis whose free variables are zero."""
+    solution = [Fraction(0)] * width
+    for col, row in basis.items():
+        solution[col] = Fraction(row.get(width, 0), row[col])
+    return solution
 
 
 def solve_rows(
@@ -146,15 +160,12 @@ def solve_rows(
     """Solve a system given as plain lists; tolerates empty systems.
 
     ``rows`` are coefficient rows of length ``width``; returns a flat
-    solution list (free variables zero) or ``None`` if inconsistent.
-    An all-zero row is settled without elimination: ``0 = 0`` is dropped
-    and ``0 = b`` with ``b != 0`` returns ``None`` at once.  Neither
-    changes the result, because the reduced row echelon form of the
-    remaining rows is unique.  Every row's length, and the number of
-    right-hand sides, is checked first.
+    solution list (free variables zero) or ``None`` if inconsistent, as
+    it is once a row reduces to ``0 = b`` with ``b != 0``.  Every row's
+    length, and the number of right-hand sides, is checked first.
     """
-    augmented = _augmented(rows, [to_fraction(x) for x in rhs], width)
-    return None if augmented is None else _solve(augmented, width)
+    basis = _reduced(rows, rhs, width)
+    return None if basis is None else _particular(basis, width)
 
 
 def solution_space(
@@ -168,19 +179,17 @@ def solution_space(
     are exactly ``x0`` plus the span of ``kernel``, and ``len(kernel)`` is
     ``width`` minus the rank of the rows.  ``None`` when inconsistent.
     """
-    augmented = _augmented(rows, [to_fraction(x) for x in rhs], width)
-    if augmented is None:
-        return None
-    reduced, pivots = _eliminate(augmented)
-    if width in pivots:
+    basis = _reduced(rows, rhs, width)
+    if basis is None:
         return None
     kernel = []
-    for free in sorted(set(range(width)) - set(pivots)):
+    for free in range(width):
+        if free in basis:
+            continue
         vector = [Fraction(0)] * width
         vector[free] = Fraction(1)
-        for r, col in enumerate(pivots):
-            row = reduced[r]
-            if row[free]:
+        for col, row in basis.items():
+            if free in row:
                 vector[col] = Fraction(-row[free], row[col])
         kernel.append(vector)
-    return _particular(reduced, pivots, width), kernel
+    return _particular(basis, width), kernel

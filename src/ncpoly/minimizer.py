@@ -24,7 +24,6 @@ systems because T and U are scalar.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
 from typing import Optional, Sequence
 
 from . import linalg
@@ -266,53 +265,33 @@ def build_als(
     return work.freeze()
 
 
+def _longest_word(row: dict) -> Word:
+    """A word of highest degree in the row: the closure's pivot."""
+    return max(row, key=len)
+
+
 def _quotient_rank(p: NcPolynomial) -> int:
     """Dimension of the span of the left quotients ``w^-1 p``: the rank of p.
 
     ``(w^-1 p)(u) = p(wu)``, and the span is the smallest space that holds
-    p and is closed under every ``x^-1``, so the closure takes ``x^-1`` of
-    each basis vector once.  Vectors are sparse word-keyed integer rows
-    (the coefficients scaled to ints once; rank does not see the scale),
-    not ``linalg``'s dense rows: their words are known only as the closure
-    grows, and p_6's 1,093 prefixes would make every row that long.
-    Each new vector is reduced fraction-free against the basis in the
-    order it grew: every basis vector is zero at the pivots of those
-    before it, so a subtraction never brings back an earlier pivot.  The
-    pivot is a word of highest degree, which the lower-degree quotients
-    rarely hold.
+    p and is closed under every ``x^-1``.  Vectors are word-keyed integer
+    rows (the coefficients scaled to ints once; rank does not see the
+    scale), added to ``linalg.add_row``'s basis with pivots on the longest
+    words, which the lower-degree quotients rarely hold.  The closure
+    takes ``x^-1`` of each row as it joins: those rows span what the
+    basis spans, though the basis rows change as later rows join.
     """
     terms = p.term_map()
-    start = dict(zip(terms, linalg.integer_scaled(list(terms.values()))[0]))
-    basis: list[tuple[Word, dict[Word, int]]] = []
-    if start:
-        basis.append((max(start, key=len), start))
-    d = len(p.alphabet)
-    for _, vector in basis:  # grows while it is read
-        quotients: list[dict[Word, int]] = [{} for _ in range(d)]
-        for word, c in vector.items():
-            if word:
-                quotients[word[0]][word[1:]] = c
-        for q in quotients:
-            for pivot, b in basis:
-                a = q.get(pivot)
-                if a:
-                    pb = b[pivot]
-                    g = gcd(a, pb)
-                    a, pb = a // g, pb // g
-                    if pb != 1:
-                        for word in q:
-                            q[word] *= pb
-                    for word, c in b.items():
-                        x = q.get(word, 0) - a * c
-                        if x:
-                            q[word] = x
-                        else:
-                            del q[word]
-            if q:
-                g = gcd(*q.values())
-                if g != 1:
-                    q = {word: c // g for word, c in q.items()}
-                basis.append((max(q, key=len), q))
+    pending = [dict(zip(terms, linalg.integer_scaled(list(terms.values()))[0]))]
+    basis: dict = {}
+    for row in pending:  # grows while it is read
+        pivot = linalg.add_row(basis, row, _longest_word)
+        if pivot is not None:
+            quotients: dict = {}  # letter -> x^-1 of the row
+            for word, c in basis[pivot].items():
+                if word:
+                    quotients.setdefault(word[0], {})[word[1:]] = c
+            pending += quotients.values()
     return len(basis)
 
 

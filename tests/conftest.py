@@ -20,7 +20,7 @@ from ncpoly import (
     parse,
     vstack,
 )
-from ncpoly.linalg import rank, solve_rows
+from ncpoly.linalg import solve_rows
 from ncpoly.realization import _zero_cell_rows
 
 BENCH19_TEXT = (
@@ -193,12 +193,16 @@ def assert_bitwise_equal(a, b) -> None:
 
 
 def family_rank(family):
-    """Rank of the family's coefficient rows over their joint word support."""
+    """Rank of the family's coefficient rows over their joint word support.
+
+    Ranked by the rational ``reference_rank``, so the certificate shares no
+    elimination code with ``is_minimal``.
+    """
     terms = [q.term_map() for q in family]
     support = set().union(*terms)  # the rank does not depend on column order
     if not support:
         return 0
-    return rank([[t.get(w, Fraction(0)) for w in support] for t in terms])
+    return reference_rank([[t.get(w, Fraction(0)) for w in support] for t in terms])
 
 
 def reference_is_minimal(als):

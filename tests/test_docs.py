@@ -1,8 +1,8 @@
 """The README's library tour and every demo script run as written, the
 README names every command and option of the command line and each of its
 command lines parses, it quotes the parser's limits as the code sets them,
-each module imports only from the layers below it, and the private names
-that cross modules are the ones listed here."""
+each module imports only from the layers below it, the private names
+that cross modules are the ones listed here, and one module eliminates."""
 
 import argparse
 import ast
@@ -161,6 +161,21 @@ def test_private_names_crossing_modules():
         "minimizer<-realization._Work",
         "minimizer<-realization._zero_cell_rows",
     }
+
+
+def test_one_elimination_kernel():
+    """``linalg`` is the only module that takes ``math.gcd``: no other
+    module keeps an elimination loop of its own."""
+    users = set()
+    for path in (ROOT / "src" / "ncpoly").glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and node.module == "math":
+                if any(alias.name == "gcd" for alias in node.names):
+                    users.add(path.stem)
+            elif isinstance(node, ast.Attribute) and node.attr == "gcd":
+                if isinstance(node.value, ast.Name) and node.value.id == "math":
+                    users.add(path.stem)
+    assert users == {"linalg"}
 
 
 def test_readme_names_every_public_name():

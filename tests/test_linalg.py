@@ -2,11 +2,12 @@
 
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ncpoly.linalg import _eliminate, _integer_row, rank, solution_space, solve_rows
+from ncpoly.linalg import add_row, integer_scaled, rank, solution_space, solve_rows
 
 from conftest import matmul, reference_eliminate, reference_rank
 
@@ -71,7 +72,7 @@ class TestSolveRows:
 
 
 class TestZeroRows:
-    """An all-zero row is settled before elimination: 0 = 0 drops, 0 = b fails."""
+    """An all-zero row needs no special case: 0 = 0 adds nothing, 0 = b fails."""
 
     def test_zero_row_with_nonzero_rhs_is_inconsistent(self):
         rows = [[1, 0, 2], [0, 1, 1], [0, 0, 0], [1, 1, 3]]
@@ -149,6 +150,13 @@ class TestRank:
                     break
             assert rank(matmul(p, a)) == rank(a)
 
+    def test_rejects_ragged_rows(self):
+        with pytest.raises(ValueError):
+            rank([[1], [1, 5]])
+        with pytest.raises(ValueError):
+            rank([[1, 2], [3]])
+        assert rank([]) == 0 and rank([[], []]) == 0
+
 
 @settings(max_examples=50, deadline=None, derandomize=True)
 @given(
@@ -212,6 +220,10 @@ def _consistent_rhs(rng, rows, width):
     return [sum((a * x for a, x in zip(row, x0)), Fraction(0)) for row in rows]
 
 
+def _sparse(row):
+    return {c: x for c, x in enumerate(integer_scaled([Fraction(v) for v in row])[0]) if x}
+
+
 def _assert_same_as_reference(rows, rhs, width):
     got = solve_rows(rows, rhs, width)
     want = _reference_solve_rows(rows, rhs, width)
@@ -224,14 +236,13 @@ def _assert_same_as_reference(rows, rhs, width):
         return
     augmented = [list(row) + [b] for row, b in zip(rows, rhs)]
     reference, ref_pivots = reference_eliminate([list(r) for r in augmented])
-    reduced, pivots = _eliminate([_integer_row(r) for r in augmented])
-    assert pivots == ref_pivots
-    for r, row in enumerate(reduced):
-        if r < len(pivots):  # a multiple of the normalized reference row
-            p = row[pivots[r]]
-            assert [Fraction(x, p) for x in row] == reference[r]
-        else:
-            assert not any(row) and not any(reference[r])
+    basis = {}
+    for row in augmented:
+        add_row(basis, _sparse(row))
+    assert sorted(basis) == ref_pivots
+    for pivot, ref_row in zip(ref_pivots, reference):
+        row = basis[pivot]  # a multiple of the normalized reference row
+        assert [Fraction(row.get(c, 0), row[pivot]) for c in range(width + 1)] == ref_row
     assert rank(rows) == reference_rank(rows)
 
 
@@ -267,6 +278,53 @@ class TestIntegerKernelMatchesRationalReference:
         _assert_same_as_reference(rows, rhs, width)
         _assert_same_as_reference([base[2]], [Fraction(1, 9)], width)
         assert rank(rows) == rank(base) == reference_rank(base)
+
+
+class TestReducedEchelonBasis:
+    """``add_row`` keeps its basis reduced, primitive and least-pivoted."""
+
+    @pytest.mark.parametrize(
+        "key", [lambda c: c, lambda c: c % 3], ids=["index", "mod3-with-ties"]
+    )
+    def test_invariants_after_seeded_adds(self, key):
+        rng = random.Random(12)
+        joins = 0
+        for _ in range(60):
+            width = rng.randint(1, 10)
+            basis, added, joined = {}, [], []
+            for _ in range(rng.randint(1, 12)):
+                if added and rng.random() < 0.3:  # a combination of earlier rows
+                    a, b = rng.choice(added), rng.choice(added)
+                    s, t = rng.randint(-4, 4), rng.randint(-4, 4)
+                    dense = [s * x + t * y for x, y in zip(a, b)]
+                else:
+                    dense = [rng.choice((0, 0, rng.randint(-30, 30))) for _ in range(width)]
+                added.append(dense)
+                row = {c: x for c, x in enumerate(dense) if x}
+                pivot = add_row(basis, row, lambda row: min(row, key=key))
+                if pivot is not None:
+                    joined.append((basis[pivot], dict(basis[pivot])))
+            for pivot, row in basis.items():
+                assert row and all(row.values())
+                assert key(pivot) == min(key(c) for c in row)
+                assert gcd(*row.values()) == 1
+                assert all(pivot not in other for p, other in basis.items() if p != pivot)
+            # a row read from the basis keeps the value it joined with
+            assert all(row == snapshot for row, snapshot in joined)
+            assert len(basis) == len(joined) == reference_rank(added)
+            joins += len(joined)
+        assert joins
+
+    def test_worked_example(self):
+        basis = {}
+        assert add_row(basis, {}) is None
+        assert add_row(basis, {0: 2, 2: 4}) == 0
+        assert basis == {0: {0: 1, 2: 2}}
+        assert add_row(basis, {0: -3, 2: -6}) is None
+        assert add_row(basis, {2: 5, 1: 5}) == 1
+        assert basis == {0: {0: 1, 2: 2}, 1: {1: 1, 2: 1}}
+        assert add_row(basis, {2: 7}) == 2
+        assert basis == {0: {0: 1}, 1: {1: 1}, 2: {2: 1}}
 
 
 class TestSolutionSpace:

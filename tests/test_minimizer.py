@@ -4,6 +4,7 @@ import hashlib
 import importlib.util
 import random
 from fractions import Fraction
+from math import gcd
 from pathlib import Path
 
 import numpy as np
@@ -44,8 +45,8 @@ from ncpoly.families import (
 )
 from ncpoly.factorizer import _joint_split_ops, _split_unknowns
 from ncpoly.freepoly import word_key
-from ncpoly.linalg import _integer_row, _solve
-from ncpoly.minimizer import _is_reduced
+from ncpoly.linalg import integer_scaled
+from ncpoly.minimizer import _is_reduced, _quotient_rank
 from ncpoly.realization import LinearEntry, _Work
 
 from conftest import (
@@ -619,7 +620,8 @@ class TestOneCellDecision:
 
 
 class TestFamilyRankMatchesRatMatrixRank:
-    """family_rank equals the rank of the coefficient rows by rational Gauss-Jordan."""
+    """family_rank equals the rank of the coefficient rows by rational Gauss-Jordan
+    over the sorted support, and so does linalg's kernel on the same rows."""
 
     def test_seeded_families(self, ab_xy, ab_xyz):
         rng = random.Random(47)
@@ -636,8 +638,9 @@ class TestFamilyRankMatchesRatMatrixRank:
         ranks = set()
         for family in families:
             support = sorted(set().union(*(q.support() for q in family)), key=word_key)
-            expected = reference_rank([[q.coefficient(w) for w in support] for q in family])
-            assert family_rank(family) == expected
+            rows = [[q.coefficient(w) for w in support] for q in family]
+            expected = reference_rank(rows)
+            assert family_rank(family) == expected == linalg.rank(rows)
             ranks.add(expected == len(family))
         assert ranks == {True, False}  # full and deficient ranks both occur
 
@@ -768,19 +771,63 @@ class TestIsMinimalMatchesFamilyRanks:
         assert all(verdicts)
 
 
+def former_quotient_rank(p):
+    """The closure's former private reduction, kept as a reference.
+
+    Each quotient is reduced fraction-free against the basis in the order
+    it grew (every basis vector is zero at the pivots of those before
+    it), and a nonzero remainder joins with a word of highest degree as
+    pivot.
+    """
+    terms = p.term_map()
+    start = dict(zip(terms, integer_scaled(list(terms.values()))[0]))
+    basis = []
+    if start:
+        basis.append((max(start, key=len), start))
+    d = len(p.alphabet)
+    for _, vector in basis:  # grows while it is read
+        quotients = [{} for _ in range(d)]
+        for word, c in vector.items():
+            if word:
+                quotients[word[0]][word[1:]] = c
+        for q in quotients:
+            for pivot, b in basis:
+                a = q.get(pivot)
+                if a:
+                    pb = b[pivot]
+                    g = gcd(a, pb)
+                    a, pb = a // g, pb // g
+                    if pb != 1:
+                        for word in q:
+                            q[word] *= pb
+                    for word, c in b.items():
+                        x = q.get(word, 0) - a * c
+                        if x:
+                            q[word] = x
+                        else:
+                            del q[word]
+            if q:
+                g = gcd(*q.values())
+                if g != 1:
+                    q = {word: c // g for word, c in q.items()}
+                basis.append((max(q, key=len), q))
+    return len(basis)
+
+
 class TestRankFromQuotients:
     """rank_of builds no system, and equals the dimension build_als reaches."""
 
-    def test_seeded_polynomials(self):
+    @staticmethod
+    def seeded_polynomials():
         rng = random.Random(37)
         for letters in (("x",), ("x", "y"), ("x", "y", "z")):
             alphabet = Alphabet(letters)
             for _ in range(20):
-                p = random_polynomial(rng, alphabet, max_terms=8, max_degree=5)
-                assert rank_of(p) == build_als(p).n
+                yield random_polynomial(rng, alphabet, max_terms=8, max_degree=5)
 
-    def test_named_polynomials(self, ab_xyz, bench19_poly):
-        polys = [
+    @staticmethod
+    def named_polynomials(ab_xyz, bench19_poly):
+        return [
             power_polynomial(6),
             convolution_polynomial(5),
             bench19_poly,
@@ -789,9 +836,23 @@ class TestRankFromQuotients:
             parse("0", ab_xyz),
             parse("-7/3", ab_xyz),
         ]
+
+    def test_seeded_polynomials(self):
+        for p in self.seeded_polynomials():
+            assert rank_of(p) == build_als(p).n
+
+    def test_named_polynomials(self, ab_xyz, bench19_poly):
+        polys = self.named_polynomials(ab_xyz, bench19_poly)
         ranks = [rank_of(p) for p in polys]
         assert ranks == [build_als(p).n for p in polys]
         assert ranks == [7, 6, 16, 6, 4, 0, 1]
+
+    def test_matches_the_former_closure(self, ab_xyz, bench19_poly):
+        polys = list(self.seeded_polynomials())
+        polys += self.named_polynomials(ab_xyz, bench19_poly)
+        polys += [parse(f"(x+y+z)^{k}", ab_xyz) for k in range(1, 8)]
+        for p in polys:
+            assert _quotient_rank(p) == former_quotient_rank(p)
 
     def test_builds_no_system(self, ab_xyz, monkeypatch):
         monkeypatch.setattr(minimizer, "build_als", None)
@@ -841,7 +902,7 @@ def full_left_solve(als, k):
         for j in range(q)
     ]
     rows.append(list(als.rhs[k:]) + [-als.rhs[k - 1]])
-    t = _solve([_integer_row(row) for row in rows], q)
+    t = linalg.solve_rows([row[:-1] for row in rows], [row[-1] for row in rows], q)
     if t is None:
         return None
     u = [
@@ -862,7 +923,7 @@ def full_right_solve(als, k):
         for i in range(q)
     ]
     rows.append([1] + [0] * (q - 1) + [0])
-    u = _solve([_integer_row([Fraction(x) for x in row]) for row in rows], q)
+    u = linalg.solve_rows([row[:-1] for row in rows], [row[-1] for row in rows], q)
     if u is None:
         return None
     t = [
@@ -897,8 +958,7 @@ def dense_zero_block_ops(als, target_rows, target_cols, row_sources, col_sources
                         coeffs[index[("col", c, j)]] = als.rows[i][c].coeffs[comp]
                 rows.append(coeffs)
                 rhs.append(-als.rows[i][j].coeffs[comp])
-    augmented = [_integer_row(row + [b]) for row, b in zip(rows, rhs)]
-    solution = _solve(augmented, len(variables))
+    solution = linalg.solve_rows(rows, rhs, len(variables))
     if solution is None:
         return None
     ops = {"row": {}, "col": {}}
