@@ -28,15 +28,16 @@ matrix is built.
 
 Exact evaluation works on integer forms ``(ints, l)``, a matrix as Python
 ints over a common denominator ``l``.  An exact tuple makes its letters'
-forms once, when it is built, and the loop reads them as they are; a
-combination is formed directly on those ints, over the lcm of the
-letters' and coefficients' denominators, and never as ``Fraction``
-entries.  Only the tracked values are ``Fraction`` arrays: an exact step
-scales each one to ints on first read, keeps that form until its last
-read, multiplies and sums its parts on ints over one common
-denominator, puts the scalar on the diagonal as an int and builds the
-step's ``Fraction`` entries once, instead of reducing a ``Fraction`` at
-every scalar step.
+forms once, when it is built, and the loop reads them as they are.  An
+exact step sums its parts on ints (``_integer_sum``): it scales each
+tracked ``Fraction`` array to ints on first read, keeps that form until
+its last read, sums over one common denominator with the scalar on the
+diagonal as an int, and then builds its ``Fraction`` entries once,
+instead of reducing a ``Fraction`` at every scalar step.  A combination
+``sum c_k * L_k`` is such a sum with the scaled letters as parts and
+scalar zero, summed by ``_float_step`` in float64 and by ``_integer_sum``
+in exact mode, so there a combination is formed directly on the letters'
+ints and stays an integer form, never ``Fraction`` entries.
 
 A tracked value is a plain scalar, standing for that multiple of the
 identity, or a full matrix.  Only matrix-times-matrix products are counted;
@@ -47,8 +48,8 @@ respectively the first row.
 Exact and float evaluation run the same code: only ``MatrixTuple`` knows its
 mode, through ``coeff`` (a rational in the tuple's arithmetic, which
 converts a plan's coefficients), ``identity`` and ``is_exact`` (which
-picks the step function and how combinations are formed), and its arrays
-carry it as their dtype (``Fraction`` objects or float64).
+picks the step function, the one that also sums combinations), and its
+arrays carry it as their dtype (``Fraction`` objects or float64).
 """
 
 from __future__ import annotations
@@ -350,35 +351,6 @@ def _accumulate(total, mat: np.ndarray, factor, owned: bool = False):
     return total
 
 
-def _combination(letters, mats) -> np.ndarray:
-    """float64 ``sum c_k * mats[k]`` over ``letters``, whose first coefficient is 1."""
-    (first, _), *rest = letters
-    total = mats[first].copy()
-    for k, coeff in rest:
-        _accumulate(total, mats[k], coeff)
-    return total
-
-
-def _integer_combination(letters, forms) -> tuple[np.ndarray, int]:
-    """The integer form of ``sum c_k * L_k`` from the letters' integer forms.
-
-    Its denominator is the lcm of ``l_k * c_k.denominator``, so each
-    letter's ints are scaled by one int and no ``Fraction`` is built.
-    """
-    den = 1
-    for k, coeff in letters:
-        den = lcm(den, forms[k][1] * coeff.denominator)
-    total = None
-    for k, coeff in letters:
-        ints, letter_den = forms[k]
-        term = ints * (coeff.numerator * (den // (letter_den * coeff.denominator)))
-        if total is None:
-            total = term
-        else:
-            total += term
-    return total, den
-
-
 def _add_to_diagonal(mat: np.ndarray, scalar) -> None:
     """mat += scalar * I, in place."""
     diagonal = np.arange(mat.shape[0])
@@ -413,19 +385,17 @@ def _integer_form(mat: np.ndarray) -> tuple[np.ndarray, int]:
     return np.array(ints, dtype=object).reshape(mat.shape), den
 
 
-def _exact_step(forms: dict, parts, scalar):
-    """The step of ``_float_step`` on integer forms, summed on Python ints.
+def _integer_sum(forms: dict, parts, scalar) -> tuple[np.ndarray, int]:
+    """The integer form ``(ints, l)`` of ``_float_step``'s sum of ``parts``.
 
     An operand is a letter or combination already in integer form
     ``(ints, l)``, taken as it is, or a tracked ``Fraction`` array.  A
     tracked array is scaled to its integer form on first read and kept in
     ``forms`` (by ``id``, beside the array, until its last read).  The
     parts are multiplied and summed on ints over one common denominator,
-    the scalar goes on the diagonal as an int, and the step's ``Fraction``
-    entries are built once, at the end.
+    the lcm of each part's denominators times its coefficient's, and the
+    scalar goes on the diagonal as an int.  ``parts`` is not empty.
     """
-    if not parts:
-        return scalar
 
     def form(mat):
         if isinstance(mat, tuple):
@@ -460,6 +430,18 @@ def _exact_step(forms: dict, parts, scalar):
             total += term
     if scalar:
         _add_to_diagonal(total, scalar.numerator * (den // scalar.denominator))
+    return total, den
+
+
+def _exact_step(forms: dict, parts, scalar):
+    """The step of ``_float_step`` in exact arithmetic.
+
+    The parts are summed on ints by ``_integer_sum`` and the step's
+    ``Fraction`` entries are built once, from that sum.
+    """
+    if not parts:
+        return scalar
+    total, den = _integer_sum(forms, parts, scalar)
     entries = [Fraction(c, den) for c in total.ravel().tolist()]
     return np.array(entries, dtype=object).reshape(total.shape)
 
@@ -474,13 +456,16 @@ def _run(plan: _Plan, tup: MatrixTuple, values: list, operands: list):
     parts, the products ``factor * (L @ v)`` (``v @ L`` on the right), the
     scaled values ``constant * v`` and the scaled operands
     ``(factor * s) * L`` of a scalar value ``s``, go with the step's
-    scalar to the step function of the tuple's arithmetic.
+    scalar to the step function of the tuple's arithmetic.  A combination
+    ``sum c_k * L_k`` is the sum of the parts ``c_k * L_k`` with scalar
+    zero: ``_float_step`` forms it in float64, and ``_integer_sum`` in
+    exact mode, so it stays an integer form, as the letters are read.
     """
     forms = {}  # integer forms of the tracked values an exact step has read
     if tup.is_exact:
-        step, combine = partial(_exact_step, forms), _integer_combination
+        step, combine = partial(_exact_step, forms), partial(_integer_sum, forms)
     else:
-        step, combine = _float_step, _combination
+        step = combine = _float_step
     zero = tup.coeff(Fraction(0))
     count = formed = 0
 
@@ -488,8 +473,8 @@ def _run(plan: _Plan, tup: MatrixTuple, values: list, operands: list):
         nonlocal formed
         mat = operands[letter]
         if mat is None:
-            mat = combine(plan.combos[letter - tup.d], operands)
-            operands[letter] = mat
+            parts = [(c, operands[k], None) for k, c in plan.combos[letter - tup.d]]
+            mat = operands[letter] = combine(parts, zero)
             formed += 1
         return mat
 

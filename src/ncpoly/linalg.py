@@ -12,10 +12,10 @@ pivot is zero in every row but its own.  With least-column pivots the
 basis is the reduced row echelon form of the rows added, up to one
 nonzero factor per row, whatever order they come in.
 
-``rank``, ``solve_rows`` and ``solution_space`` take dense rows of
-rationals, scale each to integers by the lcm of its denominators
-(``integer_scaled``, which exact evaluation shares) and keep its nonzero
-entries; the right-hand side is column ``width``.  A pivot there means no
+``solve_rows`` and ``solution_space`` take dense rows of rationals,
+scale each to integers by the lcm of its denominators (``integer_scaled``,
+which exact evaluation shares) and keep its nonzero entries; the
+right-hand side is column ``width``.  A pivot there means no
 solution.  Solutions set all free variables to zero, so results are
 deterministic; ``solution_space`` adds one kernel vector per free
 variable.  These routines back the minimization equations, the
@@ -113,19 +113,6 @@ def _sparse(values: Sequence) -> dict:
     """The nonzero values as Fractions scaled to integers, by column."""
     row = {c: to_fraction(x) for c, x in enumerate(values) if x}
     return {c: x for c, x in zip(row, integer_scaled(list(row.values()))[0]) if x}
-
-
-def rank(rows: Sequence[Sequence[Fraction]]) -> int:
-    """Exact rank of equal-length rows of Fractions or ints (fraction-free).
-
-    Raises ``ValueError`` when the rows differ in length.
-    """
-    if any(len(row) != len(rows[0]) for row in rows):
-        raise ValueError("rows must have equal length")
-    basis: dict = {}
-    for row in rows:
-        add_row(basis, _sparse(row))
-    return len(basis)
 
 
 def _reduced(rows: Sequence[Sequence], rhs: Sequence, width: int) -> Optional[dict]:

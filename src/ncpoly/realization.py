@@ -848,19 +848,37 @@ def dump_als(als: Als) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _lines(text: str) -> list[str]:
+    """The non-blank lines of a file, without the whitespace around them."""
+    return [line.strip() for line in text.splitlines() if line.strip()]
+
+
+def _header(lines: Sequence[str], keys: tuple, kind: str) -> list[str]:
+    """The values of the ``key value`` header ``lines``, which name ``keys``.
+
+    Each line holds exactly its key and one value; anything else raises
+    ``FormatError``.
+    """
+    tokens = [line.split() for line in lines]
+    if tuple(t[0] for t in tokens) != keys:
+        raise FormatError(f"{kind} header must be " + ", ".join(map(repr, keys)))
+    for key, t in zip(keys, tokens):
+        if len(t) != 2:
+            raise FormatError(f"header line {key!r} must hold exactly one value")
+    return [t[1] for t in tokens]
+
+
 def load_als(text: str) -> Als:
-    lines = [line.rstrip() for line in text.splitlines() if line.strip()]
+    lines = _lines(text)
     if not lines or lines[0] != _FORMAT_TAG:
         raise FormatError("not an ALS file (missing format tag)")
+    keys = ("dim", "alphabet", "lambda-pos")
+    dim, letters, lambda_pos = _header(lines[1:4], keys, "ALS")
     try:
-        keys = [line.split()[0] for line in lines[1:4]]
-        dim = int(lines[1].split()[1])
-        alphabet = Alphabet(lines[2].split(" ", 1)[1].split(","))
-        lambda_pos = int(lines[3].split()[1])
-    except (IndexError, ValueError) as exc:
+        dim, lambda_pos = int(dim), int(lambda_pos)
+        alphabet = Alphabet(letters.split(","))
+    except ValueError as exc:
         raise FormatError(f"malformed ALS header: {exc}") from exc
-    if keys != ["dim", "alphabet", "lambda-pos"]:
-        raise FormatError("ALS header must be 'dim', 'alphabet', 'lambda-pos'")
     expected_lines = 6 + dim + (1 if dim else 0)
     if len(lines) < expected_lines:
         raise FormatError("truncated ALS file")
@@ -903,17 +921,15 @@ def dump_factors(bf: BlockFactorization) -> str:
 
 
 def load_factors(text: str) -> BlockFactorization:
-    lines = [line for line in text.splitlines() if line.strip()]
+    lines = _lines(text)
     if not lines or lines[0] != _FACTORS_TAG:
         raise FormatError("not a block-factor file (missing format tag)")
+    letters, count = _header(lines[1:3], ("alphabet", "count"), "factor")
     try:
-        keys = [line.split()[0] for line in lines[1:3]]
-        alphabet = Alphabet(lines[1].split(" ", 1)[1].split(","))
-        count = int(lines[2].split()[1])
-    except (IndexError, ValueError) as exc:
+        alphabet = Alphabet(letters.split(","))
+        count = int(count)
+    except ValueError as exc:
         raise FormatError(f"malformed factor header: {exc}") from exc
-    if keys != ["alphabet", "count"]:
-        raise FormatError("factor header must be 'alphabet', 'count'")
     d = len(alphabet)
     factors = []
     at = 3

@@ -20,7 +20,7 @@ from ncpoly import (
     parse,
     vstack,
 )
-from ncpoly.linalg import solve_rows
+from ncpoly.linalg import add_row, integer_scaled, solve_rows
 from ncpoly.realization import _zero_cell_rows
 
 BENCH19_TEXT = (
@@ -283,6 +283,21 @@ def reference_eliminate(rows):
 def reference_rank(rows):
     """Rank by ``reference_eliminate`` on a copy of the rows."""
     return len(reference_eliminate([[Fraction(x) for x in row] for row in rows])[1])
+
+
+def sparse_row(row):
+    """A dense row of rationals as ``add_row`` takes it: its nonzero
+    integer-scaled entries by column."""
+    ints, _ = integer_scaled([Fraction(x) for x in row])
+    return {c: x for c, x in enumerate(ints) if x}
+
+
+def kernel_rank(rows):
+    """Rank by ``linalg.add_row``: the size of the basis the rows build."""
+    basis = {}
+    for row in rows:
+        add_row(basis, sparse_row(row))
+    return len(basis)
 
 
 # -- the general split solve -----------------------------------------------------

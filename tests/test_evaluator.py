@@ -36,7 +36,7 @@ from ncpoly import (
 )
 from ncpoly import evaluator
 from ncpoly.errors import FormatError
-from ncpoly.evaluator import _combination, _plan
+from ncpoly.evaluator import _Plan, _plan, _run
 from ncpoly.families import convolution_system, power_polynomial, power_system
 from ncpoly.freepoly import identity_matrix
 
@@ -441,6 +441,27 @@ class TestExactProduct:
             assert np.array_equal(product, fraction_matmul(a, b))
 
 
+class RecordingOperands(list):
+    """A walk's operands that keep every combination written into them."""
+
+    def __init__(self, operands):
+        super().__init__(operands)
+        self.formed = {}
+
+    def __setitem__(self, letter, mat):
+        if mat is not None:
+            self.formed[letter] = mat
+        super().__setitem__(letter, mat)
+
+
+def walk_combinations(plan, tup):
+    """The combinations ``_run`` forms walking ``plan`` on ``tup``, by letter."""
+    letters = tup._forms if tup.is_exact else tup.mats
+    operands = RecordingOperands([*letters, *[None] * len(plan.combos)])
+    _run(plan, tup, [plan.start], operands)
+    return operands.formed
+
+
 class TestBorrowedLetters:
     """An entry of one letter, whatever its coefficients, reads the tuple's
     own matrix and never writes it; other entries read a formed combination."""
@@ -464,8 +485,11 @@ class TestBorrowedLetters:
                 (1, 0, 2, 1), (1, 0, 2, -2), (1, 3, None, 0),
             ]
             assert plan.combos == (((0, 1), (1, 1)),)
-            combination = _combination(plan.combos[0], mats.mats)
-            assert not any(np.shares_memory(combination, mat) for mat in mats.mats)
+            (combination,) = walk_combinations(plan, mats).values()
+            letters = mats.mats
+            if mats.is_exact:  # the walk reads the letters' integer forms
+                combination, letters = combination[0], [ints for ints, _ in mats._forms]
+            assert not any(np.shares_memory(combination, mat) for mat in letters)
         read, scaled = [], []
         exact_step, integer_form = evaluator._exact_step, evaluator._integer_form
 
@@ -651,6 +675,94 @@ class TestFormedCombinations:
         tup = random_rational_tuple(random.Random(24), 2, 2)
         assert [evaluate_left(als, tup).formed for als in systems] == [1, 1]
         assert evaluate_product(systems, tup).formed == 2
+
+
+def reference_combination(letters, mats):
+    """Reference float64 ``sum c_k * mats[k]`` (the first coefficient is 1):
+    a copy of the first letter, then scaled adds."""
+    (first, _), *rest = letters
+    total = mats[first].copy()
+    for k, coeff in rest:
+        total += coeff * mats[k]
+    return total
+
+
+def reference_integer_combination(letters, forms):
+    """Reference integer form of ``sum c_k * L_k`` from the letters' forms,
+    over the lcm of ``l_k * c_k.denominator``."""
+    den = 1
+    for k, coeff in letters:
+        den = lcm(den, forms[k][1] * coeff.denominator)
+    total = None
+    for k, coeff in letters:
+        ints, letter_den = forms[k]
+        term = ints * (coeff.numerator * (den // (letter_den * coeff.denominator)))
+        if total is None:
+            total = term
+        else:
+            total += term
+    return total, den
+
+
+class TestStepFormedCombinations:
+    """The walk forms a combination as a step of scaled letters with scalar
+    zero, equal to the references bit for bit: float64 bytes, and in exact
+    mode the same ints over the same denominator."""
+
+    def assert_same(self, formed, letters, tup):
+        if tup.is_exact:
+            ints, den = formed
+            want_ints, want_den = reference_integer_combination(letters, tup._forms)
+            assert den == want_den and ints.dtype == object
+            assert ints.shape == want_ints.shape
+            assert ints.ravel().tolist() == want_ints.ravel().tolist()
+            assert all(type(x) is int for x in ints.ravel().tolist())
+        else:
+            assert_bitwise_equal(formed, reference_combination(letters, tup.mats))
+
+    def tuples(self, rng, d, m):
+        tup = random_rational_tuple(rng, d, m, max_num=50, max_den=97)
+        return tup, tup.to_float()
+
+    def test_random_letter_lists(self):
+        rng = random.Random(31)
+        checked = 0
+        for _ in range(40):
+            d, m = rng.randint(1, 4), rng.randint(1, 5)
+            combos = [
+                [(rng.randrange(d), Fraction(1))] + [
+                    (rng.randrange(d),
+                     Fraction(rng.choice((-1, 1)) * rng.randint(1, 50), rng.randint(1, 97)))
+                    for _ in range(rng.randint(1, 4))
+                ]
+                for _ in range(3)
+            ]
+            for tup in self.tuples(rng, d, m):
+                one = tup.coeff(Fraction(1))
+                for combo in combos:
+                    letters = tuple((k, tup.coeff(c)) for k, c in combo)
+                    # one step reads the combination, scaled by the start value 1
+                    plan = _Plan(one, True, (letters,), ((((0, 0, d, one),), (), ()),))
+                    (formed,) = walk_combinations(plan, tup).values()
+                    self.assert_same(formed, letters, tup)
+                    checked += 1
+        assert checked == 240
+
+    def test_plan_combinations(self, bench19_poly, six_dim_remark):
+        systems = [minimize(convolution_system(5)), minimize(power_system(6)),
+                   build_als(bench19_poly), six_dim_remark]
+        rng = random.Random(32)
+        formed_count = 0
+        for als in systems:
+            for tup in self.tuples(rng, len(als.alphabet), 3):
+                for side in ("left", "right"):
+                    plan = _plan(als, side, tup)
+                    formed = walk_combinations(plan, tup)
+                    assert sorted(formed) == list(range(tup.d, tup.d + len(plan.combos)))
+                    for letter, mat in formed.items():
+                        self.assert_same(mat, plan.combos[letter - tup.d], tup)
+                    formed_count += len(formed)
+        assert formed_count == 2 * 2 * (5 + 1 + 2 + 1)
 
 
 class TestMatrixTupleBoundary:

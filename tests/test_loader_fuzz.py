@@ -86,6 +86,33 @@ def test_unmutated_dumps_load():
 
 
 @pytest.mark.parametrize("kind", sorted(DUMPS))
+@pytest.mark.parametrize(
+    "pad", [lambda line: line + "  ", lambda line: line + "\r", lambda line: f"\t{line} \t"],
+    ids=["trailing-spaces", "crlf", "tabs-around"],
+)
+def test_whitespace_around_lines_is_ignored(kind, pad):
+    load, texts = DUMPS[kind]
+    for text in texts:
+        padded = "\n".join(pad(line) for line in text.splitlines()) + "\n"
+        assert load(padded) == load(text)
+
+
+@pytest.mark.parametrize(
+    "kind, line",
+    [("als", "dim"), ("als", "alphabet"), ("als", "lambda-pos"),
+     ("factors", "alphabet"), ("factors", "count")],
+)
+def test_header_line_with_an_extra_token_is_rejected(kind, line):
+    load, texts = DUMPS[kind]
+    for text in texts:
+        lines = text.splitlines()
+        at = next(i for i, row in enumerate(lines) if row.split()[0] == line)
+        lines[at] += " junk"
+        with pytest.raises(FormatError, match=f"'{line}' must hold exactly one value"):
+            load("\n".join(lines) + "\n")
+
+
+@pytest.mark.parametrize("kind", sorted(DUMPS))
 @settings(max_examples=400, deadline=None, derandomize=True)
 @given(index=st.integers(0, 2), rng=st.randoms())
 def test_mutated_dumps_load_or_raise_format_error(kind, index, rng):
