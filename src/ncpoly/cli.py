@@ -49,6 +49,14 @@ from .realization import (
 
 OK, INPUT_ERROR, VERIFY_ERROR = 0, 2, 3
 
+# Building a system for p costs about len(p) * (rank + degree)^2 units of
+# 3-11 us each (one 2-core host): (x+y+z)^6 is 123,201 units and builds in
+# 0.9 s, (x+y+z)^7 is 492,075 and takes 4 s, and x^118*(x+y)^9, 33 million,
+# takes minutes.  ``rank_of`` finds the rank in well under a second, so
+# ``compile`` and ``factor`` refuse a polynomial above this bound before
+# they build; the costliest admitted input builds in under 2 s.
+MAX_BUILD_COST = 200_000
+
 
 def _infer_alphabet(text: str) -> Alphabet:
     """Letters in order of first appearance; explicit --alphabet overrides.
@@ -82,6 +90,17 @@ def _parse_poly(args, text: str) -> NcPolynomial:
     return parse(text, args.alphabet or _infer_alphabet(text))
 
 
+def _buildable(p: NcPolynomial) -> NcPolynomial:
+    """p, or ``ValueError`` when its system would cost over ``MAX_BUILD_COST``."""
+    cost = len(p) * (rank_of(p) + p.degree()) ** 2
+    if cost > MAX_BUILD_COST:
+        raise ValueError(
+            f"building this polynomial's system would cost about {cost} units "
+            f"(terms * (rank + degree)^2), over the bound of {MAX_BUILD_COST}"
+        )
+    return p
+
+
 def _summary(als: Als) -> dict:
     n = als.n
     lo, hi = complexity_bounds(n) if n >= 2 else (0, 0)
@@ -112,7 +131,7 @@ def cmd_rank(args) -> int:
 
 
 def cmd_compile(args) -> int:
-    als = build_als(_parse_poly(args, args.polynomial))
+    als = build_als(_buildable(_parse_poly(args, args.polynomial)))
     if args.output:
         with open(args.output, "w") as handle:
             handle.write(dump_als(als))
@@ -171,8 +190,7 @@ def cmd_eval(args) -> int:
 
 
 def cmd_factor(args) -> int:
-    p = _parse_poly(args, args.polynomial)
-    atoms = factor_atoms(p)
+    atoms = factor_atoms(_buildable(_parse_poly(args, args.polynomial)))
     if args.format == "json":
         print(json.dumps({"atoms": [str(a) for a in atoms]}))
     else:

@@ -123,12 +123,12 @@ class MatrixTuple:
             raise _entry_error(self.mats, self.mode) from exc
         if not mats:
             raise ValueError("need at least one matrix")
+        if not mats[0].size:  # [] reads as a 1-D array, so check before shapes
+            raise ValueError("matrices must be at least 1 x 1")
         m = mats[0].shape[0] if mats[0].ndim else 0
         for mat in mats:
             if mat.shape != (m, m):
                 raise ValueError("matrices must all be square of the same size")
-        if m < 1:
-            raise ValueError("matrices must be at least 1 x 1")
         forms = None
         if self.mode == F64:
             if not all(np.isfinite(mat).all() for mat in mats):
@@ -613,8 +613,9 @@ def evaluate_product(systems: Sequence[Als], tup: MatrixTuple) -> EvalReport:
     Every factor is evaluated through its own system (left side), then
     folded into the product left to right by a one-step plan with the
     factor as its operand, so scalar factors never cost a product, and
-    after a zero factor no later factor does either.  Raises ``TypeError``
-    for a factor that is not an ``Als``.
+    once the product is zero no later fold does either.  Each later
+    factor's own walk still runs, and its products are counted.  Raises
+    ``TypeError`` for a factor that is not an ``Als``.
     """
     systems = tuple(systems)
     if not systems:

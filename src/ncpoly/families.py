@@ -13,36 +13,40 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .freepoly import Alphabet, NcPolynomial
-from .realization import Als, LinearEntry, _unit_rows
+from .realization import Als, minimal_monomial, right_companion
 
 
 def power_alphabet() -> Alphabet:
     return Alphabet(("x", "y", "z"))
 
 
+def _level_sum(alphabet: Alphabet, level: int) -> NcPolynomial:
+    """x_j + y_j + z_j for level j: the step of both families (x + y + z at 1)."""
+    base = 3 * (level - 1)
+    return NcPolynomial(
+        alphabet,
+        {(base,): Fraction(1), (base + 1,): Fraction(1), (base + 2,): Fraction(1)},
+    )
+
+
 def power_polynomial(k: int) -> NcPolynomial:
     """(x + y + z)^k, expanded."""
     if k < 0:
         raise ValueError("k must be non-negative")
-    alphabet = power_alphabet()
-    base = NcPolynomial(
-        alphabet, {(0,): Fraction(1), (1,): Fraction(1), (2,): Fraction(1)}
-    )
-    return base**k
+    return _level_sum(power_alphabet(), 1) ** k
 
 
 def power_system(k: int) -> Als:
-    """Minimal system for (x+y+z)^k: -(x+y+z) along the superdiagonal."""
+    """Minimal system for (x+y+z)^k: -(x+y+z) along the superdiagonal.
+
+    This is the right companion of k factors x+y+z with zero constants.
+    """
     if k < 0:
         raise ValueError("k must be non-negative")
     alphabet = power_alphabet()
-    d = len(alphabet)
-    n = k + 1
-    step = LinearEntry((Fraction(0), Fraction(-1), Fraction(-1), Fraction(-1)))
-    rows = _unit_rows(n, d)
-    for i in range(n - 1):
-        rows[i][i + 1] = step
-    return Als(alphabet, rows, [Fraction(0)] * k + [Fraction(1)])
+    if k == 0:
+        return minimal_monomial(alphabet, ())
+    return right_companion(alphabet, [_level_sum(alphabet, 1)] * k, [0] * k)
 
 
 def convolution_alphabet(k: int) -> Alphabet:
@@ -50,14 +54,6 @@ def convolution_alphabet(k: int) -> Alphabet:
     levels = max(k, 1)
     return Alphabet(
         tuple(f"{c}{level}" for level in range(1, levels + 1) for c in "xyz")
-    )
-
-
-def _level_sum(alphabet: Alphabet, level: int) -> NcPolynomial:
-    base = 3 * (level - 1)
-    return NcPolynomial(
-        alphabet,
-        {(base,): Fraction(1), (base + 1,): Fraction(1), (base + 2,): Fraction(1)},
     )
 
 
@@ -80,13 +76,8 @@ def convolution_system(k: int) -> Als:
     if k < 0:
         raise ValueError("k must be non-negative")
     alphabet = convolution_alphabet(k)
-    d = len(alphabet)
-    n = k + 1
-    rows = _unit_rows(n, d)
-    for i in range(n):
-        for j in range(i + 1, n):
-            coeffs = [Fraction(0)] * (d + 1)
-            base = 3 * (j - i - 1)
-            coeffs[base + 1] = coeffs[base + 2] = coeffs[base + 3] = Fraction(-1)
-            rows[i][j] = LinearEntry(tuple(coeffs))
-    return Als(alphabet, rows, [Fraction(0)] * k + [Fraction(1)])
+    cells = [
+        [-_level_sum(alphabet, j - i) if i < j else int(i == j) for j in range(k + 1)]
+        for i in range(k + 1)
+    ]
+    return Als.from_cells(alphabet, cells, [0] * k + [1])

@@ -297,9 +297,11 @@ def _degree(terms: _Terms) -> int:
 # len(base)**e, and a product of factors like the product of their term
 # counts, so unbounded input would never return; each nested parenthesis
 # costs the recursive-descent parser three stack frames.  Building a
-# system costs about the cube of the degree even for two terms:
-# ``x*y*x^126 + x^2*y*x^125`` (degree 128) builds in about 1 s, and
-# ``x*y*x^239 + x^2*y*x^238`` (degree 241) in 8 s.
+# system costs about len(p) * (rank + degree)^2, so a high degree is slow
+# even for two terms: ``x*y*x^126 + x^2*y*x^125`` (degree 128) builds in
+# 0.4 s, and ``x*y*x^239 + x^2*y*x^238`` (degree 241) in 8 s.  These limits
+# do not bound that cost: ``x^118*(x+y)^9`` (512 terms, degree 127) parses
+# but takes minutes to build, so ``cli.MAX_BUILD_COST`` bounds it as well.
 MAX_DEGREE = 128  # bound on e, on degree(base) * e and on a product's degree
 MAX_TERMS = 10_000  # bound on len(base) ** e and on len(a) * len(b)
 MAX_NESTING = 100  # bound on the depth of nested parentheses

@@ -248,27 +248,20 @@ class Als:
         for i in range(n - 1, -1, -1):
             terms = {(): self.rhs[i]}
             for j in range(i + 1, n):
-                _subtract_product(terms, self.rows[i][j], family[j], True)
+                _subtract_product(terms, self.rows[i][j], family[j])
             family[i] = NcPolynomial(self.alphabet, terms)
         return family  # type: ignore[return-value]
 
     def right_family(self) -> list[NcPolynomial]:
-        """t = u A^-1 by forward substitution; t[0] is always 1.
+        """t = u A^-1; t[0] is always 1.
 
-        t_j = -sum_i t_i A_ij, where the letter x of A_ij is appended to
-        every word of t_i.
+        This is the left family of the mirror ``_mirror(self)``, last
+        component first and every word read backwards.
         """
-        n = self.n
-        family: list[NcPolynomial] = []
-        for j in range(n):
-            if j == 0:
-                family.append(NcPolynomial.one(self.alphabet))
-                continue
-            terms: dict[Word, Fraction] = {}
-            for i in range(j):
-                _subtract_product(terms, self.rows[i][j], family[i], False)
-            family.append(NcPolynomial(self.alphabet, terms))
-        return family
+        return [
+            NcPolynomial(self.alphabet, {w[::-1]: c for w, c in s.term_map().items()})
+            for s in reversed(_mirror(self).left_family())
+        ]
 
     def polynomial(self) -> NcPolynomial:
         """The represented polynomial (symbolic back substitution)."""
@@ -278,9 +271,9 @@ class Als:
 
 
 def _subtract_product(
-    terms: dict[Word, Fraction], entry: LinearEntry, p: NcPolynomial, prefix: bool
+    terms: dict[Word, Fraction], entry: LinearEntry, p: NcPolynomial
 ) -> None:
-    """terms -= entry * p (prefix) or p * entry (not prefix), in place.
+    """terms -= entry * p, in place.
 
     One dict update per nonzero coefficient of the entry and word of p.
     """
@@ -289,8 +282,21 @@ def _subtract_product(
         return
     for word, value in p.term_map().items():
         for c, x in coeffs:
-            key = word if c == 0 else ((c - 1,) + word if prefix else word + (c - 1,))
+            key = word if c == 0 else (c - 1,) + word
             terms[key] = terms.get(key, 0) - x * value
+
+
+def _mirror(als: Als) -> Als:
+    """The anti-transposed system: A'[i][j] = A[n-1-j][n-1-i] and v' = e_n.
+
+    Transposing reverses products, and an affine entry reads the same
+    backwards, so the left family of the mirror, last component first and
+    every word reversed, is the right family of ``als``.  The mirror of the
+    mirror is ``als`` itself when ``als`` has v = e_n.
+    """
+    n = als.n
+    rows = [[als.rows[n - 1 - j][n - 1 - i] for j in range(n)] for i in range(n)]
+    return Als(als.alphabet, rows, [Fraction(i == n - 1) for i in range(n)])
 
 
 # Sparse scalar cells (i, j) -> x, such as the coupling block of ``append``.
@@ -315,6 +321,8 @@ class AdmissibleTransformation:
     q: tuple[tuple[tuple[int, int], Fraction], ...] = ()
 
     def __post_init__(self):
+        if self.n < 0:
+            raise ValueError(f"size must be non-negative, not {self.n}")
         object.__setattr__(self, "p", _upper_cells(self.p, 0, self.n, "P"))
         object.__setattr__(self, "q", _upper_cells(self.q, 1, self.n, "Q"))
 
@@ -594,21 +602,6 @@ def restore_polynomial_form(als: Als) -> Als:
 # -- companion systems --------------------------------------------------------
 
 
-def _check_companion_args(
-    alphabet: Alphabet, factors: Sequence[CellLike], consts: Sequence
-) -> tuple[list[LinearEntry], list[Fraction]]:
-    entries = [_coerce_cell(f, alphabet) for f in factors]
-    if not entries:
-        raise ValueError("need at least one pencil factor")
-    for i, entry in enumerate(entries):
-        if entry.is_scalar:
-            raise ValueError(f"pencil factor {i + 1} is scalar; need rank 2")
-    consts = [Fraction(c) for c in consts]
-    if len(consts) != len(entries):
-        raise ValueError("need exactly one constant per pencil factor")
-    return entries, consts
-
-
 def left_companion(
     alphabet: Alphabet, factors: Sequence[CellLike], consts: Sequence
 ) -> Als:
@@ -616,18 +609,9 @@ def left_companion(
 
     ``factors`` lists q_1..q_m (affine-linear, non-scalar), ``consts`` lists
     a_0..a_{m-1}.  Dimension m + 1; the first row carries the constants.
+    It is the mirror of ``right_companion`` on the same arguments.
     """
-    q, a = _check_companion_args(alphabet, factors, consts)
-    m = len(q)
-    d = len(alphabet)
-    n = m + 1
-    rows = _unit_rows(n, d)
-    rows[0][1] = (-q[m - 1]).add_constant(-a[m - 1])
-    for col in range(2, n):
-        rows[0][col] = LinearEntry.scalar(-a[m - col], d)
-    for i in range(1, m):
-        rows[i][i + 1] = -q[m - 1 - i]
-    return Als(alphabet, rows, [Fraction(0)] * m + [Fraction(1)])
+    return _mirror(right_companion(alphabet, factors, consts))
 
 
 def right_companion(
@@ -638,7 +622,15 @@ def right_companion(
     For univariate monic input (all q_i = x), evaluating the left family
     bottom-up reproduces the classical nested (Horner) evaluation scheme.
     """
-    q, a = _check_companion_args(alphabet, factors, consts)
+    q = [_coerce_cell(f, alphabet) for f in factors]
+    if not q:
+        raise ValueError("need at least one pencil factor")
+    for i, entry in enumerate(q):
+        if entry.is_scalar:
+            raise ValueError(f"pencil factor {i + 1} is scalar; need rank 2")
+    a = [Fraction(c) for c in consts]
+    if len(a) != len(q):
+        raise ValueError("need exactly one constant per pencil factor")
     m = len(q)
     d = len(alphabet)
     n = m + 1

@@ -1,6 +1,10 @@
 """End-to-end exercises of every subcommand and the exit-code contract."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -81,6 +85,27 @@ class TestCompile:
         )
         assert fields["dim"] == "16"
         assert int(fields["Nt"]) <= 22
+
+
+class TestBuildCostBound:
+    """``compile`` and ``factor`` refuse a system too costly to build."""
+
+    def test_costly_input_exits_two_quickly(self):
+        # 13 characters that parse, but whose system takes minutes to build
+        src = Path(__file__).resolve().parents[1] / "src"
+        env = dict(os.environ, PYTHONPATH=str(src))
+        for command in ("compile", "factor"):
+            done = subprocess.run(
+                [sys.executable, "-m", "ncpoly.cli", "--alphabet", "x,y",
+                 command, "x^118*(x+y)^9"],
+                capture_output=True, text=True, env=env, timeout=20,
+            )
+            assert done.returncode == 2, (command, done.stderr)
+            assert str(ncpoly.cli.MAX_BUILD_COST) in done.stderr
+
+    def test_sixth_power_still_compiles(self, capsys):
+        code, out, _ = run(capsys, "compile", "(x+y+z)^6")
+        assert code == 0 and out.startswith("dim=7 ")
 
 
 class TestMinimizeCommand:

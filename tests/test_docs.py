@@ -71,13 +71,14 @@ def test_readme_command_lines_parse():
 
 
 def test_readme_quotes_the_parser_limits():
-    from ncpoly import freepoly
+    from ncpoly import cli, freepoly
 
     readme = (ROOT / "README.md").read_text()
-    for name in ("MAX_DEGREE", "MAX_TERMS", "MAX_NESTING"):
+    for module, name in ((freepoly, "MAX_DEGREE"), (freepoly, "MAX_TERMS"),
+                         (freepoly, "MAX_NESTING"), (cli, "MAX_BUILD_COST")):
         quoted = re.findall(rf"`{name}` \((\d+)\)", readme)
         assert quoted, name
-        assert {int(value) for value in quoted} == {getattr(freepoly, name)}, name
+        assert {int(value) for value in quoted} == {getattr(module, name)}, name
 
 
 # errors < linalg < freepoly < realization < families, minimizer, evaluator
@@ -157,7 +158,6 @@ def test_private_names_crossing_modules():
         "factorizer<-realization._Target",
         "factorizer<-realization._zero_cell_rows",
         "factorizer<-minimizer._is_reduced",
-        "families<-realization._unit_rows",
         "minimizer<-realization._Work",
         "minimizer<-realization._zero_cell_rows",
     }

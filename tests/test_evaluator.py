@@ -817,6 +817,16 @@ class TestMatrixTupleBoundary:
             with pytest.raises(ValueError, match="finite"):
                 MatrixTuple.floating([np.eye(2), mat])
 
+    def test_empty_matrices_report_their_size(self):
+        # an empty first matrix reads as a 1-D array: the size error, not
+        # the shape error, names what is wrong
+        with pytest.raises(ValueError, match="at least 1 x 1"):
+            MatrixTuple.exact([[]])
+        with pytest.raises(ValueError, match="at least 1 x 1"):
+            random_rational_tuple(random.Random(0), 2, 0)
+        with pytest.raises(FormatError, match="at least 1 x 1"):
+            load_matrix_tuple("0 1 rat\n")
+
     @pytest.mark.parametrize("mode", ["rat", "f64"])
     @pytest.mark.parametrize("bad", [float("inf"), float("-inf"), float("nan"),
                                      None, 1j, "inf", object()])

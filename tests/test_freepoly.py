@@ -107,8 +107,9 @@ class TestParse:
             assert err.value.position == bad.rindex(factor)
 
     def test_short_input_of_high_degree(self, ab_xy):
-        # a system costs about the cube of the degree to build, even for two
-        # terms: at degree 128 about 1 s, at degree 241 (this input) 8 s
+        # a system costs about len(p) * (rank + degree)^2 to build, so even
+        # two terms are slow at a high degree: at degree 128 about 0.4 s, at
+        # degree 241 (this input) 8 s
         assert MAX_DEGREE <= 128
         assert parse(f"x*y*x^{MAX_DEGREE - 2}", ab_xy).degree() == MAX_DEGREE
         text = "x*y*x^239 + x^2*y*x^238"

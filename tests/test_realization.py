@@ -300,6 +300,10 @@ class TestApplyTransformation:
         assert transformed.right_family()[2].is_zero
         assert transformed.polynomial() == total.polynomial()
 
+    def test_rejects_negative_size(self):
+        with pytest.raises(ValueError, match="size"):
+            AdmissibleTransformation(-3)
+
     def test_rejects_bad_q_first_row(self):
         with pytest.raises(ValueError):
             AdmissibleTransformation(2, q={(0, 1): 1})
